@@ -179,12 +179,16 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
   (* set when the search is cut short (budget, deadline, or aborted node
      LPs): the incumbent can then no longer be certified optimal *)
   let explored_all = ref true in
+  (* factors cached by earlier searches are tagged with their own column
+     arrays and can never hit in this one: free them *)
+  Simplex.clear_factor_cache ();
   let base = relax model in
   let nv = Lp.num_vars model in
   let int_vars =
     List.filter
       (fun j -> Lp.is_integer model (Lp.var_of_index model j))
       (List.init nv Fun.id)
+    |> Array.of_list
   in
   let sign = match Lp.objective_sense model with `Minimize -> 1. | `Maximize -> -1. in
   let obj_const = Lp.objective_constant model in
@@ -204,7 +208,7 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
   let rows = Presolve.rows_of base in
   let integer_cols =
     let a = Array.make base.ncols false in
-    List.iter (fun j -> a.(j) <- true) int_vars;
+    Array.iter (fun j -> a.(j) <- true) int_vars;
     a
   in
   (* Node bound arrays are blitted into two scratch buffers allocated once
@@ -212,16 +216,18 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
      only during its own setup, so reuse across (sequential) node solves is
      safe and removes two ncols-sized allocations from every node. Heap
      siblings carry only their bound-delta lists — no arrays are copied on
-     branch. *)
+     branch. Every node LP shares [base]'s matrix and costs, so one solver
+     session serves the whole search. *)
   let scratch_lb = Array.make base.ncols 0. in
   let scratch_ub = Array.make base.ncols 0. in
+  let session = Simplex.session base in
   let lp_warm = ref 0 and lp_cold = ref 0 in
   let solve_node node =
     Array.blit base.lb 0 scratch_lb 0 base.ncols;
     Array.blit base.ub 0 scratch_ub 0 base.ncols;
     let lb = scratch_lb and ub = scratch_ub in
-    List.iter (fun (j, v) -> lb.(j) <- max lb.(j) v) node.nlb;
-    List.iter (fun (j, v) -> ub.(j) <- min ub.(j) v) node.nub;
+    List.iter (fun (j, v) -> let l = lb.(j) in lb.(j) <- (if l >= v then l else v)) node.nlb;
+    List.iter (fun (j, v) -> let u = ub.(j) in ub.(j) <- (if u <= v then u else v)) node.nub;
     let conflict = ref false in
     List.iter (fun (j, _) -> if lb.(j) > ub.(j) +. 1e-12 then conflict := true) node.nlb;
     List.iter (fun (j, _) -> if lb.(j) > ub.(j) +. 1e-12 then conflict := true) node.nub;
@@ -244,7 +250,7 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
         let warm = if warm_lp then node.nbasis else None in
         let warm_factor = if warm_lp then node.nfactor else None in
         let res =
-          Simplex.solve_r ?warm ?warm_factor ?refactor_interval ~deadline:dl
+          Simplex.solve_r ~session ?warm ?warm_factor ?refactor_interval ~deadline:dl
             { base with lb; ub }
         in
         (match res with
@@ -262,20 +268,23 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
       end
     end
   in
-  let prio j = match priority with Some p -> p.(j) | None -> 0. in
   let fractional x =
     (* branch on the highest-priority fractional integer variable,
        most-fractional within a priority class *)
-    let best = ref (-1) and best_score = ref (neg_infinity, 0.) in
-    List.iter
-      (fun j ->
-        let f = x.(j) -. floor x.(j) in
-        let score = Float.min f (1. -. f) in
-        if score > integrality_tol && (prio j, score) > !best_score then begin
-          best := j;
-          best_score := (prio j, score)
-        end)
-      int_vars;
+    let best = ref (-1) and best_prio = ref neg_infinity and best_score = ref 0. in
+    for i = 0 to Array.length int_vars - 1 do
+      let j = int_vars.(i) in
+      let f = x.(j) -. floor x.(j) in
+      let score = Float.min f (1. -. f) in
+      let pj = match priority with Some p -> p.(j) | None -> 0. in
+      if score > integrality_tol
+         && (pj > !best_prio || (pj = !best_prio && score > !best_score))
+      then begin
+        best := j;
+        best_prio := pj;
+        best_score := score
+      end
+    done;
     !best
   in
   let root = { nlb = []; nub = []; depth = 0; nbasis = None; nfactor = None } in
@@ -323,7 +332,7 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
           if bv < 0 then begin
             (* integral: new incumbent; snap integer values exactly *)
             let x = Array.sub res.Simplex.x 0 nv in
-            List.iter (fun j -> x.(j) <- Float.round x.(j)) int_vars;
+            Array.iter (fun j -> x.(j) <- Float.round x.(j)) int_vars;
             incumbent := Some x;
             incumbent_obj := res.Simplex.obj;
             Telemetry.Metrics.incr m_prune_integral;

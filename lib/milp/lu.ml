@@ -18,8 +18,7 @@ type trigger = No_refactor | Chain | Stability
 let eta_chain_cap = 64
 let stability_pivot_floor = 1e-7
 
-let of_matrix m binv = { m; binv; etas = 0; min_pivot = infinity }
-let create m = of_matrix m (Array.make_matrix m m 0.)
+let create m = { m; binv = Array.make_matrix m m 0.; etas = 0; min_pivot = infinity }
 let dim t = t.m
 let row t r = t.binv.(r)
 let chain_length t = t.etas
@@ -37,7 +36,9 @@ let refactor t ~scratch ~cols ~basis ~pivot_tol =
   done;
   for r = 0 to m - 1 do
     let rows, coeffs = cols.(basis.(r)) in
-    Array.iteri (fun k row -> mat.(row).(r) <- coeffs.(k)) rows
+    for k = 0 to Array.length rows - 1 do
+      mat.(rows.(k)).(r) <- coeffs.(k)
+    done
   done;
   (* the inverse is eliminated in place, from the identity *)
   let inv = t.binv in
@@ -89,7 +90,9 @@ let ftran t (rows, coeffs) alpha =
   for i = 0 to m - 1 do
     let bi = t.binv.(i) in
     let s = ref 0. in
-    Array.iteri (fun k row -> s := !s +. (bi.(row) *. coeffs.(k))) rows;
+    for k = 0 to Array.length rows - 1 do
+      s := !s +. (bi.(rows.(k)) *. coeffs.(k))
+    done;
     alpha.(i) <- !s
   done
 

@@ -28,11 +28,6 @@ val create : int -> t
 (** [create m] is an engine of dimension [m >= 1] holding the zero matrix;
     call {!refactor} or {!load} before using the kernels. *)
 
-val of_matrix : int -> float array array -> t
-(** [of_matrix m binv] wraps an existing [m x m] inverse without copying;
-    the engine takes ownership of the array. Used by the cold-start crash
-    basis, whose inverse is diagonal and built directly. *)
-
 val dim : t -> int
 
 val row : t -> int -> float array

@@ -98,11 +98,16 @@ let m_factor_ext = Telemetry.Metrics.counter "simplex.factor_extensions"
 (* Location of a column: basic in some row, or nonbasic resting at a bound. *)
 type location = Basic of int | At_lower | At_upper | Free_zero
 
+(* Solver state. Every array is sized once per session (see [session]) and
+   re-initialized at the start of each solve; only [p] and the mutable
+   scalars change identity between solves. *)
 type state = {
-  p : problem;
+  mutable p : problem;           (* the LP being solved: session's cols/cost *)
   m : int;                       (* rows *)
   ntot : int;                    (* structural + artificial columns *)
   acols : (int array * float array) array; (* all columns incl. artificials *)
+  plus : (int array * float array) array;  (* +1 logical column of each row *)
+  basic_at : location array;     (* [Basic r] of each row, shared *)
   alb : float array;
   aub : float array;
   loc : location array;
@@ -110,30 +115,42 @@ type state = {
   fac : Lu.t;                    (* incremental basis factorization engine *)
   xb : float array;              (* values of basic variables, by row *)
   xn : float array;              (* resting value of every column when nonbasic *)
-  interval : int option;         (* pinned refactor cadence (--refactor-interval) *)
+  mutable interval : int option; (* pinned refactor cadence (--refactor-interval) *)
   mutable loaded : Factor.t option;  (* canonical factor this solve entered from *)
   mutable degenerate_streak : int;
   mutable bland : bool;
   mutable iterations : int;
 }
 
-(* Per-solve scratch, sized once in [solve_r]: the pivot loops, pricing,
-   and refactorization all work out of these arrays, so the inner loops
-   allocate nothing (the GC never runs mid-solve). Shared between a warm
-   attempt and its cold fallback. *)
+(* Scratch shared by every stage of a solve — pivot loops, pricing,
+   refactorization, and the canonical epilogue — so no stage allocates
+   beyond the arrays a result hands back. *)
 type workspace = {
   wy : float array;           (* dual vector *)
   walpha : float array;       (* ftran result column *)
   wmat : float array array;   (* refactorization scratch (basis matrix) *)
   wres : float array;         (* rhs/residual scratch *)
   wdev : float array;         (* devex reference weights, by row *)
+  wx : float array;           (* rebase: vertex value of every column *)
+  wlb : float array;          (* canonicalize: saved lower bounds *)
+  wub : float array;          (* canonicalize: saved upper bounds *)
+  wflag : bool array;         (* per column: warm basic-set check, rebase basic set *)
+  wrow : bool array;          (* per row: rebase pivoted rows, chain wanted logicals *)
+  wpiv : int array;           (* rebase: pivot row of each accepted column *)
+  wacc : int array;           (* rebase: accepted columns *)
+  wkey : int array;           (* sorted basic set / chain prefix key *)
+  wslot : int array;          (* chain: column basic in each row *)
 }
 
-let make_workspace m =
+let make_workspace m ntot =
   let n = max 1 m in
   { wy = Array.make n 0.; walpha = Array.make n 0.;
     wmat = Array.make_matrix n n 0.; wres = Array.make n 0.;
-    wdev = Array.make n 1. }
+    wdev = Array.make n 1.; wx = Array.make ntot 0.;
+    wlb = Array.make ntot 0.; wub = Array.make ntot 0.;
+    wflag = Array.make ntot false; wrow = Array.make n false;
+    wpiv = Array.make n 0; wacc = Array.make n 0;
+    wkey = Array.make n 0; wslot = Array.make n 0 }
 
 let nonbasic_rest_value lb ub =
   if lb > neg_infinity then lb else if ub < infinity then ub else 0.
@@ -141,11 +158,12 @@ let nonbasic_rest_value lb ub =
 (* ---- canonical factor cache -------------------------------------------- *)
 
 let int_array_eq (a : int array) (b : int array) =
-  Array.length a = Array.length b
-  && (try
-        Array.iteri (fun i v -> if v <> b.(i) then raise Exit) a;
-        true
-      with Exit -> false)
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && a.(!i) = b.(!i) do incr i done;
+  !i = n
 
 (* Per-domain direct-mapped cache of canonical factorizations, keyed by the
    physical column array and the sorted basic set (plus synthetic prefix
@@ -162,7 +180,9 @@ let factor_cache_key : Factor.t option array Domain.DLS.key =
 
 let basis_slot m (key : int array) =
   let h = ref (m * 0x9E3779B1) in
-  Array.iter (fun j -> h := ((!h * 0x01000193) lxor j) land max_int) key;
+  for i = 0 to Array.length key - 1 do
+    h := ((!h * 0x01000193) lxor key.(i)) land max_int
+  done;
   !h mod cache_slots
 
 let lookup_factor p m (key : int array) =
@@ -170,10 +190,10 @@ let lookup_factor p m (key : int array) =
   else
     let cache = Domain.DLS.get factor_cache_key in
     match cache.(basis_slot m key) with
-    | Some f
+    | Some f as hit
       when f.Factor.f_cols == p.cols && f.Factor.f_nrows = m
            && int_array_eq f.Factor.f_key key ->
-      Some f
+      hit
     | _ -> None
 
 let store_factor (f : Factor.t) =
@@ -181,6 +201,11 @@ let store_factor (f : Factor.t) =
     let cache = Domain.DLS.get factor_cache_key in
     cache.(basis_slot f.Factor.f_nrows f.Factor.f_key) <- Some f
   end
+
+let is_sorted (a : int array) =
+  let i = ref 1 in
+  while !i < Array.length a && a.(!i - 1) < a.(!i) do incr i done;
+  !i >= Array.length a
 
 let sorted_key basis =
   let key = Array.copy basis in
@@ -203,6 +228,15 @@ let prefix_fp m (sset : int array) d =
   done;
   let fp = ((!h * 0x01000193) lxor d) land max_int in
   if fp = 0 then 1 else fp
+
+(* Every entry is tagged with the physical column array of the problem that
+   produced it, and a finished search's array is never seen again — so
+   dropping the entries loses no hit and frees their inverses. The
+   fingerprint table stays: it is a fixed array that frees nothing, and what
+   it witnessed decides which prefixes get stored, so clearing it would
+   move the extension counts (never a bit). *)
+let clear_factor_cache () =
+  Array.fill (Domain.DLS.get factor_cache_key) 0 cache_slots None
 
 let capture_factor st =
   let f =
@@ -237,7 +271,10 @@ let compute_xb st ws =
       let v = st.xn.(j) in
       if v <> 0. then begin
         let rows, coeffs = st.acols.(j) in
-        Array.iteri (fun k row -> r.(row) <- r.(row) -. (coeffs.(k) *. v)) rows
+        for k = 0 to Array.length rows - 1 do
+          let row = rows.(k) in
+          r.(row) <- r.(row) -. (coeffs.(k) *. v)
+        done
       end
   done;
   Lu.apply st.fac r st.xb
@@ -281,7 +318,10 @@ let residual_excess st ws =
     in
     if v <> 0. then begin
       let rows, coeffs = st.acols.(j) in
-      Array.iteri (fun k row -> r.(row) <- r.(row) -. (coeffs.(k) *. v)) rows
+      for k = 0 to Array.length rows - 1 do
+        let row = rows.(k) in
+        r.(row) <- r.(row) -. (coeffs.(k) *. v)
+      done
     end
   done;
   let worst = ref 0. in
@@ -309,11 +349,14 @@ let check_health st =
       raise (Lp_abort Robust.Failure.Numerical_instability)
   done
 
-(* Reduced cost of column j given the dual vector y. *)
-let reduced_cost st cost y j =
+(* Reduced cost of column j given the dual vector y. Inlined so the float
+   result stays unboxed in the pricing loops. *)
+let[@inline] reduced_cost st cost y j =
   let rows, coeffs = st.acols.(j) in
   let s = ref cost.(j) in
-  Array.iteri (fun k row -> s := !s -. (y.(row) *. coeffs.(k))) rows;
+  for k = 0 to Array.length rows - 1 do
+    s := !s -. (y.(rows.(k)) *. coeffs.(k))
+  done;
   !s
 
 (* y = c_B B⁻¹: btran over the cost of the basic columns, skipping zero
@@ -386,7 +429,9 @@ let optimize st cost ws max_iterations deadline =
              in
              let dir =
                (* a free variable can also move down on positive reduced cost *)
-               if dir = 0. && st.loc.(j) = Free_zero && d > opt_tol then -1. else dir
+               match loc with
+               | Free_zero when dir = 0. && d > opt_tol -> -1.
+               | Free_zero | At_lower | At_upper | Basic _ -> dir
              in
              if dir <> 0. then
                if st.bland then begin
@@ -466,7 +511,7 @@ let optimize st cost ws max_iterations deadline =
         st.xn.(old) <- (if !leaving_to_upper then st.aub.(old) else st.alb.(old));
         (* entering variable becomes basic in row r *)
         st.basis.(r) <- j;
-        st.loc.(j) <- Basic r;
+        st.loc.(j) <- st.basic_at.(r);
         st.xb.(r) <- st.xn.(j) +. (dir *. t);
         eta_update st r alpha
       end;
@@ -571,7 +616,9 @@ let dual_optimize st cost ws ~cap deadline =
           if st.aub.(j) -. st.alb.(j) > pivot_tol then begin
             let rows, coeffs = st.acols.(j) in
             let a = ref 0. in
-            Array.iteri (fun k rw -> a := !a +. (row.(rw) *. coeffs.(k))) rows;
+            for k = 0 to Array.length rows - 1 do
+              a := !a +. (row.(rows.(k)) *. coeffs.(k))
+            done;
             let a = !a in
             let eligible =
               match loc with
@@ -621,7 +668,7 @@ let dual_optimize st cost ws ~cap deadline =
         st.loc.(b) <- (if s > 0. then At_upper else At_lower);
         st.xn.(b) <- target;
         st.basis.(r) <- j;
-        st.loc.(j) <- Basic r;
+        st.loc.(j) <- st.basic_at.(r);
         st.xb.(r) <- st.xn.(j) +. t;
         (* devex reference-framework update from the pivot column *)
         let ar = alpha.(r) in
@@ -665,12 +712,14 @@ let canonical_weight j =
   let h = Int64.logxor h (Int64.shift_right_logical h 32) in
   1. +. (Int64.to_float (Int64.logand h 0xFFFFFFL) /. 16777216.)
 
-let canonicalize st cost ws deadline =
+let canonicalize st cost weights ws deadline =
   compute_duals st cost ws.wy;
   (* freeze every nonbasic column with a nonzero true reduced cost at its
      resting value: pricing then only ever enters face columns, so the true
      objective is invariant under the cleanup pivots *)
-  let frozen_lb = Array.copy st.alb and frozen_ub = Array.copy st.aub in
+  let frozen_lb = ws.wlb and frozen_ub = ws.wub in
+  Array.blit st.alb 0 frozen_lb 0 st.ntot;
+  Array.blit st.aub 0 frozen_ub 0 st.ntot;
   for j = 0 to st.ntot - 1 do
     match st.loc.(j) with
     | Basic _ -> ()
@@ -683,13 +732,12 @@ let canonicalize st cost ws deadline =
         st.aub.(j) <- st.xn.(j)
       end
   done;
-  let xi = Array.init st.ntot canonical_weight in
   st.bland <- false;
   st.degenerate_streak <- 0;
   (* bounded effort: a cleanup that stalls or roams an unbounded face just
      keeps the vertex it reached — identity is gated empirically, never at
      the cost of a solve failing *)
-  (try optimize st xi ws (st.iterations + 50 + (4 * st.m)) deadline
+  (try optimize st weights ws (st.iterations + 50 + (4 * st.m)) deadline
    with Lp_unbounded | Lp_iteration_limit -> ());
   Array.blit frozen_lb 0 st.alb 0 st.ntot;
   Array.blit frozen_ub 0 st.aub 0 st.ntot
@@ -704,7 +752,7 @@ let canonicalize st cost ws deadline =
    logical columns are unit vectors, so completion always succeeds. *)
 let rebase st ws =
   let m = st.m in
-  let x = Array.make st.ntot 0. in
+  let x = ws.wx in
   for j = 0 to st.ntot - 1 do
     match st.loc.(j) with
     | Basic r -> x.(j) <- st.xb.(r)
@@ -719,15 +767,16 @@ let rebase st ws =
   (* incremental elimination: lcols holds each accepted column after
      elimination against its predecessors, pivrow its pivot row *)
   let lcols = ws.wmat and w = ws.wres in
-  let pivrow = Array.make m (-1) in
-  let pivoted = Array.make m false in
-  let accepted = Array.make m (-1) in
+  let pivrow = ws.wpiv and pivoted = ws.wrow and accepted = ws.wacc in
+  Array.fill pivoted 0 m false;
   let count = ref 0 in
   let try_accept j =
     if !count < m then begin
       Array.fill w 0 m 0.;
       let rows, coeffs = st.acols.(j) in
-      Array.iteri (fun k row -> w.(row) <- coeffs.(k)) rows;
+      for k = 0 to Array.length rows - 1 do
+        w.(rows.(k)) <- coeffs.(k)
+      done;
       for t = 0 to !count - 1 do
         let f = w.(pivrow.(t)) /. lcols.(t).(pivrow.(t)) in
         if f <> 0. then
@@ -758,10 +807,13 @@ let rebase st ws =
     if not (interior j) then try_accept j
   done;
   if !count = m then begin
-    let in_basis = Array.make st.ntot false in
-    Array.iter (fun j -> in_basis.(j) <- true) accepted;
+    let in_basis = ws.wflag in
+    Array.fill in_basis 0 st.ntot false;
+    for t = 0 to m - 1 do
+      in_basis.(accepted.(t)) <- true
+    done;
     for j = 0 to st.ntot - 1 do
-      if in_basis.(j) then st.loc.(j) <- Basic 0 (* row fixed in [finalize] *)
+      if in_basis.(j) then st.loc.(j) <- st.basic_at.(0) (* row fixed in [finalize] *)
       else begin
         let l = st.alb.(j) and u = st.aub.(j) in
         if l > neg_infinity && (u = infinity || x.(j) -. l <= u -. x.(j)) then begin
@@ -796,7 +848,7 @@ let rebase st ws =
 let normalize_logicals st =
   for i = 0 to st.m - 1 do
     let _, coeffs = st.acols.(st.p.ncols + i) in
-    if coeffs.(0) <> 1. then st.acols.(st.p.ncols + i) <- ([| i |], [| 1. |])
+    if coeffs.(0) <> 1. then st.acols.(st.p.ncols + i) <- st.plus.(i)
   done
 
 (* Canonical extraction: install the canonical factorization of the final
@@ -874,17 +926,18 @@ let chain_build st ws =
     while !nstr < m && sset.(!nstr) < ncols do incr nstr done;
     let k = !nstr in
     (* deepest cached structural prefix, probing top-down *)
-    let key = Array.make m (-1) in
+    let key = ws.wkey in
     Array.blit sset 0 key 0 k;
+    Array.fill key k (m - k) (-1);
     let depth = ref k and seed = ref None in
-    while !seed = None && !depth > 0 do
+    while (match !seed with None -> true | Some _ -> false) && !depth > 0 do
       (match lookup_factor st.p m key with
-       | Some f -> seed := Some f
+       | Some _ as hit -> seed := hit
        | None ->
          decr depth;
          key.(!depth) <- -1)
     done;
-    let b = Array.make m 0 in
+    let b = ws.wslot in
     (match !seed with
      | Some f ->
        Lu.load st.fac f.Factor.f_binv;
@@ -933,30 +986,33 @@ let chain_build st ws =
        whose own row is unclaimed is already in place; the rest pair with
        the claimed-over rows, ascending to ascending *)
     if !ok && k < m then begin
-      let wanted = Array.make m false in
+      let wanted = ws.wrow in
+      Array.fill wanted 0 m false;
       for i = k to m - 1 do
         wanted.(sset.(i) - ncols) <- true
       done;
-      let mrows = ref [] and mlogs = ref [] in
-      for r = m - 1 downto 0 do
-        if b.(r) >= ncols && not wanted.(r) then mrows := r :: !mrows
-      done;
-      for i = m - 1 downto k do
-        let w = sset.(i) in
-        if b.(w - ncols) < ncols then mlogs := w :: !mlogs
-      done;
-      List.iter2
-        (fun r w ->
-          if !ok then begin
-            Lu.ftran st.fac st.acols.(w) ws.walpha;
-            if Float.abs ws.walpha.(r) <= chain_floor then ok := false
-            else begin
-              Lu.update st.fac ~pivot_tol r ws.walpha;
-              Telemetry.Metrics.incr m_factor_ext;
-              b.(r) <- w
-            end
-          end)
-        !mrows !mlogs
+      (* two ascending cursors: [r] over unclaimed unwanted rows, [i] over
+         wanted logicals whose row a structural claimed; a swap keeps
+         [b.(r)] a logical, so neither cursor's predicate changes *)
+      let r = ref 0 and i = ref k in
+      let next () =
+        while !r < m && not (b.(!r) >= ncols && not wanted.(!r)) do incr r done;
+        while !i < m && b.(sset.(!i) - ncols) >= ncols do incr i done
+      in
+      next ();
+      while !ok && !r < m && !i < m do
+        let w = sset.(!i) in
+        Lu.ftran st.fac st.acols.(w) ws.walpha;
+        if Float.abs ws.walpha.(!r) <= chain_floor then ok := false
+        else begin
+          Lu.update st.fac ~pivot_tol !r ws.walpha;
+          Telemetry.Metrics.incr m_factor_ext;
+          b.(!r) <- w;
+          incr r;
+          incr i;
+          next ()
+        end
+      done
     end;
     if !ok then Array.blit b 0 st.basis 0 m;
     !ok
@@ -982,7 +1038,9 @@ let finalize st ws =
         if not (chain_build st ws) then refactor_basis st ws;
         capture_factor st)
   in
-  Array.iteri (fun r c -> st.loc.(c) <- Basic r) st.basis;
+  for r = 0 to st.m - 1 do
+    st.loc.(st.basis.(r)) <- st.basic_at.(r)
+  done;
   compute_xb st ws;
   check_health st;
   fac
@@ -1015,6 +1073,62 @@ let basis_of_state st =
   in
   { Basis.basic = Array.copy st.basis; vstat }
 
+(* ---- session ----------------------------------------------------------- *)
+
+(* A solver session: the state, the workspace and the per-problem constants
+   for a family of LPs sharing one constraint matrix and one cost vector —
+   the nodes of one branch-and-bound search, which differ only in bounds.
+   Every solve re-initializes all the state it reads, so a result never
+   depends on what the session solved before; the session only saves the
+   allocation. *)
+type session = {
+  st : state;
+  ws : workspace;
+  cost : float array;  (* the cost array the session was built for *)
+  minus : (int array * float array) array;  (* −1 logical of each row *)
+  singleton : int array;  (* cold crash: slack-like column of each row, or −1 *)
+  phase1_cost : float array;
+  phase2_cost : float array;
+  weights : float array;  (* [canonical_weight] of every column *)
+}
+
+let session p =
+  let m = p.nrows and ncols = p.ncols in
+  let ntot = ncols + m in
+  let plus = Array.init m (fun i -> ([| i |], [| 1. |])) in
+  let acols = Array.make ntot ([||], [||]) in
+  Array.blit p.cols 0 acols 0 ncols;
+  Array.blit plus 0 acols ncols m;
+  let singleton = Array.make m (-1) in
+  for j = ncols - 1 downto 0 do
+    let rows, coeffs = p.cols.(j) in
+    if Array.length rows = 1 && Float.abs coeffs.(0) > pivot_tol then
+      singleton.(rows.(0)) <- j
+  done;
+  let phase1_cost = Array.make ntot 0. in
+  Array.fill phase1_cost ncols m 1.;
+  let phase2_cost = Array.make ntot 0. in
+  Array.blit p.cost 0 phase2_cost 0 ncols;
+  let st =
+    { p; m; ntot; acols; plus; basic_at = Array.init m (fun r -> Basic r);
+      alb = Array.make ntot 0.; aub = Array.make ntot 0.;
+      loc = Array.make ntot At_lower; basis = Array.make m 0;
+      fac = Lu.create m; xb = Array.make m 0.; xn = Array.make ntot 0.;
+      interval = None; loaded = None; degenerate_streak = 0; bland = false;
+      iterations = 0 }
+  in
+  { st; ws = make_workspace m ntot; cost = p.cost;
+    minus = Array.init m (fun i -> ([| i |], [| -1. |]));
+    singleton; phase1_cost; phase2_cost;
+    weights = Array.init ntot canonical_weight }
+
+(* Fresh per-attempt scalars; the arrays are re-initialized by the path. *)
+let reset st =
+  st.loaded <- None;
+  st.degenerate_streak <- 0;
+  st.bland <- false;
+  st.iterations <- 0
+
 (* ---- warm path --------------------------------------------------------- *)
 
 (* A warm attempt that cannot proceed (stale/singular basis, dimension
@@ -1023,24 +1137,24 @@ let basis_of_state st =
    would have succeeded cold. *)
 exception Warm_reject
 
-let warm_attempt ~max_iterations ~deadline ~interval ws p (wb : Basis.t) wfac =
-  let m = p.nrows in
-  let ntot = p.ncols + m in
+let warm_attempt s ~max_iterations ~deadline (wb : Basis.t) wfac =
+  let st = s.st and ws = s.ws in
+  let p = st.p and m = st.m and ntot = st.ntot in
   if Array.length wb.Basis.basic <> m || Array.length wb.Basis.vstat <> ntot then
     raise Warm_reject;
-  let acols = Array.make ntot ([||], [||]) in
-  Array.blit p.cols 0 acols 0 p.ncols;
-  (* logical columns are rebuilt with uniform +1 sign and locked at zero: a
+  reset st;
+  (* logical columns take the uniform +1 sign and are locked at zero: a
      warm solve never needs phase-1 artificials, only a nonsingular square
      basis (a parent's sign-flipped artificial still yields one) *)
-  let alb = Array.make ntot 0. and aub = Array.make ntot 0. in
+  Array.blit st.plus 0 st.acols p.ncols m;
+  let alb = st.alb and aub = st.aub and xn = st.xn and loc = st.loc in
   Array.blit p.lb 0 alb 0 p.ncols;
+  Array.fill alb p.ncols m 0.;
   Array.blit p.ub 0 aub 0 p.ncols;
-  for i = 0 to m - 1 do
-    acols.(p.ncols + i) <- ([| i |], [| 1. |])
-  done;
-  let xn = Array.make ntot 0. in
-  let loc = Array.make ntot At_lower in
+  Array.fill aub p.ncols m 0.;
+  Array.fill xn 0 ntot 0.;
+  Array.fill loc 0 ntot At_lower;
+  Array.fill st.xb 0 m 0.;
   for j = 0 to ntot - 1 do
     let l = alb.(j) and u = aub.(j) in
     match wb.Basis.vstat.(j) with
@@ -1060,26 +1174,21 @@ let warm_attempt ~max_iterations ~deadline ~interval ws p (wb : Basis.t) wfac =
       else if u < infinity then begin loc.(j) <- At_upper; xn.(j) <- u end
       else begin loc.(j) <- Free_zero; xn.(j) <- 0. end
   done;
-  let basis = Array.copy wb.Basis.basic in
-  let seen = Array.make ntot false in
-  Array.iteri
-    (fun r c ->
-      if c < 0 || c >= ntot || seen.(c) || wb.Basis.vstat.(c) <> Basis.Vbasic then
-        raise Warm_reject;
-      seen.(c) <- true;
-      loc.(c) <- Basic r)
-    basis;
+  let basis = st.basis in
+  Array.blit wb.Basis.basic 0 basis 0 m;
+  let seen = ws.wflag in
+  Array.fill seen 0 ntot false;
+  for r = 0 to m - 1 do
+    let c = basis.(r) in
+    if c < 0 || c >= ntot || seen.(c) || wb.Basis.vstat.(c) <> Basis.Vbasic then
+      raise Warm_reject;
+    seen.(c) <- true;
+    loc.(c) <- st.basic_at.(r)
+  done;
   for j = 0 to ntot - 1 do
     if wb.Basis.vstat.(j) = Basis.Vbasic && not seen.(j) then raise Warm_reject
   done;
-  let st =
-    { p; m; ntot; acols; alb; aub; loc; basis;
-      fac = Lu.create m; xb = Array.make m 0.; xn;
-      interval; loaded = None;
-      degenerate_streak = 0; bland = false; iterations = 0 }
-  in
-  let phase2_cost = Array.make ntot 0. in
-  Array.blit p.cost 0 phase2_cost 0 p.ncols;
+  let phase2_cost = s.phase2_cost in
   (* a handful of dual pivots is the expected case; a warm solve that needs
      more than this is cheaper to restart cold than to let cycle *)
   let dual_cap = 200 + (2 * (m + ntot)) in
@@ -1094,13 +1203,16 @@ let warm_attempt ~max_iterations ~deadline ~interval ws p (wb : Basis.t) wfac =
        | Some f
          when f.Factor.f_cols == p.cols && f.Factor.f_nrows = m
               && int_array_eq f.Factor.f_basis basis ->
-         Some f
+         wfac
        | _ -> (
          (* the factor's slot order must match the warm basis exactly: a
             caller-supplied basis in a non-canonical order must not seed
             from a canonical-order cache entry *)
-         match lookup_factor p m (sorted_key basis) with
-         | Some f when int_array_eq f.Factor.f_basis basis -> Some f
+         let key = ws.wkey in
+         Array.blit basis 0 key 0 m;
+         Array.sort (fun (a : int) b -> compare a b) key;
+         match lookup_factor p m key with
+         | Some f as hit when int_array_eq f.Factor.f_basis basis -> hit
          | _ -> None)
      in
      match seeded with
@@ -1108,10 +1220,15 @@ let warm_attempt ~max_iterations ~deadline ~interval ws p (wb : Basis.t) wfac =
        Telemetry.Metrics.incr m_factor_reuse;
        Lu.load st.fac f.Factor.f_binv;
        compute_xb st ws;
-       st.loaded <- Some f
+       st.loaded <- seeded
      | None ->
        refactorize st ws;
-       st.loaded <- Some (capture_factor st));
+       (* a scratch factorization of the warm order is the canonical
+          factor only where the canonical form is the sorted-order scratch
+          one; elsewhere [finalize] must build it, or a warm solve that
+          pivots nowhere would return non-canonical bits *)
+       if m > chain_max_rows && is_sorted basis then
+         st.loaded <- Some (capture_factor st));
     check_health st;
     dual_optimize st phase2_cost ws ~cap:dual_cap deadline;
     let dual_iters = st.iterations in
@@ -1120,7 +1237,7 @@ let warm_attempt ~max_iterations ~deadline ~interval ws p (wb : Basis.t) wfac =
     st.bland <- false;
     st.degenerate_streak <- 0;
     optimize st phase2_cost ws max_iterations deadline;
-    canonicalize st phase2_cost ws deadline;
+    canonicalize st phase2_cost s.weights ws deadline;
     rebase st ws;
     let fac = finalize st ws in
     Telemetry.Metrics.add m_phase2 (st.iterations - dual_iters);
@@ -1145,16 +1262,19 @@ let warm_attempt ~max_iterations ~deadline ~interval ws p (wb : Basis.t) wfac =
 
 (* ---- cold path --------------------------------------------------------- *)
 
-let cold_solve ~max_iterations ~deadline ~interval ws p =
-  let m = p.nrows in
-  let ntot = p.ncols + m in
-  let acols = Array.make ntot ([||], [||]) in
-  Array.blit p.cols 0 acols 0 p.ncols;
-  let alb = Array.make ntot 0. and aub = Array.make ntot infinity in
+let cold_solve s ~max_iterations ~deadline =
+  let st = s.st and ws = s.ws in
+  let p = st.p and m = st.m and ntot = st.ntot in
+  reset st;
+  let acols = st.acols and alb = st.alb and aub = st.aub in
+  let xn = st.xn and loc = st.loc and basis = st.basis and xb = st.xb in
   Array.blit p.lb 0 alb 0 p.ncols;
+  Array.fill alb p.ncols m 0.;
   Array.blit p.ub 0 aub 0 p.ncols;
-  let xn = Array.make ntot 0. in
-  let loc = Array.make ntot At_lower in
+  Array.fill aub p.ncols m infinity;
+  Array.fill xn 0 ntot 0.;
+  Array.fill loc 0 ntot At_lower;
+  Array.fill xb 0 m 0.;
   for j = 0 to p.ncols - 1 do
     let v = nonbasic_rest_value p.lb.(j) p.ub.(j) in
     xn.(j) <- v;
@@ -1164,28 +1284,28 @@ let cold_solve ~max_iterations ~deadline ~interval ws p =
        else Free_zero)
   done;
   (* residuals decide the sign of each artificial column *)
-  let resid = Array.copy p.rhs in
+  let resid = ws.wres in
+  Array.blit p.rhs 0 resid 0 m;
   for j = 0 to p.ncols - 1 do
     if xn.(j) <> 0. then begin
       let rows, coeffs = p.cols.(j) in
-      Array.iteri (fun k row -> resid.(row) <- resid.(row) -. (coeffs.(k) *. xn.(j))) rows
+      for k = 0 to Array.length rows - 1 do
+        let row = rows.(k) in
+        resid.(row) <- resid.(row) -. (coeffs.(k) *. xn.(j))
+      done
     end
   done;
   (* Crash basis: prefer a singleton (slack-like) column per row when the
      residual fits its bounds; fall back to an artificial otherwise. This
-     usually makes phase 1 trivial for inequality-heavy models. *)
-  let singleton_for_row = Array.make m (-1) in
-  for j = p.ncols - 1 downto 0 do
-    let rows, coeffs = p.cols.(j) in
-    if Array.length rows = 1 && Float.abs coeffs.(0) > pivot_tol then
-      singleton_for_row.(rows.(0)) <- j
+     usually makes phase 1 trivial for inequality-heavy models. The crash
+     inverse is diagonal, built in the refactorization scratch. *)
+  let binv = ws.wmat in
+  for i = 0 to m - 1 do
+    Array.fill binv.(i) 0 m 0.
   done;
-  let basis = Array.make m 0 in
-  let binv = Array.make_matrix m m 0. in
-  let xb = Array.make m 0. in
   for i = 0 to m - 1 do
     let crashed =
-      let j = singleton_for_row.(i) in
+      let j = s.singleton.(i) in
       if j >= 0 then begin
         let _, coeffs = p.cols.(j) in
         let a = coeffs.(0) in
@@ -1194,11 +1314,11 @@ let cold_solve ~max_iterations ~deadline ~interval ws p =
         if v >= p.lb.(j) -. feas_tol && v <= p.ub.(j) +. feas_tol then begin
           resid.(i) <- resid.(i) +. (a *. xn.(j));
           basis.(i) <- j;
-          loc.(j) <- Basic i;
+          loc.(j) <- st.basic_at.(i);
           binv.(i).(i) <- 1. /. a;
           xb.(i) <- v;
           (* the artificial for this row is never used: pin it to zero *)
-          acols.(p.ncols + i) <- ([| i |], [| 1. |]);
+          acols.(p.ncols + i) <- st.plus.(i);
           aub.(p.ncols + i) <- 0.;
           true
         end
@@ -1208,25 +1328,15 @@ let cold_solve ~max_iterations ~deadline ~interval ws p =
     in
     if not crashed then begin
       let sign = if resid.(i) >= 0. then 1. else -1. in
-      acols.(p.ncols + i) <- ([| i |], [| sign |]);
+      acols.(p.ncols + i) <- (if sign = 1. then st.plus.(i) else s.minus.(i));
       basis.(i) <- p.ncols + i;
-      loc.(p.ncols + i) <- Basic i;
+      loc.(p.ncols + i) <- st.basic_at.(i);
       binv.(i).(i) <- sign;
       xb.(i) <- Float.abs resid.(i)
     end
   done;
-  let st =
-    { p; m; ntot; acols; alb; aub; loc; basis;
-      fac = Lu.of_matrix m binv; xb; xn;
-      interval; loaded = None;
-      degenerate_streak = 0; bland = false; iterations = 0 }
-  in
-  let phase1_cost = Array.make ntot 0. in
-  for i = 0 to m - 1 do
-    phase1_cost.(p.ncols + i) <- 1.
-  done;
-  let phase2_cost = Array.make ntot 0. in
-  Array.blit p.cost 0 phase2_cost 0 p.ncols;
+  Lu.load st.fac binv;
+  let phase1_cost = s.phase1_cost and phase2_cost = s.phase2_cost in
   try
     optimize st phase1_cost ws max_iterations deadline;
     Telemetry.Metrics.add m_phase1 st.iterations;
@@ -1256,7 +1366,7 @@ let cold_solve ~max_iterations ~deadline ~interval ws p =
       st.bland <- false;
       st.degenerate_streak <- 0;
       optimize st phase2_cost ws max_iterations deadline;
-      canonicalize st phase2_cost ws deadline;
+      canonicalize st phase2_cost s.weights ws deadline;
       rebase st ws;
       let fac = finalize st ws in
       Telemetry.Metrics.add m_phase2 (st.iterations - p1_iters);
@@ -1282,7 +1392,7 @@ let cold_solve ~max_iterations ~deadline ~interval ws p =
    blown deadline, NaN corruption, injected faults) come back as a typed
    [Error]; [Unbounded]/[Infeasible]/[Iteration_limit] remain ordinary
    statuses because branch-and-bound treats them as prunable outcomes. *)
-let solve_r_impl ?max_iterations ?(deadline = Robust.Deadline.none) ?warm
+let solve_r_impl ?session:s ?max_iterations ?(deadline = Robust.Deadline.none) ?warm
     ?warm_factor ?refactor_interval p =
   let m = p.nrows in
   let max_iterations =
@@ -1310,15 +1420,22 @@ let solve_r_impl ?max_iterations ?(deadline = Robust.Deadline.none) ?warm
            warm = false; basis = None; factor = None }
   end
   else begin
-    let ws = make_workspace m in
+    let s =
+      match s with
+      | None -> session p
+      | Some s ->
+        if p.cols != s.st.p.cols || p.cost != s.cost || p.nrows <> s.st.m
+           || p.ncols + p.nrows <> s.st.ntot
+        then invalid_arg "Simplex.solve_r: session built for another problem";
+        s
+    in
+    s.st.p <- p;
+    s.st.interval <- refactor_interval;
     let warm_res =
       match warm with
       | None -> None
       | Some wb ->
-        (match
-           warm_attempt ~max_iterations ~deadline ~interval:refactor_interval
-             ws p wb warm_factor
-         with
+        (match warm_attempt s ~max_iterations ~deadline wb warm_factor with
          | res ->
            Telemetry.Metrics.incr m_warm;
            Some res
@@ -1330,15 +1447,15 @@ let solve_r_impl ?max_iterations ?(deadline = Robust.Deadline.none) ?warm
     | Some res -> res
     | None ->
       Telemetry.Metrics.incr m_cold;
-      cold_solve ~max_iterations ~deadline ~interval:refactor_interval ws p
+      cold_solve s ~max_iterations ~deadline
   end
 
 (* Public entry point: one span (category "simplex") and one solve-count
    tick per LP; phase iteration counters are recorded inside the solve. *)
-let solve_r ?max_iterations ?deadline ?warm ?warm_factor ?refactor_interval p =
+let solve_r ?session ?max_iterations ?deadline ?warm ?warm_factor ?refactor_interval p =
   Telemetry.Metrics.incr m_solves;
   Telemetry.Trace.with_span ~cat:"simplex" "simplex.solve" (fun () ->
-      solve_r_impl ?max_iterations ?deadline ?warm ?warm_factor
+      solve_r_impl ?session ?max_iterations ?deadline ?warm ?warm_factor
         ?refactor_interval p)
 
 (* Legacy exception-raising wrapper: raises [Robust.Failure.Error] where

@@ -110,7 +110,30 @@ type result = {
           for non-optimal results and very large bases *)
 }
 
+type session
+(** Reusable solver state for a family of LPs that share one constraint
+    matrix and one cost vector (physically: the same [cols] and [cost]
+    arrays) and differ only in [lb]/[ub] — the nodes of one
+    branch-and-bound search. A session owns every buffer a solve needs:
+    the basis state, the {!Lu} engine, the column array with its logical
+    columns, the phase costs, the canonical weights, and the scratch of
+    the canonical epilogue. A solve re-initializes all of it, so results
+    are bit-identical to a solve without a session; the session only
+    removes the per-solve allocation. Not thread-safe: one session serves
+    one sequential caller. *)
+
+val session : problem -> session
+(** [session p] sizes a session for [p] and for every problem sharing
+    [p.cols] and [p.cost]. *)
+
+val clear_factor_cache : unit -> unit
+(** Drop this domain's cached canonical factorizations. Entries are tagged
+    with the physical [cols] array they were computed from, so once the
+    search owning that array ends they can never be hit again; clearing
+    frees their memory and changes no result or count. *)
+
 val solve_r :
+  ?session:session ->
   ?max_iterations:int ->
   ?deadline:Robust.Deadline.t ->
   ?warm:Basis.t ->
@@ -143,6 +166,10 @@ val solve_r :
     [refactor_interval] pins a fixed refactorization cadence (every [n]
     eta updates) in place of the default stability triggers — a
     deterministic knob for A/B bisection of suspected instability.
+
+    [session] supplies the buffers (see {!session}); without one the
+    solve builds a throwaway session. Raises [Invalid_argument] when the
+    session was built for a problem with other [cols] or [cost] arrays.
 
     [Error] covers abnormal terminations only — [Singular_basis] (cold
     path), [Deadline_exceeded], [Numerical_instability] (NaN/Inf detected

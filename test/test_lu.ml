@@ -233,6 +233,75 @@ let test_refactor_interval_identity () =
   Alcotest.(check bool) "refactor-interval=1 is bit-identical" true
     (a.Milp.Simplex.x = b.Milp.Simplex.x && a.Milp.Simplex.obj = b.Milp.Simplex.obj)
 
+(* Determinism does not rest on the factor cache, which is domain-local: a
+   warm solve handed only a basis (no factor) in a fresh domain starts from
+   an empty cache and must still return the bits of a cold solve in
+   another fresh domain. *)
+let probe_lp =
+  { Milp.Simplex.nrows = 3; ncols = 4;
+    cols =
+      [| ([| 0; 1 |], [| 1.3; 2.7 |]); ([| 0; 2 |], [| 3.1; 1.9 |]);
+         ([| 1; 2 |], [| 1.7; 1.3 |]); ([| 0; 1; 2 |], [| 0.9; 1.1; 0.7 |]) |];
+    cost = [| -1.1; -2.3; -1.7; -3.3 |];
+    lb = [| 0.; 0.; 0.; 0. |]; ub = [| 5.; 5.; 5.; 5. |];
+    rhs = [| 6.1; 5.3; 4.7 |] }
+
+let solved = function Ok r -> r | Error _ -> Alcotest.fail "solve failed"
+
+let bits (r : Milp.Simplex.result) =
+  ( r.Milp.Simplex.status,
+    Array.map Int64.bits_of_float r.Milp.Simplex.x,
+    Int64.bits_of_float r.Milp.Simplex.obj )
+
+let in_fresh_domain f = Domain.join (Domain.spawn f)
+
+let test_fresh_domain_warm_is_cold () =
+  let parent = solved (Milp.Simplex.solve_r probe_lp) in
+  let wb = Option.get parent.Milp.Simplex.basis in
+  let cold = in_fresh_domain (fun () -> bits (solved (Milp.Simplex.solve_r probe_lp))) in
+  let was_warm, warm =
+    in_fresh_domain (fun () ->
+        let r = solved (Milp.Simplex.solve_r ~warm:wb probe_lp) in
+        (r.Milp.Simplex.warm, bits r))
+  in
+  Alcotest.(check bool) "warm path taken" true was_warm;
+  Alcotest.(check bool) "warm without a factor = cold, bit for bit" true (warm = cold)
+
+(* A session keeps no result state between solves: LP A solved after other
+   LPs of the same matrix — an infeasible one, whose cold crash leaves
+   -1-signed artificials behind, and a warm one — gives the bits of a fresh
+   session, cold and warm. *)
+let test_session_reuse () =
+  let a = { probe_lp with Milp.Simplex.ub = [| 5.; 1.; 5.; 5. |] } in
+  let infeasible = { probe_lp with Milp.Simplex.lb = [| 3.; 3.; 3.; 3. |] } in
+  let b = { probe_lp with Milp.Simplex.lb = [| 1.; 0.; 0.; 1. |] } in
+  let wb = Option.get (solved (Milp.Simplex.solve_r probe_lp)).Milp.Simplex.basis in
+  let fresh =
+    in_fresh_domain (fun () ->
+        ( bits (solved (Milp.Simplex.solve_r a)),
+          bits (solved (Milp.Simplex.solve_r ~warm:wb a)) ))
+  in
+  let inf, reused =
+    in_fresh_domain (fun () ->
+        let session = Milp.Simplex.session probe_lp in
+        let go ?warm q = bits (solved (Milp.Simplex.solve_r ~session ?warm q)) in
+        let inf = go infeasible in
+        ignore (go ~warm:wb b);
+        let cold = go a in
+        ignore (go infeasible);
+        (inf, (cold, go ~warm:wb a)))
+  in
+  let inf_status, _, _ = inf in
+  Alcotest.(check bool) "the infeasible LP is infeasible" true
+    (inf_status = Milp.Simplex.Infeasible);
+  Alcotest.(check bool) "cold A in a used session = fresh session" true (fst reused = fst fresh);
+  Alcotest.(check bool) "warm A in a used session = fresh session" true (snd reused = snd fresh);
+  Alcotest.check_raises "a session refuses another matrix"
+    (Invalid_argument "Simplex.solve_r: session built for another problem") (fun () ->
+      ignore
+        (Milp.Simplex.solve_r ~session:(Milp.Simplex.session probe_lp)
+           { probe_lp with Milp.Simplex.cols = Array.copy probe_lp.Milp.Simplex.cols }))
+
 let suite =
   let qc = QCheck_alcotest.to_alcotest in
   ( "lu",
@@ -244,4 +313,8 @@ let suite =
       Alcotest.test_case "factor handoff: bit-transparent, no refactors" `Quick
         test_factor_handoff;
       Alcotest.test_case "refactor-interval pin is bit-transparent" `Quick
-        test_refactor_interval_identity ] )
+        test_refactor_interval_identity;
+      Alcotest.test_case "fresh-domain warm solve without a factor = cold" `Quick
+        test_fresh_domain_warm_is_cold;
+      Alcotest.test_case "a reused session = a fresh session, bit for bit" `Quick
+        test_session_reuse ] )

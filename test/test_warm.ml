@@ -100,6 +100,42 @@ let prop_warm_matches_cold =
         end
       | Ok _ -> QCheck.assume_fail ())
 
+(* Tier-1 pin on the branch-and-bound tree: three suite layers, two-stage
+   formulation, 500 nodes. The node count, the simplex iteration count and a
+   digest of the decoded mapping and the objective bits are pinned, so a
+   change that moves one bit of the node pipeline's arithmetic fails here,
+   not only in the bench identity gate. *)
+let tree_pins =
+  [ ("3_56_64_64_1", 500, 2010, "54e0f32ab19f2307a53bbf81234e3595");
+    ("ocr_35_700_2048", 500, 1354, "7e211a49d2e622d088295458b8f93787");
+    ("face_3_27_64_128_2", 500, 1491, "b0ee393786498ea26c8449481fd87ba0") ]
+
+let tree_fingerprint name =
+  let f = Cosa_formulation.build ~joint_permutation:false Spec.baseline (Zoo.find name) in
+  let r =
+    Bb.solve ~node_limit:500 ~time_limit:600. ~priority:f.Cosa_formulation.priority
+      f.Cosa_formulation.lp
+  in
+  let mapping =
+    match Cosa_decode.decode_r f r with
+    | Ok m -> Mapping_io.to_string m
+    | Error e -> Robust.Failure.to_string e
+  in
+  ( r.Bb.nodes,
+    r.Bb.simplex_iterations,
+    Digest.to_hex (Digest.string (mapping ^ Int64.to_string (Int64.bits_of_float r.Bb.obj))) )
+
+let test_tree_pins () =
+  let got = List.map (fun (name, _, _, _) -> tree_fingerprint name) tree_pins in
+  List.iter2
+    (fun (name, nodes, iterations, digest) (n, i, d) ->
+      Alcotest.(check int) (name ^ " nodes") nodes n;
+      Alcotest.(check int) (name ^ " simplex iterations") iterations i;
+      Alcotest.(check string) (name ^ " mapping and objective") digest d)
+    tree_pins got
+
 let suite =
   let qc = QCheck_alcotest.to_alcotest in
-  ("warm", [ qc prop_warm_matches_cold ])
+  ( "warm",
+    [ qc prop_warm_matches_cold;
+      Alcotest.test_case "B&B tree pins on three suite layers" `Quick test_tree_pins ] )
