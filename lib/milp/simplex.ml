@@ -1084,7 +1084,6 @@ let basis_of_state st =
 type session = {
   st : state;
   ws : workspace;
-  cost : float array;  (* the cost array the session was built for *)
   minus : (int array * float array) array;  (* −1 logical of each row *)
   singleton : int array;  (* cold crash: slack-like column of each row, or −1 *)
   phase1_cost : float array;
@@ -1117,7 +1116,7 @@ let session p =
       interval = None; loaded = None; degenerate_streak = 0; bland = false;
       iterations = 0 }
   in
-  { st; ws = make_workspace m ntot; cost = p.cost;
+  { st; ws = make_workspace m ntot;
     minus = Array.init m (fun i -> ([| i |], [| -1. |]));
     singleton; phase1_cost; phase2_cost;
     weights = Array.init ntot canonical_weight }
@@ -1424,7 +1423,7 @@ let solve_r_impl ?session:s ?max_iterations ?(deadline = Robust.Deadline.none) ?
       match s with
       | None -> session p
       | Some s ->
-        if p.cols != s.st.p.cols || p.cost != s.cost || p.nrows <> s.st.m
+        if p.cols != s.st.p.cols || p.cost != s.st.p.cost || p.nrows <> s.st.m
            || p.ncols + p.nrows <> s.st.ntot
         then invalid_arg "Simplex.solve_r: session built for another problem";
         s
