@@ -289,11 +289,20 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
   in
   let root = { nlb = []; nub = []; depth = 0; nbasis = None; nfactor = None } in
   let unbounded = ref false in
+  (* Smallest LP bound (internal sense) of a node dropped without proof
+     that it holds nothing better than the incumbent: aborted and
+     iteration-limited nodes, nodes cut off only thanks to [gap], and nodes
+     left open when the budget ran out. The reported bound folds it in. *)
+  let dropped = ref infinity in
+  let drop b = if b < !dropped then dropped := b in
+  (* a prune against the incumbent is a proof only within 1e-9 *)
+  let drop_gap_pruned b = if b < !incumbent_obj -. 1e-9 then drop b in
   (* Evaluate one node. Returns the preferred child to plunge into (the one
      matching the LP value's rounding) after queueing its sibling. *)
   let process node parent_bound =
     if parent_bound >= !incumbent_obj -. gap -. 1e-9 then begin
       Telemetry.Metrics.incr m_prune_bound;
+      drop_gap_pruned parent_bound;
       None
     end
     else begin
@@ -310,12 +319,20 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
            fault) is pruned, but the search can no longer claim optimality *)
         record_failure f;
         explored_all := false;
+        drop parent_bound;
         Telemetry.Metrics.incr m_prune_aborted;
         None
       | Ok res ->
       simplex_iterations := !simplex_iterations + res.Simplex.iterations;
       match res.Simplex.status with
-      | Simplex.Infeasible | Simplex.Iteration_limit ->
+      | Simplex.Infeasible ->
+        Telemetry.Metrics.incr m_prune_infeasible;
+        None
+      | Simplex.Iteration_limit ->
+        (* an LP stopped short proves nothing about the subtree: handled
+           like an aborted one, under its historical prune counter *)
+        explored_all := false;
+        drop parent_bound;
         Telemetry.Metrics.incr m_prune_infeasible;
         None
       | Simplex.Unbounded ->
@@ -325,6 +342,7 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
       | Simplex.Optimal ->
         if res.Simplex.obj >= !incumbent_obj -. gap -. 1e-9 then begin
           Telemetry.Metrics.incr m_prune_gap;
+          drop_gap_pruned res.Simplex.obj;
           None
         end
         else begin
@@ -347,7 +365,9 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
             let fv = res.Simplex.x.(bv) in
             (* both children start from this node's optimal basis (shared,
                immutable) — the branch only tightens one bound, so the
-               basis stays dual feasible for either side *)
+               basis stays dual feasible for either side. The plunge child
+               is solved next and takes the factor along; the queued one
+               keeps it only where [Simplex.queued_factor] says it pays. *)
             let down =
               { node with nub = (bv, floor fv) :: node.nub;
                 depth = node.depth + 1; nbasis = res.Simplex.basis;
@@ -359,7 +379,8 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
                 nfactor = res.Simplex.factor }
             in
             let first, second = if fv -. floor fv <= 0.5 then (down, up) else (up, down) in
-            Heap.push heap res.Simplex.obj second;
+            Heap.push heap res.Simplex.obj
+              { second with nfactor = Simplex.queued_factor second.nfactor };
             Some (res.Simplex.obj, first)
           end
         end
@@ -370,20 +391,22 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
      first search alone postpones indefinitely. *)
   let out_of_budget () = !nodes >= node_limit || Robust.Deadline.expired dl in
   let rec plunge node bound =
-    if out_of_budget () then explored_all := false
+    if out_of_budget () then begin
+      explored_all := false;
+      drop bound
+    end
     else
       match process node bound with
       | Some (b, child) -> plunge child b
       | None -> ()
   in
   plunge root neg_infinity;
-  let best_open_bound = ref neg_infinity in
   (try
      while not (Heap.is_empty heap) do
        if out_of_budget () then begin
-         (* record the tightest outstanding bound before bailing *)
+         (* the heap's top is the tightest outstanding bound *)
          let b, _ = Heap.pop heap in
-         best_open_bound := b;
+         drop b;
          explored_all := false;
          raise Exit
        end;
@@ -402,16 +425,14 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
   then failures := Robust.Failure.Deadline_exceeded :: !failures;
   let failures = List.rev !failures in
   let limit_hit = not !explored_all in
+  (* the optimum is the incumbent or lies in a node dropped without proof *)
+  let bound = user_obj (Float.min !incumbent_obj !dropped) in
   match !incumbent with
   | Some x ->
-    let internal_bound =
-      if limit_hit && !best_open_bound > neg_infinity then !best_open_bound
-      else !incumbent_obj
-    in
     { status = (if limit_hit then Feasible else Optimal);
       obj = user_obj !incumbent_obj;
       values = x;
-      bound = user_obj internal_bound;
+      bound;
       nodes = !nodes;
       simplex_iterations = !simplex_iterations;
       elapsed;
@@ -423,7 +444,7 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
         values = Array.make nv 0.; bound = nan; nodes = !nodes;
         simplex_iterations = !simplex_iterations; elapsed; failures }
     else if limit_hit then
-      { status = No_solution; obj = nan; values = Array.make nv 0.; bound = nan;
+      { status = No_solution; obj = nan; values = Array.make nv 0.; bound;
         nodes = !nodes; simplex_iterations = !simplex_iterations; elapsed; failures }
     else
       { status = Infeasible; obj = nan; values = Array.make nv 0.; bound = nan;

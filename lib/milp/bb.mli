@@ -6,7 +6,9 @@
 
 type status =
   | Optimal        (** proved optimal within tolerance *)
-  | Feasible       (** limit hit with an incumbent in hand *)
+  | Feasible
+      (** an incumbent in hand, but a limit hit or a subtree was dropped
+          unexplored (its node LP aborted or hit its iteration limit) *)
   | Infeasible
   | Unbounded
   | No_solution    (** limit hit before any incumbent was found *)
@@ -15,7 +17,17 @@ type result = {
   status : status;
   obj : float;             (** objective in the model's own sense *)
   values : float array;    (** one value per model variable *)
-  bound : float;           (** best proven bound on the optimum *)
+  bound : float;
+      (** best proven bound on the optimum, in the model's own sense: no
+          solution of the model is better. It is the most optimistic of
+          the incumbent and the LP bounds of the nodes dropped without
+          proof: nodes left open when a limit hit, nodes whose LP
+          aborted (see [failures]) or stopped at its iteration limit, and,
+          under [gap > 0], nodes pruned only thanks to the gap (so an
+          [Optimal] result is within [gap] of it). A search cut short at
+          the root has an infinite bound. On [No_solution] it is the bound
+          of the dropped and open nodes; on [Infeasible] and [Unbounded]
+          it is [nan]. *)
   nodes : int;
   simplex_iterations : int;
   elapsed : float;

@@ -1,14 +1,19 @@
 (* Incremental basis factorization: dense inverse + product-form eta
    updates, with the bookkeeping (chain length, worst pivot magnitude) that
-   drives stability-triggered refactorization. The elimination and kernel
-   loops are verbatim transplants of the historical in-solver code — same
-   operations, same order — so the bits they produce are unchanged. *)
+   drives stability-triggered refactorization. The elimination and eta
+   kernels skip exact zeros: a skipped operation is [x -. f *. 0.] or
+   [0. /. piv], which leaves a nonzero [x] unchanged and a zero a zero, so
+   every nonzero entry of the inverse comes from the same operation on the
+   same operands as the dense loop; only the sign of an exact zero may
+   differ (see lu.mli for why no reader can see it). *)
 
 exception Singular
 
 type t = {
   m : int;
   binv : float array array;  (* dense basis inverse, m x m *)
+  nz : int array;            (* nonzero columns of the inverse pivot row *)
+  nzm : int array;           (* refactor: nonzero columns of the scratch pivot row *)
   mutable etas : int;        (* eta updates since last refactor/load *)
   mutable min_pivot : float; (* smallest |pivot| absorbed since then *)
 }
@@ -18,7 +23,9 @@ type trigger = No_refactor | Chain | Stability
 let eta_chain_cap = 64
 let stability_pivot_floor = 1e-7
 
-let create m = { m; binv = Array.make_matrix m m 0.; etas = 0; min_pivot = infinity }
+let create m =
+  { m; binv = Array.make_matrix m m 0.; nz = Array.make m 0; nzm = Array.make m 0;
+    etas = 0; min_pivot = infinity }
 let dim t = t.m
 let row t r = t.binv.(r)
 let chain_length t = t.etas
@@ -28,6 +35,32 @@ let reset t =
   t.etas <- 0;
   t.min_pivot <- infinity
 
+(* Divide the nonzeros of [row] from column [from] on by [piv], recording
+   their columns in [nz]; returns how many there are. *)
+let[@inline] scale_gather row from m piv nz =
+  let n = ref 0 in
+  for j = from to m - 1 do
+    let v = row.(j) in
+    if v <> 0. then begin
+      row.(j) <- v /. piv;
+      nz.(!n) <- j;
+      incr n
+    end
+  done;
+  !n
+
+(* [row.(j) <- row.(j) -. f *. piv_row.(j)] at the [n] columns listed in
+   [nz]: an eta row operation restricted to the pivot row's nonzeros. *)
+let[@inline] axpy_at row f piv_row nz n =
+  for q = 0 to n - 1 do
+    let j = nz.(q) in
+    row.(j) <- row.(j) -. (f *. piv_row.(j))
+  done
+
+(* Gauss-Jordan with partial pivoting. Columns left of the pivot are never
+   read again (pivot search, multipliers and row operations all look at
+   the pivot column and to its right), so the scratch matrix is updated
+   only right of it. *)
 let refactor t ~scratch ~cols ~basis ~pivot_tol =
   let m = t.m in
   let mat = scratch in
@@ -57,19 +90,18 @@ let refactor t ~scratch ~cols ~basis ~pivot_tol =
       let t = mat.(col) in mat.(col) <- mat.(!best); mat.(!best) <- t;
       let t = inv.(col) in inv.(col) <- inv.(!best); inv.(!best) <- t
     end;
-    let piv = mat.(col).(col) in
-    for j = 0 to m - 1 do
-      mat.(col).(j) <- mat.(col).(j) /. piv;
-      inv.(col).(j) <- inv.(col).(j) /. piv
-    done;
+    let mc = mat.(col) and ic = inv.(col) in
+    let piv = mc.(col) in
+    let nm = scale_gather mc (col + 1) m piv t.nzm in
+    let ni = scale_gather ic 0 m piv t.nz in
     for r = 0 to m - 1 do
       if r <> col then begin
-        let f = mat.(r).(col) in
-        if f <> 0. then
-          for j = 0 to m - 1 do
-            mat.(r).(j) <- mat.(r).(j) -. (f *. mat.(col).(j));
-            inv.(r).(j) <- inv.(r).(j) -. (f *. inv.(col).(j))
-          done
+        let mr = mat.(r) in
+        let f = mr.(col) in
+        if f <> 0. then begin
+          axpy_at mr f mc t.nzm nm;
+          axpy_at inv.(r) f ic t.nz ni
+        end
       end
     done
   done;
@@ -123,23 +155,17 @@ let apply t v out =
   done
 
 (* Product-form eta update after the column with FTRAN image [alpha] enters
-   the basis in row [r]. *)
+   the basis in row [r]: the pivot row's nonzeros are gathered once, and
+   each row with a usable multiplier is updated at those columns only. *)
 let update t ~pivot_tol r alpha =
   let m = t.m in
   let piv = alpha.(r) in
   let br = t.binv.(r) in
-  for k = 0 to m - 1 do
-    br.(k) <- br.(k) /. piv
-  done;
+  let n = scale_gather br 0 m piv t.nz in
   for i = 0 to m - 1 do
     if i <> r then begin
       let f = alpha.(i) in
-      if Float.abs f > pivot_tol then begin
-        let bi = t.binv.(i) in
-        for k = 0 to m - 1 do
-          bi.(k) <- bi.(k) -. (f *. br.(k))
-        done
-      end
+      if Float.abs f > pivot_tol then axpy_at t.binv.(i) f br t.nz n
     end
   done;
   t.etas <- t.etas + 1;

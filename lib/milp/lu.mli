@@ -11,10 +11,19 @@
     cap plus a pivot-magnitude floor) or pinned to a fixed cadence when the
     caller wants deterministic A/B bisection.
 
-    The kernels ([ftran], [btran], [apply]) perform exactly the same
-    floating-point operations in the same order as the historical in-solver
-    loops they replaced, so factorizations produced here are bit-compatible
-    with the solver's canonical-vertex contract. *)
+    [refactor] and [update] skip exact zeros: a row operation touches only
+    the columns where the pivot row is nonzero (and, in the elimination
+    scratch, only those right of the pivot column, the rest never being
+    read again). A skipped operation is [x -. f *. 0.] or [0. /. piv],
+    which leaves a nonzero [x] as it is, so every nonzero entry of B⁻¹
+    comes from the same floating-point operation on the same operands as
+    in the dense loops; only the sign of an exact zero may differ. No
+    reader can see that sign, because every reader accumulates from +0
+    ([ftran], [btran], [apply], the simplex's dual row dot, where a ±0 term
+    adds nothing) or tests zeros only by comparison ([<> 0.], magnitudes).
+    That is the rule that keeps factorizations bit-compatible with the
+    solver's canonical-vertex contract: a kernel that divided by an entry
+    of B⁻¹ or copied its sign would break it. *)
 
 exception Singular
 (** Raised by {!refactor} when elimination meets a pivot below the supplied
@@ -44,9 +53,10 @@ val refactor :
   unit
 (** Rebuild the inverse from scratch by Gauss-Jordan elimination with
     partial pivoting on the basis matrix (columns [cols.(basis.(r))]),
-    using [scratch] (an [m x m] matrix) as elimination workspace. Resets
-    the eta chain. Raises {!Singular} when a pivot magnitude falls below
-    [pivot_tol]. *)
+    using [scratch] (an [m x m] matrix) as elimination workspace, which it
+    leaves holding garbage. Each row operation costs the number of
+    nonzeros in the pivot row. Resets the eta chain. Raises {!Singular}
+    when a pivot magnitude falls below [pivot_tol]. *)
 
 val load : t -> float array array -> unit
 (** [load t binv] copies a previously captured inverse into the engine and
@@ -70,8 +80,9 @@ val apply : t -> float array -> float array -> unit
 val update : t -> pivot_tol:float -> int -> float array -> unit
 (** [update t ~pivot_tol r alpha] absorbs one pivot into the inverse: column
     [alpha = B⁻¹ a_enter] replaces the basic column of row [r]. Product-form
-    eta update — O(m) rows touched, entries of [alpha] below [pivot_tol]
-    skipped — and records the pivot magnitude for {!trigger}. *)
+    eta update: rows whose [alpha] entry is below [pivot_tol] are skipped,
+    and the others are touched only at the nonzeros of row [r] of B⁻¹.
+    Records the pivot magnitude for {!trigger}. *)
 
 val chain_length : t -> int
 (** Eta updates absorbed since the last {!refactor}/{!load}. *)

@@ -127,6 +127,7 @@ type state = {
    beyond the arrays a result hands back. *)
 type workspace = {
   wy : float array;           (* dual vector *)
+  wcb : float array;          (* basic costs c_B, by row *)
   walpha : float array;       (* ftran result column *)
   wmat : float array array;   (* refactorization scratch (basis matrix) *)
   wres : float array;         (* rhs/residual scratch *)
@@ -138,18 +139,21 @@ type workspace = {
   wrow : bool array;          (* per row: rebase pivoted rows, chain wanted logicals *)
   wpiv : int array;           (* rebase: pivot row of each accepted column *)
   wacc : int array;           (* rebase: accepted columns *)
+  wnz : int array;            (* rebase: nonzero rows of each accepted column *)
+  wnzs : int array;           (* rebase: start of each accepted column's rows in [wnz] *)
   wkey : int array;           (* sorted basic set / chain prefix key *)
   wslot : int array;          (* chain: column basic in each row *)
 }
 
 let make_workspace m ntot =
   let n = max 1 m in
-  { wy = Array.make n 0.; walpha = Array.make n 0.;
+  { wy = Array.make n 0.; wcb = Array.make n 0.; walpha = Array.make n 0.;
     wmat = Array.make_matrix n n 0.; wres = Array.make n 0.;
     wdev = Array.make n 1.; wx = Array.make ntot 0.;
     wlb = Array.make ntot 0.; wub = Array.make ntot 0.;
     wflag = Array.make ntot false; wrow = Array.make n false;
     wpiv = Array.make n 0; wacc = Array.make n 0;
+    wnz = Array.make (n * n) 0; wnzs = Array.make (n + 1) 0;
     wkey = Array.make n 0; wslot = Array.make n 0 }
 
 let nonbasic_rest_value lb ub =
@@ -173,7 +177,20 @@ let int_array_eq (a : int array) (b : int array) =
    determinism contract intact by construction. Domain-local storage avoids
    both locks and cross-domain sharing. *)
 let cache_slots = 32749
-let cache_max_rows = 200
+
+(* The chain build (see [chain_build]) costs ~2x a from-scratch elimination
+   when no prefix is cached (two O(m²) passes plus an O(m²) snapshot per
+   column, against the single elimination), so it only wins where bases
+   repeat heavily across a branch-and-bound tree — the small node LPs.
+   Larger problems (the joint one-shot formulations) see each basis about
+   once; they keep the plain elimination. The cutoff depends on the
+   problem dimension alone, so which canonical form a basis gets stays
+   path-independent. It also bounds what is retained: above it a factor is
+   rarely hit again, and its canonical form — the sorted-order scratch
+   elimination — is what a warm entry without it recomputes anyway, so
+   only factors up to the cutoff enter the cache or wait in the
+   branch-and-bound queue ([queued_factor]). *)
+let chain_max_rows = 32
 
 let factor_cache_key : Factor.t option array Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Array.make cache_slots None)
@@ -186,7 +203,7 @@ let basis_slot m (key : int array) =
   !h mod cache_slots
 
 let lookup_factor p m (key : int array) =
-  if m > cache_max_rows then None
+  if m > chain_max_rows then None
   else
     let cache = Domain.DLS.get factor_cache_key in
     match cache.(basis_slot m key) with
@@ -197,7 +214,7 @@ let lookup_factor p m (key : int array) =
     | _ -> None
 
 let store_factor (f : Factor.t) =
-  if f.Factor.f_nrows <= cache_max_rows then begin
+  if f.Factor.f_nrows <= chain_max_rows then begin
     let cache = Domain.DLS.get factor_cache_key in
     cache.(basis_slot f.Factor.f_nrows f.Factor.f_key) <- Some f
   end
@@ -237,6 +254,10 @@ let prefix_fp m (sset : int array) d =
    move the extension counts (never a bit). *)
 let clear_factor_cache () =
   Array.fill (Domain.DLS.get factor_cache_key) 0 cache_slots None
+
+let queued_factor = function
+  | Some f when f.Factor.f_nrows <= chain_max_rows -> Some f
+  | Some _ | None -> None
 
 let capture_factor st =
   let f =
@@ -359,20 +380,13 @@ let[@inline] reduced_cost st cost y j =
   done;
   !s
 
-(* y = c_B B⁻¹: btran over the cost of the basic columns, skipping zero
-   cost rows — the cost vectors the solver builds are mostly zeros. *)
-let compute_duals st cost y =
-  let m = st.m in
-  Array.fill y 0 m 0.;
-  for r = 0 to m - 1 do
-    let cb = cost.(st.basis.(r)) in
-    if cb <> 0. then begin
-      let br = Lu.row st.fac r in
-      for i = 0 to m - 1 do
-        y.(i) <- y.(i) +. (cb *. br.(i))
-      done
-    end
-  done
+(* y = c_B B⁻¹: btran over the cost of the basic columns. *)
+let compute_duals st ws cost y =
+  let cb = ws.wcb in
+  for r = 0 to st.m - 1 do
+    cb.(r) <- cost.(st.basis.(r))
+  done;
+  Lu.btran st.fac cb y
 
 (* alpha = binv * column j, sparse in the column's nonzero pattern *)
 let ftran st j alpha = Lu.ftran st.fac st.acols.(j) alpha
@@ -409,7 +423,7 @@ let optimize st cost ws max_iterations deadline =
       ignore (audit_residual st ws)
     end;
     ignore (maybe_refactor st ws);
-    compute_duals st cost y;
+    compute_duals st ws cost y;
     (* Pricing: Dantzig rule normally, Bland's rule after a degenerate streak. *)
     let entering = ref (-1) in
     let entering_dir = ref 1. in
@@ -602,7 +616,7 @@ let dual_optimize st cost ws ~cap deadline =
     if !r < 0 then continue_ := false   (* primal feasible: optimal *)
     else begin
       let r = !r and s = !s in
-      compute_duals st cost y;
+      compute_duals st ws cost y;
       let row = Lu.row st.fac r in
       (* entering column: min dual ratio; ties prefer the larger pivot for
          stability, or the smallest index once Bland's rule is active *)
@@ -713,7 +727,7 @@ let canonical_weight j =
   1. +. (Int64.to_float (Int64.logand h 0xFFFFFFL) /. 16777216.)
 
 let canonicalize st cost weights ws deadline =
-  compute_duals st cost ws.wy;
+  compute_duals st ws cost ws.wy;
   (* freeze every nonbasic column with a nonzero true reduced cost at its
      resting value: pricing then only ever enters face columns, so the true
      objective is invariant under the cleanup pivots *)
@@ -765,10 +779,14 @@ let rebase st ws =
     else Float.abs x.(j) > feas_tol
   in
   (* incremental elimination: lcols holds each accepted column after
-     elimination against its predecessors, pivrow its pivot row *)
+     elimination against its predecessors, pivrow its pivot row, and
+     nz.(nzs.(t) .. nzs.(t+1)-1) the rows where column t is nonzero — the
+     only rows its elimination step can change *)
   let lcols = ws.wmat and w = ws.wres in
   let pivrow = ws.wpiv and pivoted = ws.wrow and accepted = ws.wacc in
+  let nz = ws.wnz and nzs = ws.wnzs in
   Array.fill pivoted 0 m false;
+  nzs.(0) <- 0;
   let count = ref 0 in
   let try_accept j =
     if !count < m then begin
@@ -778,10 +796,12 @@ let rebase st ws =
         w.(rows.(k)) <- coeffs.(k)
       done;
       for t = 0 to !count - 1 do
-        let f = w.(pivrow.(t)) /. lcols.(t).(pivrow.(t)) in
+        let lt = lcols.(t) in
+        let f = w.(pivrow.(t)) /. lt.(pivrow.(t)) in
         if f <> 0. then
-          for r = 0 to m - 1 do
-            w.(r) <- w.(r) -. (f *. lcols.(t).(r))
+          for q = nzs.(t) to nzs.(t + 1) - 1 do
+            let r = nz.(q) in
+            w.(r) <- w.(r) -. (f *. lt.(r))
           done
       done;
       let best = ref (-1) in
@@ -791,10 +811,20 @@ let rebase st ws =
         then best := r
       done;
       if !best >= 0 && Float.abs w.(!best) > 1e-7 then begin
-        pivrow.(!count) <- !best;
+        let c = !count in
+        pivrow.(c) <- !best;
         pivoted.(!best) <- true;
-        Array.blit w 0 lcols.(!count) 0 m;
-        accepted.(!count) <- j;
+        let lc = lcols.(c) and n = ref nzs.(c) in
+        for r = 0 to m - 1 do
+          let v = w.(r) in
+          lc.(r) <- v;
+          if v <> 0. then begin
+            nz.(!n) <- r;
+            incr n
+          end
+        done;
+        nzs.(c + 1) <- !n;
+        accepted.(c) <- j;
         incr count
       end
     end
@@ -883,15 +913,6 @@ let normalize_logicals st =
    the pivoting from-scratch elimination — a predicate of (columns,
    basis) as well, keeping the fallback deterministic too. *)
 let chain_floor = 1e-6
-
-(* The chain build costs ~2x a from-scratch elimination when no prefix is
-   cached (two O(m²) passes plus an O(m²) snapshot per column, against the
-   single elimination), so it only wins where bases repeat heavily across
-   a branch-and-bound tree — the small node LPs. Larger problems (the
-   joint one-shot formulations) see each basis about once; they keep the
-   plain elimination. The cutoff depends on the problem dimension alone,
-   so which canonical form a basis gets stays path-independent. *)
-let chain_max_rows = 32
 
 (* [chain_build st ws]: called with [st.basis] holding the sorted basic
    set. On success, installs the chain factorization in [st.fac], rewrites
@@ -1246,7 +1267,7 @@ let warm_attempt s ~max_iterations ~deadline (wb : Basis.t) wfac =
       Ok { status = Optimal; obj = objective_value p x; x;
            iterations = st.iterations; warm = true;
            basis = Some (basis_of_state st);
-           factor = (if m <= cache_max_rows then Some fac else None) }
+           factor = Some fac }
   with
   | Dual_infeasible ->
     Ok { status = Infeasible; obj = infinity; x = extract_x st;
@@ -1376,7 +1397,7 @@ let cold_solve s ~max_iterations ~deadline =
         Ok { status = Optimal; obj = objective_value p x; x;
              iterations = st.iterations; warm = false;
              basis = Some (basis_of_state st);
-             factor = (if m <= cache_max_rows then Some fac else None) }
+             factor = Some fac }
     end
   with
   | Lp_unbounded ->

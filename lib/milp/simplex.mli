@@ -24,11 +24,12 @@
     {!Factor.t}, which a child LP accepts via [warm_factor] (the basis
     matrix does not depend on variable bounds, so the parent's inverse is
     bit-valid for the child), and a per-domain cache short-circuits the
-    canonicalization epilogue's refactorization for bases the domain has
-    already factorized. Bases not yet cached are built by canonical
-    prefix-chain factorization — eta-extending the deepest cached prefix
-    of the basis set, inserting structural columns in a canonically
-    determined order — so small node-LP bases almost never pay a
+    canonicalization epilogue's refactorization for bases (up to the
+    prefix-chain cutoff) that the domain has already factorized. Bases not
+    yet cached are built by canonical prefix-chain factorization —
+    eta-extending the deepest cached prefix of the basis set, inserting
+    structural columns in a canonically determined order — so small
+    node-LP bases almost never pay a
     from-scratch factorization at all. The canonical factor of a basis is
     a function of the basis set alone, and all reuse paths load inverses
     that are bit-identical to recomputation, so warm/cold byte-identity
@@ -107,8 +108,17 @@ type result = {
           a nearby problem (same matrix, tightened bounds) *)
   factor : Factor.t option;
       (** canonical factorization of that basis, for [?warm_factor]; [None]
-          for non-optimal results and very large bases *)
+          for non-optimal results *)
 }
+
+val queued_factor : Factor.t option -> Factor.t option
+(** The factor worth keeping on a branch-and-bound node that waits in the
+    queue: the factor itself for bases up to the prefix-chain cutoff,
+    [None] above it. Above the cutoff the canonical factor is the
+    sorted-order scratch elimination that the node's warm entry recomputes
+    bit for bit without it, so dropping it costs one refactorization and
+    saves holding one m x m inverse per queued node; it never changes a
+    result. *)
 
 type session
 (** Reusable solver state for a family of LPs that share one constraint

@@ -302,10 +302,250 @@ let test_session_reuse () =
         (Milp.Simplex.solve_r ~session:(Milp.Simplex.session probe_lp)
            { probe_lp with Milp.Simplex.cols = Array.copy probe_lp.Milp.Simplex.cols }))
 
+(* The dense kernels the zero-skipping ones replaced, kept verbatim as the
+   slow reference (eta bookkeeping left out): Lu must reproduce every
+   nonzero of their inverse bit for bit, and may differ only in the sign
+   of an exact zero. *)
+module Dense = struct
+  exception Singular
+
+  type t = { m : int; binv : float array array }
+
+  let create m = { m; binv = Array.make_matrix m m 0. }
+
+  let refactor t ~scratch ~cols ~basis ~pivot_tol =
+    let m = t.m in
+    let mat = scratch in
+    for i = 0 to m - 1 do
+      Array.fill mat.(i) 0 m 0.
+    done;
+    for r = 0 to m - 1 do
+      let rows, coeffs = cols.(basis.(r)) in
+      for k = 0 to Array.length rows - 1 do
+        mat.(rows.(k)).(r) <- coeffs.(k)
+      done
+    done;
+    (* the inverse is eliminated in place, from the identity *)
+    let inv = t.binv in
+    for i = 0 to m - 1 do
+      Array.fill inv.(i) 0 m 0.;
+      inv.(i).(i) <- 1.
+    done;
+    for col = 0 to m - 1 do
+      (* partial pivoting *)
+      let best = ref col in
+      for r = col + 1 to m - 1 do
+        if Float.abs mat.(r).(col) > Float.abs mat.(!best).(col) then best := r
+      done;
+      if Float.abs mat.(!best).(col) < pivot_tol then raise Singular;
+      if !best <> col then begin
+        let t = mat.(col) in mat.(col) <- mat.(!best); mat.(!best) <- t;
+        let t = inv.(col) in inv.(col) <- inv.(!best); inv.(!best) <- t
+      end;
+      let piv = mat.(col).(col) in
+      for j = 0 to m - 1 do
+        mat.(col).(j) <- mat.(col).(j) /. piv;
+        inv.(col).(j) <- inv.(col).(j) /. piv
+      done;
+      for r = 0 to m - 1 do
+        if r <> col then begin
+          let f = mat.(r).(col) in
+          if f <> 0. then
+            for j = 0 to m - 1 do
+              mat.(r).(j) <- mat.(r).(j) -. (f *. mat.(col).(j));
+              inv.(r).(j) <- inv.(r).(j) -. (f *. inv.(col).(j))
+            done
+        end
+      done
+    done
+
+  let update t ~pivot_tol r alpha =
+    let m = t.m in
+    let piv = alpha.(r) in
+    let br = t.binv.(r) in
+    for k = 0 to m - 1 do
+      br.(k) <- br.(k) /. piv
+    done;
+    for i = 0 to m - 1 do
+      if i <> r then begin
+        let f = alpha.(i) in
+        if Float.abs f > pivot_tol then begin
+          let bi = t.binv.(i) in
+          for k = 0 to m - 1 do
+            bi.(k) <- bi.(k) -. (f *. br.(k))
+          done
+        end
+      end
+    done
+
+  let ftran t (rows, coeffs) alpha =
+    for i = 0 to t.m - 1 do
+      let bi = t.binv.(i) in
+      let s = ref 0. in
+      for k = 0 to Array.length rows - 1 do
+        s := !s +. (bi.(rows.(k)) *. coeffs.(k))
+      done;
+      alpha.(i) <- !s
+    done
+
+  let btran t c y =
+    Array.fill y 0 t.m 0.;
+    for r = 0 to t.m - 1 do
+      let cr = c.(r) in
+      if cr <> 0. then
+        for i = 0 to t.m - 1 do
+          y.(i) <- y.(i) +. (cr *. t.binv.(r).(i))
+        done
+    done
+
+  let apply t v out =
+    for i = 0 to t.m - 1 do
+      let s = ref 0. in
+      for k = 0 to t.m - 1 do
+        s := !s +. (t.binv.(i).(k) *. v.(k))
+      done;
+      out.(i) <- !s
+    done
+end
+
+(* A random sparse basis pool of [m] rows: small-integer entries of mixed
+   sign (so eliminations cancel exactly and -0.0 arises) with some
+   fractional ones, about a fifth of the columns singletons, and
+   density 5-40% elsewhere. *)
+let random_sparse_pool rng m =
+  let entry () =
+    let v = float_of_int (1 + Random.State.int rng 3) in
+    let v =
+      if Random.State.int rng 4 = 0 then v /. float_of_int (3 + Random.State.int rng 5) else v
+    in
+    if Random.State.bool rng then v else -.v
+  in
+  let density = 0.05 +. Random.State.float rng 0.35 in
+  let dense =
+    Array.init (m + 2 + Random.State.int rng (2 * m)) (fun j ->
+        let col = Array.make m 0. in
+        if Random.State.int rng 5 = 0 then col.(Random.State.int rng m) <- entry ()
+        else begin
+          (* a strong entry on a rotating row keeps most bases nonsingular *)
+          col.(j mod m) <- entry ();
+          for i = 0 to m - 1 do
+            if Random.State.float rng 1. < density then col.(i) <- entry ()
+          done
+        end;
+        col)
+  in
+  sparse_of_dense dense
+
+let bits = Int64.bits_of_float
+
+(* Compare the two inverses: a nonzero on either side must match bit for
+   bit; zeros match as zeros. Returns how many zeros are -0.0 on either
+   side. *)
+let compare_inverses what lu (d : Dense.t) =
+  let negative_zeros = ref 0 in
+  for i = 0 to d.Dense.m - 1 do
+    let row = Lu.row lu i in
+    for j = 0 to d.Dense.m - 1 do
+      let a = row.(j) and b = d.Dense.binv.(i).(j) in
+      if a = 0. && b = 0. then
+        (if Float.sign_bit a || Float.sign_bit b then incr negative_zeros)
+      else if bits a <> bits b then
+        Alcotest.failf "%s: B^-1(%d,%d) = %h, dense reference %h" what i j a b
+    done
+  done;
+  !negative_zeros
+
+let check_same_bits what a b =
+  Array.iteri
+    (fun i x ->
+      if bits x <> bits b.(i) then
+        Alcotest.failf "%s: entry %d = %h, dense reference %h" what i x b.(i))
+    a
+
+(* Every reader of B^-1 sums from +0, so its outputs agree bit for bit. *)
+let compare_kernels rng what lu (d : Dense.t) cols =
+  let m = d.Dense.m in
+  let a1 = Array.make m 0. and a2 = Array.make m 0. in
+  Array.iter
+    (fun col ->
+      Lu.ftran lu col a1;
+      Dense.ftran d col a2;
+      check_same_bits (what ^ " ftran") a1 a2)
+    cols;
+  let c =
+    Array.init m (fun _ -> if Random.State.bool rng then 0. else Random.State.float rng 4. -. 2.)
+  in
+  Lu.btran lu c a1;
+  Dense.btran d c a2;
+  check_same_bits (what ^ " btran") a1 a2;
+  let v = Array.init m (fun _ -> float_of_int (Random.State.int rng 7 - 3)) in
+  Lu.apply lu v a1;
+  Dense.apply d v a2;
+  check_same_bits (what ^ " apply") a1 a2
+
+(* Random sparse bases and pivot sequences through both engines, with
+   refactorizations of the current basis mixed in. *)
+let test_kernels_match_dense () =
+  let rng = Random.State.make [| 1405 |] in
+  let negative_zeros = ref 0 and refactors = ref 0 and singular = ref 0 in
+  for case = 1 to 250 do
+    let m = 1 + Random.State.int rng 40 in
+    let cols = random_sparse_pool rng m in
+    let basis = Array.init m Fun.id in
+    let lu = Lu.create m and d = Dense.create m in
+    let scratch = Array.make_matrix m m 0. and dscratch = Array.make_matrix m m 0. in
+    let what = Printf.sprintf "case %d (m = %d)" case m in
+    let refactor_both () =
+      incr refactors;
+      match
+        ( (try Ok (Lu.refactor lu ~scratch ~cols ~basis ~pivot_tol) with Lu.Singular -> Error ()),
+          try Ok (Dense.refactor d ~scratch:dscratch ~cols ~basis ~pivot_tol)
+          with Dense.Singular -> Error () )
+      with
+      | Ok (), Ok () ->
+        negative_zeros := !negative_zeros + compare_inverses (what ^ " refactor") lu d;
+        true
+      | Error (), Error () ->
+        incr singular;
+        false
+      | Ok (), Error () | Error (), Ok () -> Alcotest.failf "%s: singularity differs" what
+    in
+    if refactor_both () then begin
+      compare_kernels rng what lu d cols;
+      let alpha = Array.make m 0. and dalpha = Array.make m 0. in
+      let ok = ref true in
+      for _ = 1 to Random.State.int rng (2 * m + 2) do
+        if !ok then begin
+          let j = Random.State.int rng (Array.length cols) in
+          Lu.ftran lu cols.(j) alpha;
+          Dense.ftran d cols.(j) dalpha;
+          check_same_bits (what ^ " pivot column") alpha dalpha;
+          let eligible = List.filter (fun i -> Float.abs alpha.(i) > 1e-2) (List.init m Fun.id) in
+          if eligible <> [] then begin
+            let r = List.nth eligible (Random.State.int rng (List.length eligible)) in
+            Lu.update lu ~pivot_tol r alpha;
+            Dense.update d ~pivot_tol r dalpha;
+            basis.(r) <- j;
+            negative_zeros := !negative_zeros + compare_inverses (what ^ " update") lu d;
+            if Random.State.int rng 6 = 0 then ok := refactor_both ()
+          end
+        end
+      done;
+      if !ok then compare_kernels rng what lu d cols
+    end
+  done;
+  (* the comparison is only as strong as its coverage: the pool must
+     exercise signed zeros and both factorization outcomes *)
+  Alcotest.(check bool) "-0.0 arises in the inverses" true (!negative_zeros > 0);
+  Alcotest.(check bool) "some basis is singular" true (!singular > 0);
+  Alcotest.(check bool) "refactorizations after pivots" true (!refactors > 300)
+
 let suite =
   let qc = QCheck_alcotest.to_alcotest in
   ( "lu",
     [ qc prop_eta_matches_scratch;
+      Alcotest.test_case "zero-skipping kernels = dense reference, bit for bit" `Quick
+        test_kernels_match_dense;
       Alcotest.test_case "stability trigger fires on tiny pivot" `Quick
         test_stability_trigger;
       Alcotest.test_case "chain cap and pinned interval" `Quick

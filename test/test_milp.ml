@@ -192,6 +192,78 @@ let test_bb_warm_lp_identity () =
   check_bool "values identical" true (on.Bb.values = off.Bb.values);
   Alcotest.(check int) "node counts identical" off.Bb.nodes on.Bb.nodes
 
+(* [Bb.result.bound] is a proven bound: on random 14-item 0/1 knapsacks
+   (max value under a capacity, or min cost over a demand) it must never
+   cut off the exact optimum, found by enumeration — with gap pruning,
+   with node LPs aborted by injected faults, and under a node limit, with
+   or without an incumbent. *)
+let knapsack rng sense =
+  let n = 14 in
+  let w = Array.init n (fun _ -> 1 + Random.State.int rng 20) in
+  let v = Array.init n (fun _ -> 1 + Random.State.int rng 30) in
+  let cap = Array.fold_left ( + ) 0 w / 2 in
+  let m = Lp.create () in
+  let x = Array.init n (fun i -> Lp.add_var m ~integer:true ~ub:1. (Printf.sprintf "x%d" i)) in
+  let terms c = Array.to_list (Array.mapi (fun i xi -> (float_of_int c.(i), xi)) x) in
+  Lp.add_constr m (terms w) (if sense = `Maximize then Lp.Le else Lp.Ge) (float_of_int cap);
+  Lp.set_objective m sense (terms v);
+  let maximize = sense = `Maximize in
+  let best = ref (if maximize then min_int else max_int) in
+  for set = 0 to (1 lsl n) - 1 do
+    let sum c =
+      let s = ref 0 in
+      Array.iteri (fun i ci -> if set land (1 lsl i) <> 0 then s := !s + ci) c;
+      !s
+    in
+    let wt = sum w and value = sum v in
+    if (if maximize then wt <= cap && value > !best else wt >= cap && value < !best) then
+      best := value
+  done;
+  (m, float_of_int !best)
+
+let bound_cases =
+  List.concat_map
+    (fun sense ->
+      List.concat_map
+        (fun gap ->
+          List.concat_map
+            (fun faults ->
+              List.map (fun node_limit -> (sense, gap, faults, node_limit)) [ None; Some 5 ])
+            [ false; true ])
+        [ 0.; 3. ])
+    [ `Minimize; `Maximize ]
+
+let test_bb_bound_proven () =
+  let rng = Random.State.make [| 17 |] in
+  let instances = List.init 30 (fun _ -> (knapsack rng `Minimize, knapsack rng `Maximize)) in
+  List.iter
+    (fun (sense, gap, faults, node_limit) ->
+      List.iteri
+        (fun seed (min_case, max_case) ->
+          let model, opt = if sense = `Minimize then min_case else max_case in
+          let what =
+            Printf.sprintf "%s gap %g faults %b limit %s seed %d"
+              (if sense = `Minimize then "min" else "max")
+              gap faults
+              (match node_limit with Some k -> string_of_int k | None -> "none")
+              seed
+          in
+          if faults then Robust.Fault.arm ~rate:0.2 ~only:[ "bb.node" ] seed;
+          let r =
+            Fun.protect ~finally:Robust.Fault.disarm (fun () -> Bb.solve ~gap ?node_limit model)
+          in
+          let tol = 1e-6 *. (1. +. Float.abs opt) in
+          let cuts_off =
+            match sense with
+            | `Minimize -> r.Bb.bound > opt +. tol
+            | `Maximize -> r.Bb.bound < opt -. tol
+          in
+          if Float.is_nan r.Bb.bound || cuts_off then
+            Alcotest.failf "%s: %s obj %g bound %g, optimum %g" what (status_pp r.Bb.status)
+              r.Bb.obj r.Bb.bound opt)
+        instances)
+    bound_cases
+
 let test_milp_priority_runs () =
   let m = Lp.create () in
   let x = Lp.add_var m ~integer:true ~ub:3. "x" in
@@ -319,6 +391,7 @@ let suite =
       Alcotest.test_case "milp equality" `Quick test_milp_equality_int;
       Alcotest.test_case "milp warm start" `Quick test_milp_warm_start;
       Alcotest.test_case "milp gap" `Quick test_milp_gap;
+      Alcotest.test_case "bb bound never cuts off the optimum" `Quick test_bb_bound_proven;
       Alcotest.test_case "milp priority" `Quick test_milp_priority_runs;
       Alcotest.test_case "bb warm-lp identity" `Quick test_bb_warm_lp_identity;
       Alcotest.test_case "relax shape" `Quick test_relax_shape;

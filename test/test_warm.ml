@@ -104,16 +104,24 @@ let prop_warm_matches_cold =
    formulation, 500 nodes. The node count, the simplex iteration count and a
    digest of the decoded mapping and the objective bits are pinned, so a
    change that moves one bit of the node pipeline's arithmetic fails here,
-   not only in the bench identity gate. *)
+   not only in the bench identity gate. These LPs have at most 32 rows, so
+   their factors come from the prefix chain. *)
 let tree_pins =
   [ ("3_56_64_64_1", 500, 2010, "54e0f32ab19f2307a53bbf81234e3595");
     ("ocr_35_700_2048", 500, 1354, "7e211a49d2e622d088295458b8f93787");
     ("face_3_27_64_128_2", 500, 1491, "b0ee393786498ea26c8449481fd87ba0") ]
 
-let tree_fingerprint name =
-  let f = Cosa_formulation.build ~joint_permutation:false Spec.baseline (Zoo.find name) in
+(* The same pin on the joint formulation at 10 nodes: 62-196 rows, above
+   the chain cutoff, so every factor is a scratch elimination. *)
+let joint_tree_pins =
+  [ ("fc1000", 10, 214, "12f3207fb7b9310ecbd749d0213e23e4");
+    ("face_fc_512_512", 10, 227, "bde2a872f1d8b69850392a8856ea4f0b");
+    ("1_56_64_256_1", 10, 800, "febb9f2616288ac7a8b110746a5043fa") ]
+
+let tree_fingerprint ~joint ~node_limit name =
+  let f = Cosa_formulation.build ~joint_permutation:joint Spec.baseline (Zoo.find name) in
   let r =
-    Bb.solve ~node_limit:500 ~time_limit:600. ~priority:f.Cosa_formulation.priority
+    Bb.solve ~node_limit ~time_limit:600. ~priority:f.Cosa_formulation.priority
       f.Cosa_formulation.lp
   in
   let mapping =
@@ -125,17 +133,20 @@ let tree_fingerprint name =
     r.Bb.simplex_iterations,
     Digest.to_hex (Digest.string (mapping ^ Int64.to_string (Int64.bits_of_float r.Bb.obj))) )
 
-let test_tree_pins () =
-  let got = List.map (fun (name, _, _, _) -> tree_fingerprint name) tree_pins in
+let check_tree_pins ~joint ~node_limit pins () =
+  let got = List.map (fun (name, _, _, _) -> tree_fingerprint ~joint ~node_limit name) pins in
   List.iter2
     (fun (name, nodes, iterations, digest) (n, i, d) ->
       Alcotest.(check int) (name ^ " nodes") nodes n;
       Alcotest.(check int) (name ^ " simplex iterations") iterations i;
       Alcotest.(check string) (name ^ " mapping and objective") digest d)
-    tree_pins got
+    pins got
 
 let suite =
   let qc = QCheck_alcotest.to_alcotest in
   ( "warm",
     [ qc prop_warm_matches_cold;
-      Alcotest.test_case "B&B tree pins on three suite layers" `Quick test_tree_pins ] )
+      Alcotest.test_case "B&B tree pins on three suite layers" `Quick
+        (check_tree_pins ~joint:false ~node_limit:500 tree_pins);
+      Alcotest.test_case "joint B&B tree pins above the chain cutoff" `Quick
+        (check_tree_pins ~joint:true ~node_limit:10 joint_tree_pins) ] )
