@@ -337,16 +337,16 @@ let serve_benchmarks () =
      domain-contention timing noise. Two-stage is pinned because the joint
      MIP's per-node LPs are ~100x more expensive, so no practical node
      budget keeps it off the wall clock. *)
-  let run ~jobs ~cache cfg_arch =
+  let run ~jobs ~tier cfg_arch =
     let cfg =
       Serve.Service.config ~strategy:Cosa.Two_stage ~node_limit:6_000 ~time_limit:60.
         ~jobs cfg_arch
     in
-    Serve.Service.schedule_network ~cache cfg net
+    Serve.Service.schedule_network ~tier cfg net
   in
   let cache = Serve.Schedule_cache.create ~capacity:256 () in
-  let cold = run ~jobs:4 ~cache arch in
-  let warm = run ~jobs:4 ~cache arch in
+  let cold = run ~jobs:4 ~tier:cache arch in
+  let warm = run ~jobs:4 ~tier:cache arch in
   let speedup = cold.Serve.Service.wall_time /. Float.max 1e-9 warm.Serve.Service.wall_time in
   Printf.printf
     "cold: %.2f s (%d distinct shapes solved)\nwarm: %.4f s (%d served from cache)\n\
@@ -357,8 +357,8 @@ let serve_benchmarks () =
   Printf.printf "warm total latency identical: %b\n"
     (cold.Serve.Service.total_latency = warm.Serve.Service.total_latency);
   (* pool determinism: same request, 1 domain vs 4 domains, fresh caches *)
-  let one = run ~jobs:1 ~cache:(Serve.Schedule_cache.create ~capacity:256 ()) arch in
-  let four = run ~jobs:4 ~cache:(Serve.Schedule_cache.create ~capacity:256 ()) arch in
+  let one = run ~jobs:1 ~tier:(Serve.Schedule_cache.create ~capacity:256 ()) arch in
+  let four = run ~jobs:4 ~tier:(Serve.Schedule_cache.create ~capacity:256 ()) arch in
   let jobs_identical = mappings one = mappings four in
   Printf.printf "1-domain vs 4-domain schedules identical: %b\n" jobs_identical;
   Printf.printf "1-domain vs 4-domain total latency identical: %b\n"
@@ -683,7 +683,7 @@ let cluster_joint_fp =
   in
   fun name -> Serve.Service.request_fingerprint (Lazy.force service) (Zoo.find name)
 
-(* mirrors Cluster.Sharded_cache's content-addressed placement *)
+(* mirrors Serve.Schedule_cache's content-addressed placement *)
 let cluster_shard_of fp =
   int_of_string ("0x" ^ String.sub (Serve.Fingerprint.hash fp) 0 8) mod cluster_shards
 
@@ -775,7 +775,7 @@ let cluster_fastpath_check () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "cosa_cluster_fp_%d.sock" (Unix.getpid ()))
   in
-  let sharded = Cluster.Sharded_cache.create ~capacity:64 ~shards:cluster_shards () in
+  let sharded = Serve.Schedule_cache.create ~capacity:64 ~shards:cluster_shards () in
   let service =
     Serve.Service.config ~strategy:Cosa.Auto ~certify:Cosa.Strict ~node_limit:2_000
       ~time_limit:1.5 ~jobs:1 Spec.baseline
@@ -786,7 +786,7 @@ let cluster_fastpath_check () =
   let server =
     Daemon.Server.create
       (Daemon.Server.config ~admission ~default_budget_s:10.
-         ~tier:(Cluster.Sharded_cache.tier sharded) ~socket_path:sock service)
+         ~tier:sharded ~socket_path:sock service)
   in
   let th = Daemon.Server.start server in
   Daemon.Server.wait_ready server;
@@ -832,7 +832,7 @@ let cluster_fastpath_check () =
   let stats = Daemon.Server.stats server in
   let shard_hits =
     List.init cluster_shards (fun i ->
-        let st = Cluster.Sharded_cache.shard_stats sharded i in
+        let st = Serve.Schedule_cache.shard_stats sharded i in
         st.Serve.Schedule_cache.hits + st.Serve.Schedule_cache.disk_hits)
   in
   let shards_hit = List.length (List.filter (fun h -> h > 0) shard_hits) in

@@ -281,28 +281,17 @@ let batch_cmd =
           (String.concat ", " (List.map (fun n -> n.Network.nname) Network.networks));
         exit 1
     in
-    let cache = Serve.Schedule_cache.create ?dir:cache_dir ~capacity:cache_size () in
+    let tier = Serve.Schedule_cache.create ?dir:cache_dir ~capacity:cache_size () in
     let cfg =
       Serve.Service.config ~strategy ~certify ~node_limit ~time_limit ~jobs ~warm_start
         arch
     in
-    match fuse with
-    | Serve.Service.Fuse_off ->
-      (* byte-identical to the pre-fusion service: same call, same output *)
-      let report =
-        with_telemetry ?ring:trace_ring trace metrics profile (fun () ->
-            Serve.Service.schedule_network ~cache cfg net)
-      in
-      print_string (Serve.Service.report_to_string report);
-      if report.Serve.Service.failed > 0 then exit 1
-    | _ ->
-      let fr =
-        with_telemetry ?ring:trace_ring trace metrics profile (fun () ->
-            Serve.Service.schedule_network_fused ~cache ~max_group:fuse_max_group
-              ~fuse cfg net)
-      in
-      print_string (Serve.Service.fused_report_to_string fr);
-      if fr.Serve.Service.base.Serve.Service.failed > 0 then exit 1
+    let report =
+      with_telemetry ?ring:trace_ring trace metrics profile (fun () ->
+          Serve.Service.schedule_network ~tier ~fuse ~max_group:fuse_max_group cfg net)
+    in
+    print_string (Serve.Service.report_to_string report);
+    if report.Serve.Service.failed > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "batch"
@@ -369,10 +358,10 @@ let serve_cmd =
   in
   let shards_arg =
     Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N"
-           ~doc:"Cache shard count. Each shard has its own lock and its own \
-                 crash-safe persistence subdirectory, so connection threads \
-                 answer cache hits inline instead of serializing through the \
-                 solver thread.")
+           ~doc:"Cache shard count. Each shard has its own lock, so probes of \
+                 different shards never contend; with more than one shard each \
+                 also persists into its own $(i,shard-NN) subdirectory (one \
+                 shard keeps records directly in the cache directory).")
   in
   let tmp_sweep_age_arg =
     Arg.(value & opt float 0. & info [ "tmp-sweep-age" ] ~docv:"SECONDS"
@@ -429,11 +418,11 @@ let serve_cmd =
       Daemon.Admission.default_config ~queue_capacity ~quota_rate ~quota_burst
         ~shed_delay_s:shed_delay ~time_limit ()
     in
-    (* The daemon always runs on the sharded, thread-safe tier: shards = 1
-       degenerates to the single-partition cache but keeps the inline
-       cache fast path on connection threads. *)
-    let sharded =
-      Cluster.Sharded_cache.create ?dir:cache_dir ~tmp_sweep_age_s:tmp_sweep_age
+    (* The daemon always injects its cache, which keeps the inline cache
+       fast path on connection threads; shards = 1 is the one-partition
+       cache with records flat in the directory. *)
+    let cache =
+      Serve.Schedule_cache.create ?dir:cache_dir ~tmp_sweep_age_s:tmp_sweep_age
         ~capacity:(max cache_size shards) ~shards ()
     in
     let peer_tier =
@@ -444,7 +433,7 @@ let serve_cmd =
     (* Live-introspection sections for the Stats frame: per-shard cache
        counters always, per-peer health when the warm tier is armed. *)
     let stats_extra =
-      ("shards", fun () -> Cluster.Sharded_cache.stats_json sharded)
+      ("shards", fun () -> Serve.Schedule_cache.stats_json cache)
       ::
       (match peer_tier with
        | None -> []
@@ -453,11 +442,8 @@ let serve_cmd =
     let cfg =
       Daemon.Server.config ~admission ?cache_dir ~cache_capacity:cache_size
         ~default_budget_s:default_budget ?tcp
-        ~tier:(Cluster.Sharded_cache.tier sharded)
-        ?remote_probe:
-          (Option.map
-             (fun p -> fun ~arch ~layer fp -> Cluster.Peers.probe p ~arch ~layer fp)
-             peer_tier)
+        ~tier:cache
+        ?remote_probe:(Option.map Cluster.Peers.probe peer_tier)
         ?housekeeping:(Option.map (fun p () -> Cluster.Peers.tick p) peer_tier)
         ~read_deadline_s:read_deadline ~idle_timeout_s:idle_timeout
         ~tmp_sweep_age_s:tmp_sweep_age ~fault_crash_exit:fault_crash
@@ -515,8 +501,8 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the persistent scheduling daemon: bounded queue, SLO-aware \
              admission over the degradation ladder, typed backpressure, graceful \
-             drain on SIGTERM. The schedule cache is sharded (--shards) so cache \
-             hits answer inline on connection threads; --tcp adds a multi-host \
+             drain on SIGTERM. Cache hits answer inline on connection threads, \
+             over a cache sharded by --shards; --tcp adds a multi-host \
              listener and --peer arms the health-checked warm-peer tier.")
     Term.(const run $ arch_arg $ socket_arg $ jobs_arg $ cache_dir_arg $ cache_size_arg
           $ queue_arg $ quota_rate_arg $ quota_burst_arg $ shed_arg $ default_budget_arg

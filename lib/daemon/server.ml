@@ -10,19 +10,20 @@
    - one connection thread per client, reading length-prefixed request
      frames, running admission, and writing responses — connections are
      cheap because they spend their lives blocked in [read];
-   - one solver thread, the only toucher of non-thread-safe cache state.
-     Solve fan-out inside a network request still uses the domain pool,
-     spawned from the solver thread.
+   - one solver thread, which runs every queued request. Solve fan-out
+     inside a network request still uses the domain pool, spawned from
+     the solver thread.
 
-   Cache tiers: by default the server owns a plain [Schedule_cache] and
-   confines all its traffic to the solver thread, exactly as before. A
-   deployment can instead inject a thread-safe [Serve.Service.cache_tier]
-   (the sharded cluster cache): that unlocks the cache fast path, where a
-   connection thread answers a pure cache probe inline — cache traffic no
-   longer serializes through the solver thread, which only ever sees
-   misses. An injected [remote_probe] composes a warm-peer lookup behind
-   local misses on the solver path; the prober owns re-certification, so
-   a peer can cost a counted miss but never a wrong serve.
+   The cache: an injected [Serve.Schedule_cache] (what `cosa_cli serve`
+   does) unlocks the cache fast path, where a connection thread answers a
+   pure cache probe inline, so hits no longer serialize through the
+   solver thread, which only ever sees misses. Without one the server
+   creates its own one-shard cache and every request, hit or miss, queues
+   for the solver thread: the soak's load step relies on cached requests
+   queueing to provoke typed rejections. An injected [remote_probe] is
+   handed to [Serve.Service.schedule_network ?remote] on the solver path;
+   the prober owns re-certification, so a peer can cost a counted miss but
+   never a wrong serve.
 
    All shared state (queue, admission, stats, connection registry) lives
    under one mutex. Overload never goes silent: every path out of
@@ -76,15 +77,14 @@ type config = {
   cache_dir : string option;
   cache_capacity : int;
   default_budget_s : float;  (* for requests that carry no budget *)
-  tier : Serve.Service.cache_tier option;
-      (* injected thread-safe cache tier (sharded). Enables the conn-thread
-         cache fast path. Absent: the server owns a plain cache confined
-         to the solver thread, as in the single-box daemon. *)
+  tier : Serve.Schedule_cache.t option;
+      (* injected cache; enables the conn-thread cache fast path. Absent:
+         the server owns a one-shard cache and every request queues. *)
   remote_probe :
     (arch:Spec.t -> layer:Layer.t -> Serve.Fingerprint.t -> Serve.Schedule_cache.entry option)
       option;
-      (* warm-peer lookup composed behind local misses on the solver path;
-         the prober must re-certify before returning an entry *)
+      (* warm-peer lookup behind local misses on the solver path; the
+         prober must re-certify before returning an entry *)
   housekeeping : (unit -> unit) option;  (* ticked by the accept loop *)
   read_deadline_s : float;  (* per-connection receive deadline; <= 0 = none *)
   write_deadline_s : float;
@@ -198,9 +198,8 @@ type flight_entry = {
 
 type t = {
   cfg : config;
-  local_tier : Serve.Service.cache_tier;  (* injected, or over the own cache *)
-  full_tier : Serve.Service.cache_tier;  (* local + warm-peer fall-through *)
-  fast_ok : bool;  (* tier is thread-safe: conn threads may probe inline *)
+  cache : Serve.Schedule_cache.t;  (* injected, or the server's own *)
+  fast_ok : bool;  (* the cache was injected: conn threads probe it inline *)
   adm : Admission.t;
   lock : Mutex.t;
   qc : Condition.t;  (* wakes the solver: work queued or draining *)
@@ -216,45 +215,18 @@ type t = {
   ready : Semaphore.Binary.t;  (* posted once the sockets are listening *)
 }
 
-(* Warm-peer composition: a local miss falls through to the remote probe;
-   a verified remote record is stored back into the local tier (write-
-   through, so it survives a crash) and served as [Cache_peer]. The remote
-   prober owns verification — by contract it only ever returns records it
-   has re-certified in exact arithmetic. *)
-let compose_remote (local : Serve.Service.cache_tier) remote =
-  {
-    local with
-    Serve.Service.tier_find =
-      (fun ~arch ~layer fp ->
-        match local.Serve.Service.tier_find ~arch ~layer fp with
-        | Some _ as hit -> hit
-        | None ->
-          (match remote ~arch ~layer fp with
-           | Some entry ->
-             local.Serve.Service.tier_store fp entry;
-             Some (entry, Serve.Service.Cache_peer)
-           | None -> None));
-  }
-
 let create cfg =
-  let local_tier, fast_ok =
+  let cache, fast_ok =
     match cfg.tier with
-    | Some tier -> (tier, true)
+    | Some cache -> (cache, true)
     | None ->
-      ( Serve.Service.tier_of_cache
-          (Serve.Schedule_cache.create ?dir:cfg.cache_dir
-             ~tmp_sweep_age_s:cfg.tmp_sweep_age_s ~capacity:cfg.cache_capacity ()),
+      ( Serve.Schedule_cache.create ?dir:cfg.cache_dir
+          ~tmp_sweep_age_s:cfg.tmp_sweep_age_s ~capacity:cfg.cache_capacity (),
         false )
-  in
-  let full_tier =
-    match cfg.remote_probe with
-    | Some remote -> compose_remote local_tier remote
-    | None -> local_tier
   in
   {
     cfg;
-    local_tier;
-    full_tier;
+    cache;
     fast_ok;
     adm = Admission.create cfg.admission;
     lock = Mutex.create ();
@@ -286,7 +258,7 @@ let create cfg =
   }
 
 let stats t = Mutex.protect t.lock (fun () -> { t.stats with served = t.stats.served })
-let tier t = t.local_tier
+let tier t = t.cache
 
 (* Async-signal-safe: one atomic store, no locks. *)
 let shutdown t = Atomic.set t.stop true
@@ -321,12 +293,15 @@ let resolve t (req : Protocol.request) =
         | Some n -> Ok (service, n)
         | None -> Error ("unknown network " ^ name)))
 
-(* The fingerprint single-layer requests resolve to — per-shard admission
-   statistics route by it; whole-network requests use the aggregate. *)
-let fp_hint (service : Serve.Service.config) (net : Network.t) =
+(* The hit rate admission prices a request against: a single-layer
+   request's owner shard, or the aggregate for whole networks. *)
+let admission_hit_rate t (service : Serve.Service.config) (net : Network.t) =
   match net.Network.entries with
-  | [ { Network.layer; _ } ] -> Some (Serve.Service.request_fingerprint service layer)
-  | _ -> None
+  | [ { Network.layer; _ } ] ->
+    Serve.Schedule_cache.shard_hit_rate t.cache
+      (Serve.Schedule_cache.shard_index t.cache
+         (Serve.Service.request_fingerprint service layer))
+  | _ -> Serve.Schedule_cache.hit_rate t.cache
 
 (* ---- solver thread ---------------------------------------------------- *)
 
@@ -402,7 +377,7 @@ let serve_job t (job : job) =
      (monotonic backpressure), never upgrade. *)
   let reselected =
     Mutex.protect t.lock (fun () ->
-        let hit_rate = t.local_tier.Serve.Service.tier_hit_rate None in
+        let hit_rate = Serve.Schedule_cache.hit_rate t.cache in
         let budget = (Admission.config t.adm).Admission.safety *. remaining in
         match Robust.Ladder.select ~budget (Admission.estimates t.adm ~hit_rate) with
         | None -> None
@@ -424,7 +399,8 @@ let serve_job t (job : job) =
         time_limit = Float.min job.service.Serve.Service.time_limit remaining }
     in
     let report =
-      Serve.Service.schedule_network ~tier:t.full_tier ~rung service job.net
+      Serve.Service.schedule_network ~tier:t.cache ?remote:t.cfg.remote_probe ~rung
+        service job.net
     in
     let dt = Robust.Deadline.now () -. start in
     (* Feed the estimator the cost of what actually ran: a live solve is
@@ -501,15 +477,15 @@ let solver_loop t =
 (* ---- connection handling ---------------------------------------------- *)
 
 (* Cache fast path: a pure local cache probe on the calling (connection)
-   thread. Only legal when the tier is thread-safe ([fast_ok]); never
+   thread. Only taken when the cache was injected ([fast_ok]); never
    consults peers (a [cache_only] request from a peer must not cascade)
-   and never solves. Probes go through [tier_peek]: a fast-path miss on
-   an ordinary request is re-probed by the solver path, so booking it
-   here too would count two (or, across the rung-key walk, more) misses
-   per request and deflate the hit rate admission prices against. A
-   missed [cache_only] peer probe books no miss at all — it is answered
-   with a typed rejection without reaching the solver path, and peer
-   traffic should not skew the window that prices *local* admission.
+   and never solves. Probes book no miss ([count_miss:false]): a
+   fast-path miss on an ordinary request is re-probed by the solver path,
+   so booking it here too would count two (or, across the rung-key walk,
+   more) misses per request and deflate the hit rate admission prices
+   against. A missed [cache_only] peer probe books no miss at all — it is
+   answered with a typed rejection without reaching the solver path, and
+   peer traffic should not skew the window that prices *local* admission.
    Fast-path hits always count. *)
 let try_fast_path t (service : Serve.Service.config) net ~arrival ~budget =
   if not t.fast_ok then None
@@ -517,12 +493,8 @@ let try_fast_path t (service : Serve.Service.config) net ~arrival ~budget =
     let scfg =
       { service with Serve.Service.deadline = Robust.Deadline.at (arrival +. budget) }
     in
-    let peek_tier =
-      { t.local_tier with
-        Serve.Service.tier_find = t.local_tier.Serve.Service.tier_peek }
-    in
     let report =
-      Serve.Service.schedule_network ~tier:peek_tier
+      Serve.Service.schedule_network ~tier:t.cache ~count_miss:false
         ~rung:Robust.Ladder.Cache_probe scfg net
     in
     if report.Serve.Service.failed > 0 then None
@@ -565,7 +537,7 @@ let handle_request t (admitted_rung : string ref) (req : Protocol.request) =
        admitted_rung := Robust.Ladder.to_string Robust.Ladder.Cache_probe;
        resp
      | None when req.Protocol.cache_only && t.fast_ok ->
-       (* peer probe missed the thread-safe tier: typed miss, no queueing *)
+       (* peer probe missed the injected cache: typed miss, no queueing *)
        Mutex.protect t.lock (fun () -> reject_stat t Protocol.Deadline_unmeetable)
      | None ->
        let admitted =
@@ -575,9 +547,7 @@ let handle_request t (admitted_rung : string ref) (req : Protocol.request) =
                let queue_delay =
                  t.pending_cost +. Float.max 0. (t.running_until -. arrival)
                in
-               let hit_rate =
-                 t.local_tier.Serve.Service.tier_hit_rate (fp_hint service net)
-               in
+               let hit_rate = admission_hit_rate t service net in
                match
                  Admission.decide t.adm ~now:arrival ~client:req.Protocol.client
                    ~budget_s:budget ~queue_depth:(Queue.length t.queue)
@@ -585,7 +555,7 @@ let handle_request t (admitted_rung : string ref) (req : Protocol.request) =
                with
                | Error reason -> `Done (reject_stat t reason)
                | Ok selected ->
-                 (* a cache-only request on a solver-confined cache still
+                 (* a cache-only request on the server's own cache still
                     goes through the queue, but pinned to the probe rung *)
                  let rung =
                    if req.Protocol.cache_only then Robust.Ladder.Cache_probe
@@ -767,9 +737,9 @@ let flight_json t =
   Buffer.contents buf
 
 (* Versioned JSON snapshot for [Stats_full]. Strictly read-only: the
-   stats mirrors are copied under the lock, the cache tier is consulted
-   through [tier_stats]/[tier_hit_rate] only (never find/peek, so no
-   miss is ever booked), the admission estimator is introspected without
+   stats mirrors are copied under the lock, the cache is consulted
+   through its stats and hit rate only (never [find], so no miss is ever
+   booked), the admission estimator is introspected without
    touching its windows, and nothing signals the solver thread. A stats
    query therefore cannot perturb admission pricing, hit-rate accounting
    or the queue — asserted by test. *)
@@ -802,7 +772,7 @@ let stats_payload t scope =
       [ ("daemon.queue_depth", float_of_int queue_depth);
         ("daemon.connections", float_of_int conns);
         ("daemon.max_queue_depth", float_of_int st.max_queue_depth);
-        ("cache.hit_rate", t.local_tier.Serve.Service.tier_hit_rate None) ]
+        ("cache.hit_rate", Serve.Schedule_cache.hit_rate t.cache) ]
     in
     let merge live registry =
       List.sort compare
@@ -824,7 +794,6 @@ let stats_payload t scope =
             t.flight_pos,
             Admission.introspect t.adm ))
     in
-    let hit_rate = t.local_tier.Serve.Service.tier_hit_rate None in
     let buf = Buffer.create 4096 in
     Buffer.add_string buf
       (Printf.sprintf
@@ -852,18 +821,10 @@ let stats_payload t scope =
              (Robust.Ladder.to_string rung) samples cost_s))
       admission;
     Buffer.add_char buf ']';
-    Buffer.add_string buf (Printf.sprintf ",\"cache\":{\"hit_rate\":%.6f" hit_rate);
-    (match t.local_tier.Serve.Service.tier_stats () with
-     | Some (cs : Serve.Schedule_cache.stats) ->
-       Buffer.add_string buf
-         (Printf.sprintf
-            ",\"hits\":%d,\"disk_hits\":%d,\"misses\":%d,\"disk_rejects\":%d,\
-             \"evictions\":%d,\"stores\":%d"
-            cs.Serve.Schedule_cache.hits cs.Serve.Schedule_cache.disk_hits
-            cs.Serve.Schedule_cache.misses cs.Serve.Schedule_cache.disk_rejects
-            cs.Serve.Schedule_cache.evictions cs.Serve.Schedule_cache.stores)
-     | None -> ());
-    Buffer.add_char buf '}';
+    Buffer.add_string buf
+      (Printf.sprintf ",\"cache\":{\"hit_rate\":%.6f,%s}"
+         (Serve.Schedule_cache.hit_rate t.cache)
+         (Serve.Schedule_cache.counters_json (Serve.Schedule_cache.stats t.cache)));
     List.iter
       (fun (name, thunk) ->
         let payload = try thunk () with _ -> "null" in
@@ -1079,7 +1040,7 @@ let run t =
   in
   drain ();
   Thread.join solver;
-  let written = t.local_tier.Serve.Service.tier_persist () in
+  let written = Serve.Schedule_cache.persist t.cache in
   Mutex.protect t.lock (fun () -> t.stats.persisted <- written);
   Telemetry.Log.info "daemon.drained"
     [ ("served", string_of_int t.stats.served);

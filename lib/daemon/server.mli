@@ -5,12 +5,14 @@
 
     Threading: systhreads on one OCaml domain — an accept loop (which also
     ticks injected housekeeping such as peer health probes), one thread
-    per connection, and a single solver thread. By default the server owns
-    a plain schedule cache confined to the solver thread; injecting a
-    thread-safe {!Serve.Service.cache_tier} (the sharded cluster cache)
-    additionally unlocks the cache fast path, where connection threads
-    answer pure cache hits inline and only misses reach the solver
-    thread. Parallelism inside a solve comes from {!Serve.Service}'s
+    per connection, and a single solver thread. Injecting a
+    {!Serve.Schedule_cache} (as [cosa_cli serve] does) unlocks the cache
+    fast path, where connection threads answer pure cache hits inline and
+    only misses reach the solver thread. Without one the server creates
+    its own one-shard cache and every request, hit or miss, queues for the
+    solver thread; the soak's load step requests only cached layers and
+    relies on that queueing to provoke typed rejections, which is why this
+    mode stays. Parallelism inside a solve comes from {!Serve.Service}'s
     domain pool, driven by the solver thread. *)
 
 type config = {
@@ -25,19 +27,20 @@ type config = {
   cache_dir : string option;  (** enables the persistent disk tier *)
   cache_capacity : int;
   default_budget_s : float;  (** budget for requests that carry none *)
-  tier : Serve.Service.cache_tier option;
-      (** injected thread-safe cache tier; absent = own plain cache,
-          solver-thread confined (the single-box daemon) *)
+  tier : Serve.Schedule_cache.t option;
+      (** injected cache, probed inline by connection threads; absent =
+          the server's own one-shard cache, hits queue like misses *)
   remote_probe :
     (arch:Spec.t ->
     layer:Layer.t ->
     Serve.Fingerprint.t ->
     Serve.Schedule_cache.entry option)
       option;
-      (** warm-peer lookup composed behind local misses on the solver
-          path. Contract: implementations re-certify every record in
-          exact arithmetic before returning it; verified entries are
-          stored back into the local tier and served as [Cache_peer]. *)
+      (** warm-peer lookup behind local misses on the solver path
+          ({!Serve.Service.schedule_network}'s [?remote]). Contract:
+          implementations re-certify every record in exact arithmetic
+          before returning it; verified entries are stored back into the
+          local cache and served as [Cache_peer]. *)
   housekeeping : (unit -> unit) option;
       (** ticked by the accept loop every select round (~50ms); cluster
           deployments drive peer health checks from here *)
@@ -79,7 +82,7 @@ val config :
   ?cache_capacity:int ->
   ?default_budget_s:float ->
   ?tcp:string * int ->
-  ?tier:Serve.Service.cache_tier ->
+  ?tier:Serve.Schedule_cache.t ->
   ?remote_probe:
     (arch:Spec.t ->
     layer:Layer.t ->
@@ -118,7 +121,7 @@ type stats = {
   mutable max_queue_depth : int;
   mutable fastpath_served : int;
       (** cache hits answered inline on connection threads (requires an
-          injected thread-safe tier) *)
+          injected cache) *)
   mutable reaped : int;  (** idle connections closed by the reaper *)
   mutable persisted : int;  (** cache records written by the drain *)
 }
@@ -148,9 +151,9 @@ val wait_ready : t -> unit
 val stats : t -> stats
 (** A consistent snapshot. *)
 
-val tier : t -> Serve.Service.cache_tier
-(** The server's local cache tier (injected or its own plain cache) —
-    exposed for drain/restart tests. *)
+val tier : t -> Serve.Schedule_cache.t
+(** The server's cache (injected or its own) — exposed for drain/restart
+    tests. *)
 
 val process_request : t -> Protocol.request -> Protocol.response
 (** The full admission + serve path, bypassing the socket — what a
@@ -165,8 +168,7 @@ val stats_payload : t -> Protocol.stats_scope -> string
 (** The Stats frame payload: the versioned JSON snapshot
     ([Stats_full]), the flight-recorder ring as a JSON array
     ([Stats_flight]), or Prometheus text ([Stats_prometheus]).
-    Strictly read-only — consults the cache tier only through
-    [tier_stats]/[tier_hit_rate] (never find/peek, so no miss is
-    booked), copies the stats mirrors under the lock, and never touches
+    Strictly read-only — reads the cache's stats and hit rates only
+    (never [find], so no miss is booked), copies the stats mirrors under the lock, and never touches
     the solver thread; answering a stats query cannot perturb admission
     pricing or hit-rate accounting. *)

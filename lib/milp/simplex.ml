@@ -1213,35 +1213,20 @@ let warm_attempt s ~max_iterations ~deadline (wb : Basis.t) wfac =
      more than this is cheaper to restart cold than to let cycle *)
   let dual_cap = 200 + (2 * (m + ntot)) in
   try
-    (* Entry factorization: the parent's canonical factor (handed down
-       explicitly or found in the per-domain cache) is bit-valid for this
-       child — the basis matrix ignores bounds — so loading it replaces
-       the O(m³) entry refactorization with an O(m²) copy. The fallback
-       refactorizes and captures, feeding the cache for siblings. *)
-    (let seeded =
-       match wfac with
-       | Some f
-         when f.Factor.f_cols == p.cols && f.Factor.f_nrows = m
-              && int_array_eq f.Factor.f_basis basis ->
-         wfac
-       | _ -> (
-         (* the factor's slot order must match the warm basis exactly: a
-            caller-supplied basis in a non-canonical order must not seed
-            from a canonical-order cache entry *)
-         let key = ws.wkey in
-         Array.blit basis 0 key 0 m;
-         Array.sort (fun (a : int) b -> compare a b) key;
-         match lookup_factor p m key with
-         | Some f as hit when int_array_eq f.Factor.f_basis basis -> hit
-         | _ -> None)
-     in
-     match seeded with
-     | Some f ->
+    (* Entry factorization: the parent's canonical factor, handed down
+       by the caller, is bit-valid for this child — the basis matrix
+       ignores bounds — so loading it replaces the O(m³) entry
+       refactorization with an O(m²) copy. Its slot order must match the
+       warm basis exactly. Without one the entry refactorizes. *)
+    (match wfac with
+     | Some f
+       when f.Factor.f_cols == p.cols && f.Factor.f_nrows = m
+            && int_array_eq f.Factor.f_basis basis ->
        Telemetry.Metrics.incr m_factor_reuse;
        Lu.load st.fac f.Factor.f_binv;
        compute_xb st ws;
-       st.loaded <- seeded
-     | None ->
+       st.loaded <- wfac
+     | _ ->
        refactorize st ws;
        (* a scratch factorization of the warm order is the canonical
           factor only where the canonical form is the sorted-order scratch

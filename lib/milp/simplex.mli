@@ -171,7 +171,10 @@ val solve_r :
     down so the warm entry loads it (O(m²)) instead of refactorizing
     (O(m³)). It is validated against the problem and [warm] basis and is
     bit-identical to recomputation, so supplying it never changes any
-    result — only wall time. Ignored without [warm].
+    result — only wall time. It is the warm entry's only source of a
+    factor: without it the entry refactorizes (the per-domain factor
+    cache serves only the canonicalization epilogue). Ignored without
+    [warm].
 
     [refactor_interval] pins a fixed refactorization cadence (every [n]
     eta updates) in place of the default stability triggers — a

@@ -1,9 +1,10 @@
-(* Bounded LRU of certified schedules, with optional on-disk persistence.
+(* The certified schedule cache: bounded LRU partitions (shards) with
+   optional on-disk persistence, one lock per shard.
 
-   The memory tier is an exact LRU: a hash table from canonical fingerprint
-   to an intrusive doubly-linked node, list head = most recently used.
-   Everything this process solved or verified lives here and is served
-   as-is.
+   Each shard's memory tier is an exact LRU: a hash table from canonical
+   fingerprint to an intrusive doubly-linked node, list head = most
+   recently used. Everything this process solved or verified lives here
+   and is served as-is.
 
    The disk tier is trust-but-verify. A file is only evidence, never
    authority: on a disk probe the record must (1) carry the exact canonical
@@ -15,12 +16,21 @@
    through to a miss, so a corrupted cache directory can cost a re-solve
    but can never crash the service or serve an invalid schedule.
 
-   Not domain-safe: the service performs all cache traffic on the
-   coordinating domain, before and after the solve fan-out. *)
+   Every operation runs under its shard's mutex, so any domain or thread
+   may probe and store, and probes of different shards never contend.
+   Placement is content-addressed and deterministic: the first 8 hex
+   characters of the fingerprint's FNV-1a hash, mod the shard count. The
+   same fingerprint lands on the same shard on every host for the life of
+   the deployment, which lets tests and peers predict placement and lets
+   per-shard hit rates feed admission with the rate of the partition a
+   request will actually hit. With one shard (the default) records live in
+   [dir] itself; with N they live in [dir/shard-NN], each shard recovering
+   on its own, so a corrupted shard directory costs re-solves for that
+   shard's keys only. *)
 
 type entry = { meta : Mapping_io.meta; mapping : Mapping.t }
 
-(* Telemetry mirrors of the per-cache [stats] record, aggregated across
+(* Telemetry mirrors of the per-shard [stats] records, aggregated across
    every cache instance in the process so `--metrics` sees one table. *)
 let m_hit_mem = Telemetry.Metrics.counter "serve.cache.hit_mem"
 let m_hit_disk = Telemetry.Metrics.counter "serve.cache.hit_disk"
@@ -46,14 +56,18 @@ type node = {
   mutable next : node option;  (* toward tail (less recent) *)
 }
 
-type t = {
+type shard = {
+  lock : Mutex.t;
   capacity : int;
   dir : string option;
   tbl : (string, node) Hashtbl.t;
   mutable head : node option;
   mutable tail : node option;
   stats : stats;
+  g_rate : Telemetry.Metrics.gauge;  (* cluster.shard.NN.hit_rate *)
 }
+
+type t = shard array
 
 (* Orphaned temp files are the droppings of a writer that crashed between
    opening its temp file and renaming it into place. They are never read
@@ -62,7 +76,7 @@ type t = {
    temp file; a positive threshold spares young ones, protecting the
    in-flight writes of a live writer sharing the directory (two daemons,
    or a writer racing a restart). *)
-let sweep_stale_tmp ?(max_age_s = 0.) dir =
+let sweep_stale_tmp ~max_age_s dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> ()
   | names ->
@@ -82,81 +96,100 @@ let sweep_stale_tmp ?(max_age_s = 0.) dir =
         end)
       names
 
-let create ?dir ?(tmp_sweep_age_s = 0.) ~capacity () =
-  if capacity < 1 then
-    raise (Robust.Failure.Error (Invalid_input "Schedule_cache.create: capacity < 1"));
-  (match dir with
-   | Some d ->
-     if not (Sys.file_exists d) then
-       (try Unix.mkdir d 0o755 with Unix.Unix_error _ -> ());
-     sweep_stale_tmp ~max_age_s:tmp_sweep_age_s d
-   | None -> ());
-  {
-    capacity;
-    dir;
-    tbl = Hashtbl.create (2 * capacity);
-    head = None;
-    tail = None;
-    stats =
-      { hits = 0; disk_hits = 0; misses = 0; disk_rejects = 0; evictions = 0; stores = 0 };
-  }
+let mkdir d =
+  if not (Sys.file_exists d) then try Unix.mkdir d 0o755 with Unix.Unix_error _ -> ()
 
-let length t = Hashtbl.length t.tbl
-let capacity t = t.capacity
-let stats t = t.stats
+let zero_stats () =
+  { hits = 0; disk_hits = 0; misses = 0; disk_rejects = 0; evictions = 0; stores = 0 }
 
-let hit_rate t =
-  let served = t.stats.hits + t.stats.disk_hits in
-  let total = served + t.stats.misses in
+let create ?dir ?(tmp_sweep_age_s = 0.) ?(shards = 1) ~capacity () =
+  let invalid msg =
+    raise (Robust.Failure.Error (Invalid_input ("Schedule_cache.create: " ^ msg)))
+  in
+  if shards < 1 then invalid "shards < 1";
+  if capacity < shards then
+    invalid (if shards = 1 then "capacity < 1" else "capacity < shards");
+  (* the shard subdirectories need the base directory to exist first *)
+  Option.iter mkdir dir;
+  let per_shard = (capacity + shards - 1) / shards in
+  Array.init shards (fun i ->
+      let dir =
+        if shards = 1 then dir
+        else Option.map (fun d -> Filename.concat d (Printf.sprintf "shard-%02d" i)) dir
+      in
+      Option.iter
+        (fun d ->
+          mkdir d;
+          sweep_stale_tmp ~max_age_s:tmp_sweep_age_s d)
+        dir;
+      {
+        lock = Mutex.create ();
+        capacity = per_shard;
+        dir;
+        tbl = Hashtbl.create (2 * per_shard);
+        head = None;
+        tail = None;
+        stats = zero_stats ();
+        g_rate = Telemetry.Metrics.gauge (Printf.sprintf "cluster.shard.%02d.hit_rate" i);
+      })
+
+let shard_count t = Array.length t
+
+(* Deterministic content-addressed placement: high 32 bits of the
+   fingerprint hash, mod shard count. *)
+let shard_index t fp =
+  int_of_string ("0x" ^ String.sub (Fingerprint.hash fp) 0 8) mod Array.length t
+
+let rate_of st =
+  let served = st.hits + st.disk_hits in
+  let total = served + st.misses in
   if total = 0 then 0. else float_of_int served /. float_of_int total
 
 (* ---- intrusive LRU list ---------------------------------------------- *)
 
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
+let unlink s n =
+  (match n.prev with Some p -> p.next <- n.next | None -> s.head <- n.next);
+  (match n.next with Some x -> x.prev <- n.prev | None -> s.tail <- n.prev);
   n.prev <- None;
   n.next <- None
 
-let push_front t n =
-  n.next <- t.head;
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n
+let push_front s n =
+  n.next <- s.head;
+  (match s.head with Some h -> h.prev <- Some n | None -> s.tail <- Some n);
+  s.head <- Some n
 
-let touch t n =
-  match t.head with
+let touch s n =
+  match s.head with
   | Some h when h == n -> ()
   | _ ->
-    unlink t n;
-    push_front t n
+    unlink s n;
+    push_front s n
 
-let evict_lru t =
-  match t.tail with
+let evict_lru s =
+  match s.tail with
   | None -> ()
   | Some n ->
-    unlink t n;
-    Hashtbl.remove t.tbl n.key;
-    t.stats.evictions <- t.stats.evictions + 1;
+    unlink s n;
+    Hashtbl.remove s.tbl n.key;
+    s.stats.evictions <- s.stats.evictions + 1;
     Telemetry.Metrics.incr m_eviction
 
 (* Insert or refresh a memory entry (no disk traffic, no stats). *)
-let insert t fp entry =
+let insert s fp entry =
   let key = Fingerprint.canon fp in
-  match Hashtbl.find_opt t.tbl key with
+  match Hashtbl.find_opt s.tbl key with
   | Some n ->
     n.value <- entry;
-    touch t n
+    touch s n
   | None ->
-    if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
+    if Hashtbl.length s.tbl >= s.capacity then evict_lru s;
     let n =
       { key; file_stem = Fingerprint.hash fp; value = entry; prev = None; next = None }
     in
-    Hashtbl.add t.tbl key n;
-    push_front t n
+    Hashtbl.add s.tbl key n;
+    push_front s n
 
 (* ---- disk tier -------------------------------------------------------- *)
-
-let file_path dir fp = Filename.concat dir (Fingerprint.hash fp ^ ".cosa")
 
 (* First line frames the record with the full canonical fingerprint; the
    rest is a [Mapping_io] provenance record. *)
@@ -171,8 +204,8 @@ let key_prefix = "key "
    drain-time [persist]) can never interleave bytes in one temp file. *)
 let tmp_seq = Atomic.make 0
 
-let disk_write_raw t ~stem ~canon entry =
-  match t.dir with
+let disk_write s ~stem ~canon entry =
+  match s.dir with
   | None -> ()
   | Some dir ->
     let path = Filename.concat dir (stem ^ ".cosa") in
@@ -194,19 +227,16 @@ let disk_write_raw t ~stem ~canon entry =
      with Sys_error _ | Unix.Unix_error _ ->
        (try Sys.remove tmp with Sys_error _ -> ()))
 
-let disk_write t fp entry =
-  disk_write_raw t ~stem:(Fingerprint.hash fp) ~canon:(Fingerprint.canon fp) entry
-
 (* A disk probe that verifies before serving; any failure is a reject. *)
-let disk_load t ~arch ~layer fp =
-  match t.dir with
+let disk_load s ~arch ~layer fp =
+  match s.dir with
   | None -> None
   | Some dir ->
-    let path = file_path dir fp in
+    let path = Filename.concat dir (Fingerprint.hash fp ^ ".cosa") in
     if not (Sys.file_exists path) then None
     else begin
       let reject () =
-        t.stats.disk_rejects <- t.stats.disk_rejects + 1;
+        s.stats.disk_rejects <- s.stats.disk_rejects + 1;
         Telemetry.Metrics.incr m_disk_reject;
         None
       in
@@ -239,9 +269,9 @@ let disk_load t ~arch ~layer fp =
              architecture in exact arithmetic before serving *)
           match Certify.Mapping_cert.check arch mapping with
           | Certify.Certificate.Certified ->
-            t.stats.disk_hits <- t.stats.disk_hits + 1;
+            s.stats.disk_hits <- s.stats.disk_hits + 1;
             Telemetry.Metrics.incr m_hit_disk;
-            insert t fp { meta; mapping };
+            insert s fp { meta; mapping };
             Some { meta; mapping }
           | Certify.Certificate.Violated _ | (exception Robust.Failure.Error _) ->
             reject ()
@@ -252,41 +282,49 @@ let disk_load t ~arch ~layer fp =
 
 type tier = Memory | Disk
 
+(* Run [f] on the fingerprint's owner shard under its lock, then refresh
+   the shard's hit-rate gauge. *)
+let with_shard t fp f =
+  let s = t.(shard_index t fp) in
+  Mutex.protect s.lock (fun () ->
+      let r = f s in
+      Telemetry.Metrics.set_gauge s.g_rate (rate_of s.stats);
+      r)
+
 (* [count_miss:false] is the fast-path/peek probe: a daemon connection
-   thread peeks the tier before queueing, and the solver path re-probes
+   thread peeks the cache before queueing, and the solver path re-probes
    on a miss — counting both would book two misses per request, deflating
    the hit-rate windows admission prices against. Hits (and disk rejects,
    which are real evidence of corruption) always count. *)
 let find ?(count_miss = true) t ~arch ~layer fp =
-  match Hashtbl.find_opt t.tbl (Fingerprint.canon fp) with
-  | Some n ->
-    t.stats.hits <- t.stats.hits + 1;
-    Telemetry.Metrics.incr m_hit_mem;
-    touch t n;
-    Some (n.value, Memory)
-  | None ->
-    (match disk_load t ~arch ~layer fp with
-     | Some entry -> Some (entry, Disk)
-     | None ->
-       if count_miss then begin
-         t.stats.misses <- t.stats.misses + 1;
-         Telemetry.Metrics.incr m_miss
-       end;
-       None)
+  with_shard t fp (fun s ->
+      match Hashtbl.find_opt s.tbl (Fingerprint.canon fp) with
+      | Some n ->
+        s.stats.hits <- s.stats.hits + 1;
+        Telemetry.Metrics.incr m_hit_mem;
+        touch s n;
+        Some (n.value, Memory)
+      | None ->
+        (match disk_load s ~arch ~layer fp with
+         | Some entry -> Some (entry, Disk)
+         | None ->
+           if count_miss then begin
+             s.stats.misses <- s.stats.misses + 1;
+             Telemetry.Metrics.incr m_miss
+           end;
+           None))
 
 let store t fp entry =
-  t.stats.stores <- t.stats.stores + 1;
-  Telemetry.Metrics.incr m_store;
-  insert t fp entry;
-  disk_write t fp entry
+  with_shard t fp (fun s ->
+      s.stats.stores <- s.stats.stores + 1;
+      Telemetry.Metrics.incr m_store;
+      insert s fp entry;
+      disk_write s ~stem:(Fingerprint.hash fp) ~canon:(Fingerprint.canon fp) entry)
 
-let lru_keys t =
-  (* head (most recent) first *)
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some n -> go (n.file_stem :: acc) n.next
-  in
-  go [] t.head
+(* Fold [f] over one shard's nodes, most recent first, under its lock. *)
+let fold_lru s f init =
+  let rec go acc = function None -> acc | Some n -> go (f acc n) n.next in
+  Mutex.protect s.lock (fun () -> go init s.head)
 
 (* Drain hook: rewrite every in-memory entry to disk (each write is
    individually crash-safe), so a graceful shutdown leaves the directory
@@ -294,14 +332,62 @@ let lru_keys t =
    before a crash of a *previous* incarnation that this one re-verified
    and promoted. Returns the number of records written. *)
 let persist t =
-  match t.dir with
-  | None -> 0
-  | Some _ ->
-    let rec go n = function
-      | None -> n
-      | Some node ->
-        (* reconstruct the fingerprint frame from the stored canon/stem *)
-        disk_write_raw t ~stem:node.file_stem ~canon:node.key node.value;
-        go (n + 1) node.next
-    in
-    go 0 t.head
+  Array.fold_left
+    (fun acc s ->
+      if s.dir = None then acc
+      else
+        fold_lru s
+          (fun n node ->
+            disk_write s ~stem:node.file_stem ~canon:node.key node.value;
+            n + 1)
+          acc)
+    0 t
+
+let length t =
+  Array.fold_left
+    (fun acc s -> acc + Mutex.protect s.lock (fun () -> Hashtbl.length s.tbl))
+    0 t
+
+let lru_keys t =
+  Array.to_list t
+  |> List.concat_map (fun s -> List.rev (fold_lru s (fun acc n -> n.file_stem :: acc) []))
+
+let shard_stats t i =
+  let s = t.(i) in
+  Mutex.protect s.lock (fun () -> { s.stats with hits = s.stats.hits })
+
+(* Aggregated counters across shards, as a fresh (non-shared) record. *)
+let stats t =
+  let agg = zero_stats () in
+  Array.iteri
+    (fun i _ ->
+      let st = shard_stats t i in
+      agg.hits <- agg.hits + st.hits;
+      agg.disk_hits <- agg.disk_hits + st.disk_hits;
+      agg.misses <- agg.misses + st.misses;
+      agg.disk_rejects <- agg.disk_rejects + st.disk_rejects;
+      agg.evictions <- agg.evictions + st.evictions;
+      agg.stores <- agg.stores + st.stores)
+    t;
+  agg
+
+let hit_rate t = rate_of (stats t)
+let shard_hit_rate t i = rate_of (shard_stats t i)
+
+let counters_json st =
+  Printf.sprintf
+    "\"hits\":%d,\"disk_hits\":%d,\"misses\":%d,\"disk_rejects\":%d,\
+     \"evictions\":%d,\"stores\":%d"
+    st.hits st.disk_hits st.misses st.disk_rejects st.evictions st.stores
+
+(* Per-shard counters as a JSON array — the ["shards"] section of the
+   daemon's Stats frame. Read-only: copies each shard's counters under its
+   own lock, books nothing. *)
+let stats_json t =
+  "["
+  ^ String.concat ","
+      (List.init (Array.length t) (fun i ->
+           let st = shard_stats t i in
+           Printf.sprintf "{\"shard\":%d,%s,\"hit_rate\":%.4f}" i (counters_json st)
+             (rate_of st)))
+  ^ "]"

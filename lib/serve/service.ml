@@ -4,10 +4,12 @@
    of solver work: entries are deduplicated by fingerprint (via
    [Network.distinct] — shape-equal layers share one solve), the cache is
    probed for each distinct shape, and only the misses go to the domain
-   pool. Cache traffic stays on the coordinating domain (the cache is not
-   domain-safe); the pool only ever runs [Cosa.schedule], whose state is
-   all request-local. Results are expanded by each shape's summed repeat
-   count into repetition-weighted network latency/energy totals. *)
+   pool. The cache is domain-safe, but the coordinating domain does all of
+   this request's cache traffic, before and after the fan-out; the pool
+   only ever runs [Cosa.schedule], whose state is all request-local.
+   Results are expanded by each shape's summed repeat count into
+   repetition-weighted network latency/energy totals, and an optional
+   fusion stage annotates the result. *)
 
 (* Telemetry: one counter tick and a solve-time sample per pool solve
    (cache hits are free and deliberately not sampled), and a "serve.batch"
@@ -54,46 +56,12 @@ let origin_to_string = function
   | Cache_peer -> "cache(peer)"
   | Solved s -> Cosa.source_to_string s
 
-(* A cache tier is the service's pluggable view of "somewhere certified
-   schedules might already live": the plain single-domain [Schedule_cache],
-   a sharded cache with per-shard locks, or a composition that falls
-   through to a warm peer over the network. The service only ever probes,
-   stores, and reads aggregate stats — everything else (locking, sharding,
-   peer health, re-certification of remote records) is the tier's
-   business. *)
-type cache_tier = {
-  tier_find :
-    arch:Spec.t -> layer:Layer.t -> Fingerprint.t -> (Schedule_cache.entry * origin) option;
-  tier_peek :
-    arch:Spec.t -> layer:Layer.t -> Fingerprint.t -> (Schedule_cache.entry * origin) option;
-      (* like [tier_find], but a miss is not booked in the tier's hit-rate
-         accounting (hits always are). For speculative probes — the
-         daemon's connection-thread fast path — whose misses are re-probed
-         by the authoritative solver path: counting both would deflate the
-         hit rate admission prices against. Never consults warm peers. *)
-  tier_store : Fingerprint.t -> Schedule_cache.entry -> unit;
-  tier_hit_rate : Fingerprint.t option -> float;
-      (* [None] = aggregate across the tier; [Some fp] = the hit rate of
-         whatever partition serves this fingerprint (per-shard windows) *)
-  tier_persist : unit -> int;
-  tier_stats : unit -> Schedule_cache.stats option;
-}
+type fuse_mode = Fuse_off | Fuse_chains | Fuse_auto
 
-let tier_of_cache c =
-  let probe ~count_miss ~arch ~layer fp =
-    match Schedule_cache.find ~count_miss c ~arch ~layer fp with
-    | Some (e, Schedule_cache.Memory) -> Some (e, Cache_memory)
-    | Some (e, Schedule_cache.Disk) -> Some (e, Cache_disk)
-    | None -> None
-  in
-  {
-    tier_find = probe ~count_miss:true;
-    tier_peek = probe ~count_miss:false;
-    tier_store = (fun fp e -> Schedule_cache.store c fp e);
-    tier_hit_rate = (fun _ -> Schedule_cache.hit_rate c);
-    tier_persist = (fun () -> Schedule_cache.persist c);
-    tier_stats = (fun () -> Some (Schedule_cache.stats c));
-  }
+let fuse_mode_to_string = function
+  | Fuse_off -> "off"
+  | Fuse_chains -> "chains"
+  | Fuse_auto -> "auto"
 
 type served = {
   mapping : Mapping.t;
@@ -123,10 +91,9 @@ type report = {
   total_energy_pj : float;
   solve_p50 : float;
   solve_p95 : float;
-  warm_solves : int;  (* LP solves served by dual reoptimization this request *)
-  cold_solves : int;  (* LP solves that went through the cold two-phase path *)
   cache_stats : Schedule_cache.stats option;
   wall_time : float;
+  fusion : Fuse.Plan.network_plan option;  (* [None] unless fusion was asked for *)
 }
 
 let verdict_token = function
@@ -156,14 +123,25 @@ let request_fingerprint cfg layer =
   Fingerprint.make ~weights:cfg.weights ~strategy:cfg.strategy ~certify:cfg.certify
     cfg.arch layer
 
-let schedule_network_impl ?cache ?tier ?rung cfg (net : Network.t) =
+(* One cache probe as the service sees it: the local cache first, then on
+   a miss the warm-peer [remote], called with no shard lock held. A record
+   the remote returns (re-certified by contract) is written through to the
+   local cache and served as [Cache_peer]. *)
+let probe ~remote ~count_miss cache cfg layer fp =
+  match Schedule_cache.find ~count_miss cache ~arch:cfg.arch ~layer fp with
+  | Some (e, Schedule_cache.Memory) -> Some (e, Cache_memory)
+  | Some (e, Schedule_cache.Disk) -> Some (e, Cache_disk)
+  | None ->
+    Option.bind remote (fun remote ->
+        Option.map
+          (fun e ->
+            Schedule_cache.store cache fp e;
+            (e, Cache_peer))
+          (remote ~arch:cfg.arch ~layer fp))
+
+let schedule_network_impl ?tier ?remote ?(count_miss = true) ?rung cfg
+    (net : Network.t) =
   let t0 = Robust.Deadline.now () in
-  let tier =
-    match (tier, cache) with
-    | Some t, _ -> Some t
-    | None, Some c -> Some (tier_of_cache c)
-    | None, None -> None
-  in
   (* Per-request rung override (the daemon's admission controller): the
      selected ladder rung pins the solve strategy for this request only.
      [Cache_probe] never solves — misses come back as typed
@@ -177,9 +155,6 @@ let schedule_network_impl ?cache ?tier ?rung cfg (net : Network.t) =
     | Some Robust.Ladder.Heuristic -> Cosa.Heuristic
   in
   let cache_only = rung = Some Robust.Ladder.Cache_probe in
-  (* per-request warm/cold split: counters are process-global, so report
-     the delta across this request (pool domains tick the same counters) *)
-  let snap0 = Telemetry.Metrics.snapshot () in
   let dedup = Network.distinct net in
   (* 1. probe the cache for every distinct shape (coordinator domain).
      Under a rung override probe the base-strategy key first: serving a
@@ -195,8 +170,8 @@ let schedule_network_impl ?cache ?tier ?rung cfg (net : Network.t) =
         let fp_base = fp_of cfg.strategy in
         let fp = if strategy_eff = cfg.strategy then fp_base else fp_of strategy_eff in
         let hit =
-          Option.bind tier (fun t ->
-              let find fp = t.tier_find ~arch:cfg.arch ~layer:e.Network.layer fp in
+          Option.bind tier (fun cache ->
+              let find fp = probe ~remote ~count_miss cache cfg e.Network.layer fp in
               match find fp_base with
               | Some h -> Some h
               | None when cache_only ->
@@ -248,12 +223,12 @@ let schedule_network_impl ?cache ?tier ?rung cfg (net : Network.t) =
     (fun (_, fp) res ->
       Hashtbl.replace by_canon (Fingerprint.canon fp) res;
       match (tier, res) with
-      | Some t, Ok ((r : Cosa.result), _) ->
+      | Some cache, Ok ((r : Cosa.result), _) ->
         (* don't persist a schedule known to have failed certification *)
         (match r.Cosa.certification with
          | Cosa.Cert_failed _ -> ()
          | Cosa.Cert_skipped | Cosa.Cert_ok ->
-           t.tier_store fp
+           Schedule_cache.store cache fp
              { Schedule_cache.meta = meta_of_result cfg r; mapping = r.Cosa.mapping })
       | _ -> ())
     misses solved;
@@ -322,12 +297,6 @@ let schedule_network_impl ?cache ?tier ?rung cfg (net : Network.t) =
        | [ a; b ] -> (a, b)
        | _ -> (0., 0.))
   in
-  let counter_delta name =
-    let snap1 = Telemetry.Metrics.snapshot () in
-    max 0
-      (Telemetry.Metrics.counter_value snap1 name
-      - Telemetry.Metrics.counter_value snap0 name)
-  in
   {
     network_name = net.Network.nname;
     layers;
@@ -340,15 +309,15 @@ let schedule_network_impl ?cache ?tier ?rung cfg (net : Network.t) =
     total_energy_pj = sum (fun lr -> float_of_int lr.repeats *. lr.energy_pj);
     solve_p50 = p50;
     solve_p95 = p95;
-    warm_solves = counter_delta "simplex.warm_solves";
-    cold_solves = counter_delta "simplex.cold_solves";
-    cache_stats = Option.bind tier (fun t -> t.tier_stats ());
+    cache_stats = Option.map Schedule_cache.stats tier;
     wall_time = Robust.Deadline.now () -. t0;
+    fusion = None;
   }
 
-let schedule_network ?cache ?tier ?rung cfg (net : Network.t) =
+let schedule_network ?tier ?remote ?count_miss ?rung ?(fuse = Fuse_off) ?max_group cfg
+    (net : Network.t) =
   let sp = Telemetry.Trace.begin_span ~cat:"serve" "serve.batch" in
-  let r = schedule_network_impl ?cache ?tier ?rung cfg net in
+  let r = schedule_network_impl ?tier ?remote ?count_miss ?rung cfg net in
   Telemetry.Trace.end_span
     ~args:
       ([ ("network", net.Network.nname); ("distinct", string_of_int r.distinct);
@@ -357,42 +326,18 @@ let schedule_network ?cache ?tier ?rung cfg (net : Network.t) =
         | None -> []
         | Some ru -> [ ("rung", Robust.Ladder.to_string ru) ])
     sp;
-  r
-
-(* ---- fused (cross-layer) mode ----------------------------------------
-
-   The fused entry point runs the unchanged per-layer path first and adds
-   the fusion planner as a second stage. Nothing about stage one depends on
-   the fuse mode: same cache keys, same pool fan-out, same telemetry — so
-   Fuse_off is byte-identical to [schedule_network] by construction, not by
-   testing discipline alone. *)
-
-type fuse_mode = Fuse_off | Fuse_chains | Fuse_auto
-
-let fuse_mode_to_string = function
-  | Fuse_off -> "off"
-  | Fuse_chains -> "chains"
-  | Fuse_auto -> "auto"
-
-type fused_report = {
-  base : report;
-  fusion : Fuse.Plan.network_plan option;
-}
-
-let schedule_network_fused ?cache ?tier ?rung ?max_group ~fuse cfg (net : Network.t) =
-  let base = schedule_network ?cache ?tier ?rung cfg net in
-  let fusion =
-    match fuse with
-    | Fuse_off -> None
-    | Fuse_chains | Fuse_auto ->
-      let mode =
-        match fuse with Fuse_auto -> Fuse.Plan.Auto | _ -> Fuse.Plan.Chains
-      in
-      Some
-        (Fuse.Plan.plan_network ~mode ?max_group ~node_limit:cfg.node_limit
-           ~time_limit:cfg.time_limit ~deadline:cfg.deadline cfg.arch net)
-  in
-  { base; fusion }
+  (* Fusion is a purely additive second stage over the derived chains:
+     nothing above depends on [fuse], so the per-layer report is the same
+     in every mode. *)
+  match fuse with
+  | Fuse_off -> r
+  | Fuse_chains | Fuse_auto ->
+    let mode = if fuse = Fuse_auto then Fuse.Plan.Auto else Fuse.Plan.Chains in
+    { r with
+      fusion =
+        Some
+          (Fuse.Plan.plan_network ~mode ?max_group ~node_limit:cfg.node_limit
+             ~time_limit:cfg.time_limit ~deadline:cfg.deadline cfg.arch net) }
 
 let report_to_string r =
   let buf = Buffer.create 2048 in
@@ -422,10 +367,6 @@ let report_to_string r =
        r.total_latency r.total_energy_pj);
   Buffer.add_string buf
     (Printf.sprintf "solve time p50/p95: %.3f/%.3f s\n" r.solve_p50 r.solve_p95);
-  if r.warm_solves + r.cold_solves > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf "LP solves: %d warm (dual reopt), %d cold\n" r.warm_solves
-         r.cold_solves);
   (match r.cache_stats with
    | Some s ->
      Buffer.add_string buf
@@ -435,10 +376,7 @@ let report_to_string r =
           s.Schedule_cache.disk_rejects s.Schedule_cache.evictions s.Schedule_cache.stores)
    | None -> ());
   Buffer.add_string buf (Printf.sprintf "wall time: %.3f s\n" r.wall_time);
+  Option.iter
+    (fun plan -> Buffer.add_string buf ("\n" ^ Fuse.Plan.network_plan_to_string plan))
+    r.fusion;
   Buffer.contents buf
-
-let fused_report_to_string fr =
-  match fr.fusion with
-  | None -> report_to_string fr.base
-  | Some plan ->
-    report_to_string fr.base ^ "\n" ^ Fuse.Plan.network_plan_to_string plan

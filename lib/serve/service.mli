@@ -1,13 +1,14 @@
-(** Domain-parallel batch scheduling with a certified schedule cache.
+(** Domain-parallel batch scheduling over the certified schedule cache.
 
     [schedule_network] serves a whole network in one call: entries are
     deduplicated by content fingerprint (shape-equal layers share one
-    solve), the {!Schedule_cache} is probed per distinct shape, misses are
-    solved concurrently on a {!Pool} of OCaml 5 domains, and results are
-    expanded by each shape's summed repeat count into repetition-weighted
-    network totals. Per-layer failures are typed and isolated: one layer
-    blowing its budget degrades that layer (or marks it failed), never the
-    batch. *)
+    solve), the {!Schedule_cache} is probed per distinct shape (falling
+    through to a warm peer when one is given), misses are solved
+    concurrently on a {!Pool} of OCaml 5 domains, and results are expanded
+    by each shape's summed repeat count into repetition-weighted network
+    totals. An optional fusion stage adds a certified cross-layer plan on
+    top. Per-layer failures are typed and isolated: one layer blowing its
+    budget degrades that layer (or marks it failed), never the batch. *)
 
 type config = {
   arch : Spec.t;
@@ -48,31 +49,9 @@ type origin = Cache_memory | Cache_disk | Cache_peer | Solved of Cosa.source
 
 val origin_to_string : origin -> string
 
-type cache_tier = {
-  tier_find :
-    arch:Spec.t -> layer:Layer.t -> Fingerprint.t -> (Schedule_cache.entry * origin) option;
-  tier_peek :
-    arch:Spec.t -> layer:Layer.t -> Fingerprint.t -> (Schedule_cache.entry * origin) option;
-      (** like [tier_find], but a miss is not booked in hit-rate accounting
-          (hits always are) and warm peers are never consulted — for
-          speculative probes (the daemon's connection-thread fast path)
-          whose misses are re-probed by the authoritative solver path *)
-  tier_store : Fingerprint.t -> Schedule_cache.entry -> unit;
-  tier_hit_rate : Fingerprint.t option -> float;
-      (** [None] = aggregate hit rate across the tier; [Some fp] = hit rate
-          of whatever partition serves this fingerprint (per-shard
-          admission windows) *)
-  tier_persist : unit -> int;
-  tier_stats : unit -> Schedule_cache.stats option;
-}
-(** The service's pluggable view of where certified schedules might already
-    live: a plain {!Schedule_cache}, a sharded cache with per-shard locks,
-    or a composition falling through to a warm peer. Implementations own
-    their locking and (for remote records) re-certification; the service
-    only probes, stores, and reads stats. *)
+type fuse_mode = Fuse_off | Fuse_chains | Fuse_auto
 
-val tier_of_cache : Schedule_cache.t -> cache_tier
-(** The trivial tier over a single (not domain-safe) {!Schedule_cache}. *)
+val fuse_mode_to_string : fuse_mode -> string
 
 val request_fingerprint : config -> Layer.t -> Fingerprint.t
 (** The base-strategy content fingerprint a request for this layer resolves
@@ -108,26 +87,35 @@ type report = {
   total_energy_pj : float;
   solve_p50 : float;  (** per-shape serve-time percentiles (seconds) *)
   solve_p95 : float;
-  warm_solves : int;
-      (** LP solves served by warm-started dual simplex during this request
-          (delta of the process-global [simplex.warm_solves] counter) *)
-  cold_solves : int;  (** LP solves that took the cold two-phase path *)
-  cache_stats : Schedule_cache.stats option;
-  wall_time : float;
+  cache_stats : Schedule_cache.stats option;  (** [None] without a cache *)
+  wall_time : float;  (** of the per-layer stage; fusion planning excluded *)
+  fusion : Fuse.Plan.network_plan option;  (** [None] iff [Fuse_off] *)
 }
 
 val schedule_network :
-  ?cache:Schedule_cache.t ->
-  ?tier:cache_tier ->
+  ?tier:Schedule_cache.t ->
+  ?remote:
+    (arch:Spec.t -> layer:Layer.t -> Fingerprint.t -> Schedule_cache.entry option) ->
+  ?count_miss:bool ->
   ?rung:Robust.Ladder.rung ->
+  ?fuse:fuse_mode ->
+  ?max_group:int ->
   config ->
   Network.t ->
   report
-(** Never raises. With a plain [?cache], cache traffic runs on the calling
-    domain only; a [?tier] (which wins over [?cache]) may be domain-safe
-    and probed from any thread. The pool runs nothing but [Cosa.schedule].
-    Freshly solved schedules are stored back unless their certificate
-    failed.
+(** Never raises. Without [tier] nothing is cached. Cache traffic runs on
+    the calling domain; the pool runs nothing but [Cosa.schedule]. Freshly
+    solved schedules are stored back unless their certificate failed.
+
+    [remote] is a warm-peer lookup consulted behind every local miss, for
+    each key probed, with no shard lock held. Contract: it returns only
+    records it has re-certified in exact arithmetic. A record it returns is
+    stored into [tier] (write-through) and served as [Cache_peer]. It is
+    consulted only when [tier] is given.
+
+    [count_miss:false] (default [true]) books no cache miss — for the
+    daemon's connection-thread fast path, whose misses the solver path
+    re-probes.
 
     [rung] is the per-request degradation override used by the daemon's
     SLO-aware admission controller: it pins this request's solve strategy
@@ -137,42 +125,16 @@ val schedule_network :
     full-quality schedule beats a degraded solve), then the rung's own key;
     fresh degraded results are stored under the rung's key only.
     [Cache_probe] never solves: misses come back as typed
-    [Robust.Failure.Deadline_exceeded] layer failures. *)
+    [Robust.Failure.Deadline_exceeded] layer failures.
+
+    [fuse] (default [Fuse_off]) runs the fusion planner over the derived
+    chains as a purely additive second stage: the per-layer report is the
+    same in every mode. [Fuse_chains] serves every certified fused group
+    (at most [max_group] members); [Fuse_auto] additionally demotes
+    fusions that do not beat the independent baseline. Fused groups are
+    content-addressed by {!Fuse.Chain.group_hash}. A group that cannot be
+    fused — injected fault, MIP failure, or certification failure —
+    degrades to the certified per-layer answer with typed provenance. *)
 
 val report_to_string : report -> string
-
-(** {2 Fused (cross-layer) network mode} *)
-
-type fuse_mode = Fuse_off | Fuse_chains | Fuse_auto
-
-val fuse_mode_to_string : fuse_mode -> string
-
-type fused_report = {
-  base : report;
-      (** the per-layer batch report — with [Fuse_off] this is exactly what
-          {!schedule_network} returns (same path, same telemetry), so
-          [--fuse=off] is byte-identical to the non-fused service *)
-  fusion : Fuse.Plan.network_plan option;  (** [None] iff [Fuse_off] *)
-}
-
-val schedule_network_fused :
-  ?cache:Schedule_cache.t ->
-  ?tier:cache_tier ->
-  ?rung:Robust.Ladder.rung ->
-  ?max_group:int ->
-  fuse:fuse_mode ->
-  config ->
-  Network.t ->
-  fused_report
-(** Per-layer scheduling first (the unchanged {!schedule_network} path —
-    per-layer cache keys and cluster content addressing are untouched),
-    then the fusion planner as a purely additive second stage over the
-    derived chains. [Fuse_chains] serves every certified fused group;
-    [Fuse_auto] additionally demotes fusions that do not beat the
-    independent baseline. Fused groups are content-addressed by
-    {!Fuse.Chain.group_hash} (architecture + member shape keys). Never
-    raises; a group that cannot be fused — injected fault, MIP failure, or
-    certification failure — degrades to the certified per-layer answer
-    with typed provenance. *)
-
-val fused_report_to_string : fused_report -> string
+(** The per-layer table and totals, then the fusion plan when present. *)

@@ -51,31 +51,31 @@ let contains hay needle =
 (* ---- shard placement and aggregate stats ------------------------------ *)
 
 let test_shard_placement () =
-  let c1 = Cluster.Sharded_cache.create ~capacity:64 ~shards:4 () in
-  let c2 = Cluster.Sharded_cache.create ~capacity:64 ~shards:4 () in
-  check_int "shard count" 4 (Cluster.Sharded_cache.shard_count c1);
-  let idxs = List.map (fun l -> Cluster.Sharded_cache.shard_index c1 (fp l)) layers in
+  let c1 = Serve.Schedule_cache.create ~capacity:64 ~shards:4 () in
+  let c2 = Serve.Schedule_cache.create ~capacity:64 ~shards:4 () in
+  check_int "shard count" 4 (Serve.Schedule_cache.shard_count c1);
+  let idxs = List.map (fun l -> Serve.Schedule_cache.shard_index c1 (fp l)) layers in
   (* content-addressed: every instance (every host) agrees on the owner *)
   List.iter2
     (fun l i ->
       check_int "placement deterministic across instances" i
-        (Cluster.Sharded_cache.shard_index c2 (fp l));
+        (Serve.Schedule_cache.shard_index c2 (fp l));
       check_bool "owner in range" true (i >= 0 && i < 4))
     layers idxs;
   check_bool "keys spread across shards" true
     (List.length (List.sort_uniq compare idxs) >= 2);
-  List.iter (fun l -> Cluster.Sharded_cache.store c1 (fp l) (entry_of l)) layers;
+  List.iter (fun l -> Serve.Schedule_cache.store c1 (fp l) (entry_of l)) layers;
   List.iter
     (fun l ->
-      match Cluster.Sharded_cache.find c1 ~arch ~layer:l (fp l) with
+      match Serve.Schedule_cache.find c1 ~arch ~layer:l (fp l) with
       | Some (_, Serve.Schedule_cache.Memory) -> ()
       | _ -> Alcotest.fail "stored entry not found in memory")
     layers;
   (* the aggregate view is exactly the sum of the per-shard counters *)
-  let agg = Cluster.Sharded_cache.stats c1 in
+  let agg = Serve.Schedule_cache.stats c1 in
   let sum f =
     List.fold_left
-      (fun a i -> a + f (Cluster.Sharded_cache.shard_stats c1 i))
+      (fun a i -> a + f (Serve.Schedule_cache.shard_stats c1 i))
       0 [ 0; 1; 2; 3 ]
   in
   check_int "hits aggregate" agg.Serve.Schedule_cache.hits
@@ -96,21 +96,21 @@ let test_shard_persist_recover () =
   let dir = temp_dir "cosa_cluster" in
   Fun.protect ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let c = Cluster.Sharded_cache.create ~dir ~capacity:64 ~shards:4 () in
-      List.iter (fun l -> Cluster.Sharded_cache.store c (fp l) (entry_of l)) layers;
+      let c = Serve.Schedule_cache.create ~dir ~capacity:64 ~shards:4 () in
+      List.iter (fun l -> Serve.Schedule_cache.store c (fp l) (entry_of l)) layers;
       (* store writes through: the record is already in the owner shard's
          subdirectory, so even a SIGKILL loses nothing *)
       List.iter
         (fun l ->
-          let i = Cluster.Sharded_cache.shard_index c (fp l) in
+          let i = Serve.Schedule_cache.shard_index c (fp l) in
           check_bool ("record in owning shard: " ^ l.Layer.name) true
             (Sys.file_exists (shard_file dir i l)))
         layers;
       (* a fresh instance over the same directory recovers every shard *)
-      let c2 = Cluster.Sharded_cache.create ~dir ~capacity:64 ~shards:4 () in
+      let c2 = Serve.Schedule_cache.create ~dir ~capacity:64 ~shards:4 () in
       List.iter
         (fun l ->
-          match Cluster.Sharded_cache.find c2 ~arch ~layer:l (fp l) with
+          match Serve.Schedule_cache.find c2 ~arch ~layer:l (fp l) with
           | Some (_, Serve.Schedule_cache.Disk) -> ()
           | Some (_, Serve.Schedule_cache.Memory) ->
             Alcotest.fail "fresh instance should hit the disk tier"
@@ -119,20 +119,20 @@ let test_shard_persist_recover () =
       (* corrupting one record costs that key only; its reject is counted
          on the owning shard and every other key still verifies *)
       let victim = List.hd layers in
-      let vi = Cluster.Sharded_cache.shard_index c (fp victim) in
+      let vi = Serve.Schedule_cache.shard_index c (fp victim) in
       let oc = open_out (shard_file dir vi victim) in
       output_string oc "not a schedule record";
       close_out oc;
-      let c3 = Cluster.Sharded_cache.create ~dir ~capacity:64 ~shards:4 () in
-      (match Cluster.Sharded_cache.find c3 ~arch ~layer:victim (fp victim) with
+      let c3 = Serve.Schedule_cache.create ~dir ~capacity:64 ~shards:4 () in
+      (match Serve.Schedule_cache.find c3 ~arch ~layer:victim (fp victim) with
        | None -> ()
        | Some _ -> Alcotest.fail "corrupted record must not be served");
       check_int "reject counted on the owning shard" 1
-        (Cluster.Sharded_cache.shard_stats c3 vi).Serve.Schedule_cache.disk_rejects;
+        (Serve.Schedule_cache.shard_stats c3 vi).Serve.Schedule_cache.disk_rejects;
       List.iter
         (fun l ->
           if l != victim then
-            match Cluster.Sharded_cache.find c3 ~arch ~layer:l (fp l) with
+            match Serve.Schedule_cache.find c3 ~arch ~layer:l (fp l) with
             | Some _ -> ()
             | None -> Alcotest.fail "corruption leaked beyond its key")
         layers)
@@ -172,13 +172,13 @@ let test_jobs_determinism () =
         |> List.map (fun l -> { Network.layer = l; repeats = 1 }) }
   in
   let run jobs =
-    let sh = Cluster.Sharded_cache.create ~capacity:64 ~shards:4 () in
+    let sh = Serve.Schedule_cache.create ~capacity:64 ~shards:4 () in
     let cfg =
       Serve.Service.config ~strategy:Cosa.Two_stage ~node_limit:2_000
         ~time_limit:60. ~jobs arch
     in
     let r =
-      Serve.Service.schedule_network ~tier:(Cluster.Sharded_cache.tier sh) cfg net
+      Serve.Service.schedule_network ~tier:sh cfg net
     in
     List.map
       (fun (lr : Serve.Service.layer_report) ->
@@ -545,27 +545,26 @@ let test_request_id_propagation () =
    (or every missing request would count 2+ misses and deflate the
    hit-rate window admission prices against), while hits always count. *)
 let test_peek_no_miss_accounting () =
-  let sh = Cluster.Sharded_cache.create ~capacity:16 ~shards:2 () in
-  let tier = Cluster.Sharded_cache.tier sh in
+  let sh = Serve.Schedule_cache.create ~capacity:16 ~shards:2 () in
   let l = List.hd layers in
-  (match tier.Serve.Service.tier_peek ~arch ~layer:l (fp l) with
+  (match Serve.Schedule_cache.find ~count_miss:false sh ~arch ~layer:l (fp l) with
    | None -> ()
    | Some _ -> Alcotest.fail "empty cache cannot hit");
   check_int "peek miss not booked" 0
-    (Cluster.Sharded_cache.stats sh).Serve.Schedule_cache.misses;
-  (match tier.Serve.Service.tier_find ~arch ~layer:l (fp l) with
+    (Serve.Schedule_cache.stats sh).Serve.Schedule_cache.misses;
+  (match Serve.Schedule_cache.find sh ~arch ~layer:l (fp l) with
    | None -> ()
    | Some _ -> Alcotest.fail "empty cache cannot hit");
   check_int "authoritative miss booked" 1
-    (Cluster.Sharded_cache.stats sh).Serve.Schedule_cache.misses;
-  Cluster.Sharded_cache.store sh (fp l) (entry_of l);
-  (match tier.Serve.Service.tier_peek ~arch ~layer:l (fp l) with
+    (Serve.Schedule_cache.stats sh).Serve.Schedule_cache.misses;
+  Serve.Schedule_cache.store sh (fp l) (entry_of l);
+  (match Serve.Schedule_cache.find ~count_miss:false sh ~arch ~layer:l (fp l) with
    | Some _ -> ()
    | None -> Alcotest.fail "stored entry must peek");
   check_int "peek hit booked" 1
-    (Cluster.Sharded_cache.stats sh).Serve.Schedule_cache.hits;
+    (Serve.Schedule_cache.stats sh).Serve.Schedule_cache.hits;
   check_int "hit books no miss" 1
-    (Cluster.Sharded_cache.stats sh).Serve.Schedule_cache.misses
+    (Serve.Schedule_cache.stats sh).Serve.Schedule_cache.misses
 
 (* ---- client: bounded connect, terminal protocol errors ---------------- *)
 

@@ -541,10 +541,8 @@ let test_stats_frame () =
       let counters () =
         let s = Daemon.Server.stats server in
         let c =
-          match (Daemon.Server.tier server).Serve.Service.tier_stats () with
-          | Some (cs : Serve.Schedule_cache.stats) ->
-            (cs.Serve.Schedule_cache.hits, cs.Serve.Schedule_cache.misses)
-          | None -> (0, 0)
+          let cs = Serve.Schedule_cache.stats (Daemon.Server.tier server) in
+          (cs.Serve.Schedule_cache.hits, cs.Serve.Schedule_cache.misses)
         in
         (s.Daemon.Server.received, s.Daemon.Server.served, c)
       in

@@ -1,7 +1,8 @@
 (* Tests for the cross-layer fusion subsystem: chain derivation over a
    network's execution order, the exact-arithmetic fusion certifier
    (Certify.Fuse_cert), the MIP-backed fusion planner and its degradation
-   provenance, and the --fuse=off identity with the per-layer service. *)
+   provenance, and fusion as a purely additive stage of the per-layer
+   service. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -257,7 +258,7 @@ let test_plan_network_rollup () =
      | Fuse.Plan.Fused _ -> true
      | Fuse.Plan.Independent _ -> false)
 
-(* ---- --fuse=off identity with the per-layer service ------------------- *)
+(* ---- fusion is additive over the per-layer service ------------------- *)
 
 let serve_config ?(strategy = Cosa.Heuristic) ?jobs () =
   Serve.Service.config ~strategy ~node_limit:2_000 ~time_limit:60. ?jobs arch
@@ -289,55 +290,27 @@ let same_report (a : Serve.Service.report) (b : Serve.Service.report) =
   && List.length a.Serve.Service.layers = List.length b.Serve.Service.layers
   && List.for_all2 same_layer a.Serve.Service.layers b.Serve.Service.layers
 
-let test_fuse_off_identity () =
-  (* same request through both entry points, including the solver's node
-     telemetry: --fuse=off must be indistinguishable from the plain path *)
-  Telemetry.Sink.set Telemetry.Sink.Memory;
-  Fun.protect ~finally:(fun () -> Telemetry.Sink.set Telemetry.Sink.Null)
-  @@ fun () ->
-  let cfg = serve_config ~strategy:Cosa.Two_stage () in
-  Telemetry.Metrics.reset ();
-  let plain = Serve.Service.schedule_network cfg small_chain in
-  let snap_plain = Telemetry.Metrics.snapshot () in
-  Telemetry.Metrics.reset ();
-  let fused =
-    Serve.Service.schedule_network_fused ~fuse:Serve.Service.Fuse_off cfg small_chain
-  in
-  let snap_off = Telemetry.Metrics.snapshot () in
-  check_bool "fusion absent" true (fused.Serve.Service.fusion = None);
-  check_bool "reports identical" true (same_report plain fused.Serve.Service.base);
-  List.iter
-    (fun counter ->
-      check_int
-        (Printf.sprintf "telemetry %s identical" counter)
-        (Telemetry.Metrics.counter_value snap_plain counter)
-        (Telemetry.Metrics.counter_value snap_off counter))
-    [ "bb.nodes"; "bb.incumbents"; "fuse.groups"; "fuse.mip_solves" ]
-
 let test_fuse_chains_same_base () =
   (* fusion never perturbs the per-layer answers it annotates *)
   let cfg = serve_config () in
   let plain = Serve.Service.schedule_network cfg small_chain in
   let fused =
-    Serve.Service.schedule_network_fused ~fuse:Serve.Service.Fuse_chains cfg
-      small_chain
+    Serve.Service.schedule_network ~fuse:Serve.Service.Fuse_chains cfg small_chain
   in
   check_bool "fusion present" true (fused.Serve.Service.fusion <> None);
-  check_bool "base report unchanged" true (same_report plain fused.Serve.Service.base)
+  check_bool "base report unchanged" true (same_report plain fused)
 
-let prop_fuse_off_identity =
-  QCheck.Test.make ~name:"--fuse=off identical to per-layer service at any jobs"
-    ~count:12
+let prop_fuse_chains_same_report =
+  QCheck.Test.make ~name:"--fuse=chains adds only the plan, at any jobs" ~count:12
     (QCheck.make QCheck.Gen.(pair (int_range 1 4) (int_range 0 1)))
     (fun (jobs, which) ->
       let net = if which = 0 then small_chain else Network.resnet50_block in
       let cfg = serve_config ~jobs () in
       let plain = Serve.Service.schedule_network cfg net in
-      let fused =
-        Serve.Service.schedule_network_fused ~fuse:Serve.Service.Fuse_off cfg net
-      in
-      fused.Serve.Service.fusion = None
-      && same_report plain fused.Serve.Service.base)
+      let fused = Serve.Service.schedule_network ~fuse:Serve.Service.Fuse_chains cfg net in
+      plain.Serve.Service.fusion = None
+      && fused.Serve.Service.fusion <> None
+      && same_report plain fused)
 
 let suite =
   let qc = QCheck_alcotest.to_alcotest in
@@ -368,9 +341,7 @@ let suite =
         test_plan_fault_degrades;
       Alcotest.test_case "plan: network rollup and Auto" `Quick
         test_plan_network_rollup;
-      Alcotest.test_case "serve: --fuse=off identity (+ telemetry)" `Quick
-        test_fuse_off_identity;
       Alcotest.test_case "serve: fusion leaves base report alone" `Quick
         test_fuse_chains_same_base;
-      qc prop_fuse_off_identity;
+      qc prop_fuse_chains_same_report;
     ] )

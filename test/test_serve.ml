@@ -1,6 +1,7 @@
 (* Tests for the batch scheduling service: fingerprints, the certified
-   LRU schedule cache (memory + trust-but-verify disk tier), the domain
-   pool, and the end-to-end service counters. *)
+   LRU schedule cache (memory + trust-but-verify disk tier, domain-safe at
+   any shard count), the domain pool, the warm-peer fall-through, and the
+   end-to-end service counters. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -175,7 +176,7 @@ let test_disk_reject_falls_through () =
         (framed f Mapping_io.default_meta (uncertifiable_mapping layer_a));
       let cache = Serve.Schedule_cache.create ~dir ~capacity:8 () in
       let net = net_of ~name:"one" [ (layer_a, 1) ] in
-      let report = Serve.Service.schedule_network ~cache cfg net in
+      let report = Serve.Service.schedule_network ~tier:cache cfg net in
       check_int "no failures" 0 report.Serve.Service.failed;
       check_int "not served from cache" 0 report.Serve.Service.served_from_cache;
       (match report.Serve.Service.layers with
@@ -246,7 +247,7 @@ let test_service_counters () =
   let net = net_of ~name:"ctr" [ (layer_a, 2); (alias, 3); (layer_b, 1) ] in
   let cache = Serve.Schedule_cache.create ~capacity:16 () in
   let cfg = fast_config () in
-  let r1 = Serve.Service.schedule_network ~cache cfg net in
+  let r1 = Serve.Service.schedule_network ~tier:cache cfg net in
   check_int "instances" 6 r1.Serve.Service.instances;
   check_int "distinct shapes" 2 r1.Serve.Service.distinct;
   check_int "cold run misses everything" 0 r1.Serve.Service.served_from_cache;
@@ -258,7 +259,7 @@ let test_service_counters () =
      check_int "other repeats" 1 second.Serve.Service.repeats
    | _ -> Alcotest.fail "expected two distinct layer reports");
   check_bool "weighted latency positive" true (r1.Serve.Service.total_latency > 0.);
-  let r2 = Serve.Service.schedule_network ~cache cfg net in
+  let r2 = Serve.Service.schedule_network ~tier:cache cfg net in
   check_int "warm run all from cache" 2 r2.Serve.Service.served_from_cache;
   check_bool "warm totals identical" true
     (r1.Serve.Service.total_latency = r2.Serve.Service.total_latency
@@ -337,9 +338,9 @@ let test_all_cache_hit_percentiles () =
   let net = net_of ~name:"pct" [ (layer_a, 1); (layer_b, 1) ] in
   let cache = Serve.Schedule_cache.create ~capacity:8 () in
   let cfg = fast_config () in
-  let cold = Serve.Service.schedule_network ~cache cfg net in
+  let cold = Serve.Service.schedule_network ~tier:cache cfg net in
   check_bool "cold run has live percentiles" true (cold.Serve.Service.solve_p95 > 0.);
-  let warm = Serve.Service.schedule_network ~cache cfg net in
+  let warm = Serve.Service.schedule_network ~tier:cache cfg net in
   check_int "warm run all from cache" 2 warm.Serve.Service.served_from_cache;
   check_bool "warm p50 is exactly 0" true (warm.Serve.Service.solve_p50 = 0.);
   check_bool "warm p95 is exactly 0" true (warm.Serve.Service.solve_p95 = 0.)
@@ -352,7 +353,7 @@ let test_rung_override () =
   let cfg = fast_config () in
   (* Cache_probe on a cold cache: typed deadline failure, no solve *)
   let probe =
-    Serve.Service.schedule_network ~cache ~rung:Robust.Ladder.Cache_probe cfg net
+    Serve.Service.schedule_network ~tier:cache ~rung:Robust.Ladder.Cache_probe cfg net
   in
   check_int "cache-only probe fails typed" 1 probe.Serve.Service.failed;
   (match probe.Serve.Service.layers with
@@ -360,15 +361,15 @@ let test_rung_override () =
    | _ -> Alcotest.fail "expected Deadline_exceeded from a cache-only miss");
   (* Heuristic rung: sampler-only solve, stored under its own key *)
   let heur =
-    Serve.Service.schedule_network ~cache ~rung:Robust.Ladder.Heuristic cfg net
+    Serve.Service.schedule_network ~tier:cache ~rung:Robust.Ladder.Heuristic cfg net
   in
   check_int "heuristic rung serves" 0 heur.Serve.Service.failed;
   (* full-quality solve fills the base key... *)
-  let full = Serve.Service.schedule_network ~cache cfg net in
+  let full = Serve.Service.schedule_network ~tier:cache cfg net in
   check_int "base solve ok" 0 full.Serve.Service.failed;
   (* ...and any degraded request now prefers the cached base answer *)
   let probe2 =
-    Serve.Service.schedule_network ~cache ~rung:Robust.Ladder.Cache_probe cfg net
+    Serve.Service.schedule_network ~tier:cache ~rung:Robust.Ladder.Cache_probe cfg net
   in
   check_int "probe hits after base solve" 1 probe2.Serve.Service.served_from_cache;
   (match probe2.Serve.Service.layers with
@@ -379,6 +380,85 @@ let test_rung_override () =
         | Serve.Service.Cache_peer -> true
         | Serve.Service.Solved _ -> false)
    | _ -> Alcotest.fail "expected a cache hit")
+
+(* ---- one domain-safe cache at any shard count ------------------------- *)
+
+(* Four domains store and probe overlapping fingerprints. Every hit must
+   be the entry stored under its own fingerprint, and the counters must
+   account for every call: no store or probe lost to a race. *)
+let test_cache_domain_safety () =
+  let keyed =
+    Array.init 12 (fun i ->
+        let l =
+          Layer.create ~name:(Printf.sprintf "srv_dom_%d" i) ~r:1 ~s:1 ~p:4 ~q:4
+            ~c:(4 * (i + 1)) ~k:8 ~n:1 ()
+        in
+        (l, fp l, entry_of l))
+  in
+  let domains = 4 and rounds = 2000 in
+  List.iter
+    (fun shards ->
+      let c = Serve.Schedule_cache.create ~shards ~capacity:64 () in
+      let worker d () =
+        let stores = ref 0 and wrong = ref 0 in
+        for r = 0 to rounds - 1 do
+          (* each domain walks the key set from its own offset, so every
+             key is stored and probed by several domains at once *)
+          let l, f, e = keyed.(((3 * d) + r) mod Array.length keyed) in
+          if r mod 3 = 0 then begin
+            Serve.Schedule_cache.store c f e;
+            incr stores
+          end;
+          match Serve.Schedule_cache.find c ~arch ~layer:l f with
+          | Some (got, _) -> if got != e then incr wrong
+          | None -> ()
+        done;
+        (!stores, !wrong)
+      in
+      let results =
+        List.init domains (fun d -> Domain.spawn (worker d)) |> List.map Domain.join
+      in
+      let label what = Printf.sprintf "%d shards: %s" shards what in
+      check_int (label "every find returns its own entry") 0
+        (List.fold_left (fun a (_, w) -> a + w) 0 results);
+      let st = Serve.Schedule_cache.stats c in
+      check_int (label "stores counted")
+        (List.fold_left (fun a (n, _) -> a + n) 0 results)
+        st.Serve.Schedule_cache.stores;
+      check_int (label "finds counted") (domains * rounds)
+        (st.Serve.Schedule_cache.hits + st.Serve.Schedule_cache.disk_hits
+        + st.Serve.Schedule_cache.misses))
+    [ 1; 4 ]
+
+(* ---- warm-peer fall-through ------------------------------------------- *)
+
+(* A miss the remote answers is served as [Cache_peer] and written
+   through; the next request hits memory, and a local hit never consults
+   the remote. *)
+let test_remote_fallthrough () =
+  let cfg = fast_config () in
+  let net = net_of ~name:"peer" [ (layer_a, 1) ] in
+  let key = Serve.Service.request_fingerprint cfg layer_a in
+  let calls = ref 0 in
+  let remote ~arch:_ ~layer:_ f =
+    incr calls;
+    if Serve.Fingerprint.equal f key then Some (entry_of layer_a) else None
+  in
+  let cache = Serve.Schedule_cache.create ~capacity:8 () in
+  let origin (r : Serve.Service.report) =
+    match r.Serve.Service.layers with
+    | [ { Serve.Service.served = Ok s; _ } ] ->
+      Serve.Service.origin_to_string s.Serve.Service.origin
+    | _ -> Alcotest.fail "expected one served layer"
+  in
+  let first = Serve.Service.schedule_network ~tier:cache ~remote cfg net in
+  Alcotest.(check string) "remote answer served as peer" "cache(peer)" (origin first);
+  check_int "remote consulted once" 1 !calls;
+  check_int "written through" 1
+    (Serve.Schedule_cache.stats cache).Serve.Schedule_cache.stores;
+  let second = Serve.Service.schedule_network ~tier:cache ~remote cfg net in
+  Alcotest.(check string) "next request hits memory" "cache(mem)" (origin second);
+  check_int "local hit never consults the remote" 1 !calls
 
 let suite =
   ( "serve",
@@ -395,4 +475,8 @@ let suite =
       Alcotest.test_case "pool ordering and isolation" `Quick test_pool_ordering_and_isolation;
       Alcotest.test_case "pool determinism" `Quick test_pool_determinism;
       Alcotest.test_case "service counters" `Quick test_service_counters;
+      Alcotest.test_case "cache domain-safe at 1 and 4 shards" `Quick
+        test_cache_domain_safety;
+      Alcotest.test_case "remote falls through behind misses" `Quick
+        test_remote_fallthrough;
     ] )
