@@ -21,34 +21,49 @@ let fi = float_of_int
 let storage_chain arch v =
   List.filter (fun i -> Spec.stores arch i v) (List.init (Spec.level_count arch) Fun.id)
 
-(* Flattened temporal loops at levels >= lo, outermost first. *)
-let flat_temporal (m : Mapping.t) ~lo =
-  let acc = ref [] in
-  for i = lo to Array.length m.Mapping.levels - 1 do
-    (* prepend levels from inner to outer so the outermost level ends up first *)
-    acc := m.Mapping.levels.(i).Mapping.temporal @ !acc
+(* The temporal loops of every level, flattened outermost first, with
+   their running products ([run.(k)] multiplies the bounds of loops 0..k,
+   left to right); the loops at levels >= i are the first [above.(i)]. *)
+type flat = { loops : Mapping.loop array; run : float array; above : int array }
+
+let flat_temporal (m : Mapping.t) =
+  let lv = m.Mapping.levels in
+  let n = Array.length lv in
+  let loops =
+    Array.concat (List.init n (fun k -> Array.of_list lv.(n - 1 - k).Mapping.temporal))
+  in
+  let run = Array.make (Array.length loops) 1. in
+  Array.iteri
+    (fun k (l : Mapping.loop) ->
+      run.(k) <- (if k = 0 then 1. else run.(k - 1)) *. fi l.Mapping.bound)
+    loops;
+  let above = Array.make (n + 1) 0 in
+  for i = n - 1 downto 0 do
+    above.(i) <- above.(i + 1) + List.length lv.(i).Mapping.temporal
   done;
-  !acc
+  { loops; run; above }
+
+(* Index of the innermost loop at levels >= lo whose bound is > 1 and whose
+   dim satisfies [pick]; -1 if there is none. *)
+let innermost f ~lo pick =
+  let rec go k =
+    if k < 0 then k
+    else
+      let l = f.loops.(k) in
+      if l.Mapping.bound > 1 && pick l.Mapping.dim then k else go (k - 1)
+  in
+  go (f.above.(min lo (Array.length f.above - 1)) - 1)
 
 (* Number of times the tile of [v] held at level [lo] is replaced over the
    whole execution: the product of all flattened temporal loop bounds from
    the outermost loop down to (and including) the innermost loop relevant
    to [v]. Irrelevant loops nested inside the innermost relevant loop rescan
    the resident tile and are free. *)
-let refills m v ~lo =
-  let loops = flat_temporal m ~lo in
-  let rec innermost_relevant idx best = function
-    | [] -> best
-    | (l : Mapping.loop) :: rest ->
-      let best =
-        if l.Mapping.bound > 1 && Dims.model_relevant l.Mapping.dim v then idx else best
-      in
-      innermost_relevant (idx + 1) best rest
-  in
-  let cut = innermost_relevant 0 (-1) loops in
-  let prod = ref 1. in
-  List.iteri (fun idx (l : Mapping.loop) -> if idx <= cut then prod := !prod *. fi l.Mapping.bound) loops;
-  !prod
+let refills_in f v ~lo =
+  let k = innermost f ~lo (fun d -> Dims.model_relevant d v) in
+  if k < 0 then 1. else f.run.(k)
+
+let refills m v ~lo = refills_in (flat_temporal m) v ~lo
 
 (* Spatial bound products over levels in [lo, hi), split by relevance. *)
 let spatial_split m v ~lo ~hi =
@@ -62,21 +77,9 @@ let spatial_split m v ~lo ~hi =
   done;
   (!rel, !irrel)
 
-let instances m ~lo =
-  let acc = ref 1 in
-  for i = lo to Array.length m.Mapping.levels - 1 do
-    acc := !acc * List.fold_left (fun a (l : Mapping.loop) -> a * l.Mapping.bound) 1
-             m.Mapping.levels.(i).Mapping.spatial
-  done;
-  !acc
-
 (* Any temporal reduction loop (irrelevant to OA) with bound > 1 at levels
    >= lo forces read-modify-write accumulation at that storage level. *)
-let reduction_above m ~lo =
-  List.exists
-    (fun (l : Mapping.loop) ->
-      l.Mapping.bound > 1 && not (Dims.model_relevant l.Mapping.dim Dims.OA))
-    (flat_temporal m ~lo)
+let reduction_above f ~lo = innermost f ~lo (fun d -> not (Dims.model_relevant d Dims.OA)) >= 0
 
 (* Evaluations happen everywhere — objective scoring, heuristic sampling,
    report expansion — so the counter is the cheapest proxy for total
@@ -85,24 +88,20 @@ let m_evaluations = Telemetry.Metrics.counter "model.evaluations"
 
 let evaluate arch (m : Mapping.t) =
   Telemetry.Metrics.incr m_evaluations;
-  let nlev = Spec.level_count arch in
-  let counts =
-    Array.init nlev (fun i ->
-        Array.map
-          (fun v -> { tile = Mapping.tile_words arch m i v; fills = 0.; reads = 0.; updates = 0. })
-          (Array.of_list Dims.all_tensors))
-  in
-  let add_fills i v x =
-    let vi = Dims.tensor_index v in
-    counts.(i).(vi) <- { (counts.(i).(vi)) with fills = counts.(i).(vi).fills +. x }
-  in
-  let add_reads i v x =
-    let vi = Dims.tensor_index v in
-    counts.(i).(vi) <- { (counts.(i).(vi)) with reads = counts.(i).(vi).reads +. x }
-  in
-  let add_updates i v x =
-    let vi = Dims.tensor_index v in
-    counts.(i).(vi) <- { (counts.(i).(vi)) with updates = counts.(i).(vi).updates +. x }
+  let nlev = Spec.level_count arch and mlev = Array.length m.Mapping.levels in
+  let flat = flat_temporal m and pre = Mapping.dim_prefix m in
+  let tile i v = Mapping.tile_of_prefix m pre i v in
+  (* spatial products of the levels >= i *)
+  let inst = Array.make (mlev + 1) 1 in
+  for i = mlev - 1 downto 0 do inst.(i) <- inst.(i + 1) * Mapping.spatial_product m i done;
+  let instances ~lo = inst.(min lo mlev) in
+  (* fills, reads and updates at [level * 3 + tensor index] *)
+  let fills = Array.make (nlev * 3) 0.
+  and reads = Array.make (nlev * 3) 0.
+  and updates = Array.make (nlev * 3) 0. in
+  let add a i v x =
+    let j = (i * 3) + Dims.tensor_index v in
+    a.(j) <- a.(j) +. x
   in
   let noc_traffic = ref [] in
   (* Inputs and weights flow downward through their storage chains. *)
@@ -111,13 +110,13 @@ let evaluate arch (m : Mapping.t) =
       let chain = storage_chain arch v in
       let rec walk = function
         | child :: (parent :: _ as rest) ->
-          let tile = Mapping.tile_words arch m child v in
-          let refill = refills m v ~lo:child in
-          let inst_child = instances m ~lo:child in
+          let tile = tile child v in
+          let refill = refills_in flat v ~lo:child in
+          let inst_child = instances ~lo:child in
           let rel, irrel = spatial_split m v ~lo:child ~hi:parent in
           let total_fills = refill *. tile *. fi inst_child in
-          add_fills child v total_fills;
-          let inst_parent = instances m ~lo:parent in
+          add fills child v total_fills;
+          let inst_parent = instances ~lo:parent in
           let multicast_ok =
             if parent > arch.Spec.noc_level && child <= arch.Spec.noc_level then
               arch.Spec.noc.Spec.multicast
@@ -127,7 +126,7 @@ let evaluate arch (m : Mapping.t) =
             if multicast_ok then refill *. tile *. fi rel *. fi inst_parent
             else refill *. tile *. fi rel *. fi irrel *. fi inst_parent
           in
-          add_reads parent v parent_reads;
+          add reads parent v parent_reads;
           if child <= arch.Spec.noc_level && parent > arch.Spec.noc_level then
             noc_traffic :=
               (v, { tile_words = tile; steps = refill; distinct = rel; multicast = irrel })
@@ -144,18 +143,18 @@ let evaluate arch (m : Mapping.t) =
   let chain = storage_chain arch v in
   let rec walk = function
     | child :: (parent :: _ as rest) ->
-      let tile = Mapping.tile_words arch m child v in
-      let refill = refills m v ~lo:child in
-      let inst_child = instances m ~lo:child in
+      let tile = tile child v in
+      let refill = refills_in flat v ~lo:child in
+      let inst_child = instances ~lo:child in
       let rel, irrel = spatial_split m v ~lo:child ~hi:parent in
       let drains = refill *. tile *. fi inst_child in
       (* child is read once per drain to push partial sums up *)
-      add_reads child v drains;
-      let inst_parent = instances m ~lo:parent in
+      add reads child v drains;
+      let inst_parent = instances ~lo:parent in
       (* reduction collapses the spatially-irrelevant copies before the write *)
       let parent_writes = refill *. tile *. fi rel *. fi inst_parent in
-      add_updates parent v parent_writes;
-      if reduction_above m ~lo:parent then add_reads parent v parent_writes;
+      add updates parent v parent_writes;
+      if reduction_above flat ~lo:parent then add reads parent v parent_writes;
       if child <= arch.Spec.noc_level && parent > arch.Spec.noc_level then
         noc_traffic :=
           (v, { tile_words = tile; steps = refill; distinct = rel; multicast = irrel })
@@ -164,6 +163,13 @@ let evaluate arch (m : Mapping.t) =
     | [ _ ] | [] -> ()
   in
   walk chain;
+  let counts =
+    Array.init nlev (fun i ->
+        Array.init 3 (fun vi ->
+            let j = (i * 3) + vi in
+            { tile = tile i (Dims.tensor_of_index vi); fills = fills.(j); reads = reads.(j);
+              updates = updates.(j) }))
+  in
   (* compute *)
   let compute_cycles =
     Array.fold_left
@@ -172,7 +178,7 @@ let evaluate arch (m : Mapping.t) =
           lm.Mapping.temporal)
       1. m.Mapping.levels
   in
-  let spatial_all = fi (instances m ~lo:0) in
+  let spatial_all = fi (instances ~lo:0) in
   let macs = compute_cycles *. spatial_all in
   let avail =
     Array.fold_left (fun acc (l : Spec.level) -> acc * l.Spec.fanout) 1 arch.Spec.levels
@@ -190,7 +196,7 @@ let evaluate arch (m : Mapping.t) =
           if i = Spec.dram_level arch then arch.Spec.dram.Spec.dram_bandwidth_words
           else arch.Spec.levels.(i).Spec.bandwidth_words
         in
-        words /. fi (instances m ~lo:i) /. bw)
+        words /. fi (instances ~lo:i) /. bw)
   in
   let latency = Array.fold_left max compute_cycles transfer_cycles in
   (* energy *)

@@ -3,7 +3,8 @@
    Deliberately shares no code with Cosa_decode or Mapping.validate: tile
    footprints and factorization products are recomputed here from first
    principles in integer arithmetic (capacities, which the architecture
-   stores as floats, are compared exactly via Prim.Ratio). A schedule that
+   stores as floats, are compared exactly: natively where the tile size
+   converts to a float exactly, via Prim.Ratio beyond that). A schedule that
    passes this check satisfies the paper's hard constraints — tiling
    factors multiply to the padded layer dimensions, per-level tile
    footprints fit the buffers, spatial factors fit the fanout and the NoC
@@ -14,22 +15,27 @@ module R = Prim.Ratio
 let bad ~constraint_name ~residual ~detail =
   Certificate.violation ~constraint_name ~residual ~detail
 
-(* Product over levels [0, upto) of the temporal and spatial bounds of
-   dimension [d]. *)
-let dim_product (m : Mapping.t) ~upto d =
-  let acc = ref 1 in
-  for i = 0 to min (upto - 1) (Array.length m.Mapping.levels - 1) do
-    let lm = m.Mapping.levels.(i) in
-    List.iter
-      (fun (l : Mapping.loop) -> if l.Mapping.dim = d then acc := !acc * l.Mapping.bound)
-      (lm.Mapping.temporal @ lm.Mapping.spatial)
+(* The certifier's own tiling products, in one pass over the loops:
+   [pre.(i * 7 + dim_index d)] is the product of dimension [d]'s temporal
+   and spatial bounds over levels [0, i), for i in [0, levels]. *)
+let dim_prefix (m : Mapping.t) =
+  let n = Array.length m.Mapping.levels in
+  let pre = Array.make ((n + 1) * 7) 1 in
+  for i = 0 to n - 1 do
+    Array.blit pre (i * 7) pre ((i + 1) * 7) 7;
+    let mul (l : Mapping.loop) =
+      let j = ((i + 1) * 7) + Dims.dim_index l.Mapping.dim in
+      pre.(j) <- pre.(j) * l.Mapping.bound
+    in
+    List.iter mul m.Mapping.levels.(i).Mapping.temporal;
+    List.iter mul m.Mapping.levels.(i).Mapping.spatial
   done;
-  !acc
+  pre
 
 (* Exact integer tile footprint of tensor [v] held at level [i]; the
    input-activation halo uses the sliding-window extent. *)
-let tile_words (m : Mapping.t) i v =
-  let d = dim_product m ~upto:i in
+let tile_words (m : Mapping.t) pre i v =
+  let d x = pre.((i * 7) + Dims.dim_index x) in
   let stride = m.Mapping.layer.Layer.stride in
   match v with
   | Dims.W -> d Dims.R * d Dims.S * d Dims.C * d Dims.K
@@ -60,22 +66,23 @@ let check arch (m : Mapping.t) =
       (* all loop bounds positive *)
       Array.iteri
         (fun i lm ->
-          List.iter
-            (fun (l : Mapping.loop) ->
-              if l.Mapping.bound < 1 then
-                push
-                  (bad
-                     ~constraint_name:
-                       (Printf.sprintf "level %d loop %s bound" i
-                          (Dims.dim_name l.Mapping.dim))
-                     ~residual:(string_of_int (1 - l.Mapping.bound))
-                     ~detail:(Printf.sprintf "bound %d < 1" l.Mapping.bound)))
-            (lm.Mapping.temporal @ lm.Mapping.spatial))
+          let positive (l : Mapping.loop) =
+            if l.Mapping.bound < 1 then
+              push
+                (bad
+                   ~constraint_name:
+                     (Printf.sprintf "level %d loop %s bound" i (Dims.dim_name l.Mapping.dim))
+                   ~residual:(string_of_int (1 - l.Mapping.bound))
+                   ~detail:(Printf.sprintf "bound %d < 1" l.Mapping.bound))
+          in
+          List.iter positive lm.Mapping.temporal;
+          List.iter positive lm.Mapping.spatial)
         m.Mapping.levels;
+      let pre = dim_prefix m in
       (* tiling factors multiply to the padded layer dimensions *)
       List.iter
         (fun d ->
-          let prod = dim_product m ~upto:nlev d in
+          let prod = pre.((nlev * 7) + Dims.dim_index d) in
           let expect = Layer.padded_bound m.Mapping.layer d in
           if prod <> expect then
             push
@@ -118,10 +125,13 @@ let check arch (m : Mapping.t) =
           List.iter
             (fun v ->
               if Spec.stores arch i v then begin
-                let words = tile_words m i v in
+                let words = tile_words m pre i v in
                 let cap = Spec.capacity_words arch i v in
+                (* exact either way: below 2^53 an int converts to a
+                   float exactly *)
                 if Float.is_finite cap
-                   && R.compare (R.of_int words) (R.of_float cap) > 0
+                   && (if abs words < 1 lsl 53 then float_of_int words > cap
+                       else R.compare (R.of_int words) (R.of_float cap) > 0)
                 then
                   push
                     (bad

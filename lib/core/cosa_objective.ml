@@ -4,11 +4,13 @@ let log_prod x = if x <= 0 then 0. else log (float_of_int x)
 
 let of_mapping ?(weights = Cosa_formulation.default_weights) arch (m : Mapping.t) =
   let nlev = Spec.level_count arch in
+  let pre = Mapping.dim_prefix m in
+  let mlev = Array.length m.Mapping.levels in
   let tile_log level v =
+    let base = 7 * min level mlev in
     List.fold_left
       (fun acc d ->
-        if Dims.relevant d v then acc +. log_prod (Mapping.dim_product m ~upto:level d)
-        else acc)
+        if Dims.relevant d v then acc +. log_prod pre.(base + Dims.dim_index d) else acc)
       0. Dims.all_dims
   in
   let util = ref 0. in
@@ -20,6 +22,9 @@ let of_mapping ?(weights = Cosa_formulation.default_weights) arch (m : Mapping.t
   let comp = log (float_of_int (Mapping.total_temporal m)) in
   let noc = arch.Spec.noc_level in
   let noc_lvls = Cosa_formulation.noc_temporal_levels arch in
+  let noc_loops =
+    List.concat_map (fun i -> m.Mapping.levels.(i).Mapping.temporal) (List.rev noc_lvls)
+  in
   let traf = ref 0. in
   List.iter
     (fun v ->
@@ -34,11 +39,6 @@ let of_mapping ?(weights = Cosa_formulation.default_weights) arch (m : Mapping.t
       in
       (* T_v: NoC-boundary temporal iterations outside (and including) the
          innermost v-relevant loop — Eqs. 9-10 on the concrete loop nest. *)
-      let loops =
-        List.concat_map
-          (fun i -> m.Mapping.levels.(i).Mapping.temporal)
-          (List.rev noc_lvls)
-      in
       let rec innermost idx best = function
         | [] -> best
         | (l : Mapping.loop) :: rest ->
@@ -47,12 +47,12 @@ let of_mapping ?(weights = Cosa_formulation.default_weights) arch (m : Mapping.t
           in
           innermost (idx + 1) best rest
       in
-      let cut = innermost 0 (-1) loops in
+      let cut = innermost 0 (-1) noc_loops in
       let t_v = ref 0. in
       List.iteri
         (fun idx (l : Mapping.loop) ->
           if idx <= cut then t_v := !t_v +. log_prod l.Mapping.bound)
-        loops;
+        noc_loops;
       (* DRAM-boundary mirror of the formulation's extra traffic term:
          tensors staged through the level below DRAM pay their staged-tile
          size plus DRAM-level iterations (with the same reuse rule),

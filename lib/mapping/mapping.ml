@@ -6,16 +6,26 @@ type t = { layer : Layer.t; levels : level_map array }
 
 let make layer levels = { layer; levels }
 
-let loops_product loops d =
-  List.fold_left (fun acc l -> if l.dim = d then acc * l.bound else acc) 1 loops
-
-let dim_product t ~upto d =
-  let acc = ref 1 in
-  for i = 0 to min (upto - 1) (Array.length t.levels - 1) do
-    let lm = t.levels.(i) in
-    acc := !acc * loops_product lm.temporal d * loops_product lm.spatial d
+(* Every [dim_product] in one pass: entry [i * 7 + Dims.dim_index d] is the
+   product of [d]'s bounds at levels [0, i), for i in [0, levels]. *)
+let dim_prefix t =
+  let n = Array.length t.levels in
+  let pre = Array.make ((n + 1) * 7) 1 in
+  for i = 0 to n - 1 do
+    Array.blit pre (i * 7) pre ((i + 1) * 7) 7;
+    let mul l =
+      let j = ((i + 1) * 7) + Dims.dim_index l.dim in
+      pre.(j) <- pre.(j) * l.bound
+    in
+    List.iter mul t.levels.(i).temporal;
+    List.iter mul t.levels.(i).spatial
   done;
-  !acc
+  pre
+
+(* where level [i]'s row starts in [dim_prefix t] *)
+let row t i = 7 * max 0 (min i (Array.length t.levels))
+
+let dim_product t ~upto d = (dim_prefix t).(row t upto + Dims.dim_index d)
 
 let spatial_product t i =
   List.fold_left (fun acc l -> acc * l.bound) 1 t.levels.(i).spatial
@@ -26,10 +36,10 @@ let temporal_product t i =
 (* Tile extent of tensor [v] as held by buffer level [i]: the product of its
    relevant dimension tiles below [i]. IA gets the exact sliding-window
    extent ((p-1)*stride + r per axis). *)
-let tile_words arch t i v =
-  let d = dim_product t ~upto:i in
+let tile_of_prefix t pre i v =
+  let base = row t i in
+  let d x = pre.(base + Dims.dim_index x) in
   let stride = t.layer.Layer.stride in
-  ignore arch;
   match v with
   | Dims.W -> float_of_int (d Dims.R * d Dims.S * d Dims.C * d Dims.K)
   | Dims.OA -> float_of_int (d Dims.P * d Dims.Q * d Dims.K * d Dims.N)
@@ -37,6 +47,8 @@ let tile_words arch t i v =
     let w = ((d Dims.P - 1) * stride) + d Dims.R in
     let h = ((d Dims.Q - 1) * stride) + d Dims.S in
     float_of_int (w * h * d Dims.C * d Dims.N)
+
+let tile_words _arch t i v = tile_of_prefix t (dim_prefix t) i v
 
 type violation =
   | Bad_factorization of Dims.dim * int * int
@@ -53,9 +65,10 @@ let validate arch t =
       (Robust.Failure.Error
          (Robust.Failure.Invalid_input
             "Mapping.validate: level count mismatch with architecture"));
+  let pre = dim_prefix t in
   List.iter
     (fun d ->
-      let prod = dim_product t ~upto:nlev d in
+      let prod = pre.((nlev * 7) + Dims.dim_index d) in
       let expect = Layer.padded_bound t.layer d in
       if prod <> expect then violations := Bad_factorization (d, prod, expect) :: !violations)
     Dims.all_dims;
@@ -69,7 +82,7 @@ let validate arch t =
       List.iter
         (fun v ->
           if Spec.stores arch i v then begin
-            let words = tile_words arch t i v in
+            let words = tile_of_prefix t pre i v in
             let cap = Spec.capacity_words arch i v in
             if words > cap then violations := Buffer_overflow (i, v, words, cap) :: !violations
           end)

@@ -25,6 +25,10 @@ val dim_product : t -> upto:int -> Dims.dim -> int
     strictly below [upto]. This is the tile extent of that dimension as
     seen by buffer level [upto] (Eq. 2's inner product). *)
 
+val dim_prefix : t -> int array
+(** Every {!dim_product} in one pass: [dim_product t ~upto:i d] is entry
+    [i * 7 + Dims.dim_index d], for [i] from 0 to the level count. *)
+
 val spatial_product : t -> int -> int
 (** Product of all spatial bounds at a level. *)
 
@@ -33,6 +37,9 @@ val temporal_product : t -> int -> int
 val tile_words : Spec.t -> t -> int -> Dims.tensor -> float
 (** Exact tile footprint (elements) of a tensor held at a buffer level,
     including the input-activation sliding-window halo and stride. *)
+
+val tile_of_prefix : t -> int array -> int -> Dims.tensor -> float
+(** [tile_of_prefix t (dim_prefix t) i v] is [tile_words arch t i v]. *)
 
 type violation =
   | Bad_factorization of Dims.dim * int * int  (** dim, product, padded bound *)

@@ -54,10 +54,9 @@ let parse_loops s =
 
 let parse_kv key s =
   let prefix = key ^ "=" in
-  if String.length s > String.length prefix
-     && String.sub s 0 (String.length prefix) = prefix
-  then int_of_string_opt (String.sub s (String.length prefix)
-                            (String.length s - String.length prefix))
+  let n = String.length prefix in
+  if String.length s > n && String.starts_with ~prefix s then
+    int_of_string_opt (String.sub s n (String.length s - n))
   else None
 
 let ( let* ) r f = Result.bind r f
@@ -97,23 +96,23 @@ let parse_level_clauses rest =
   in
   go `None [] [] words
 
-let of_string text =
-  let lines =
-    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' text)
-  in
-  match lines with
+(* The mapping body as lines; each is trimmed once and blank ones are
+   dropped. *)
+let of_lines lines =
+  match
+    List.filter_map (fun l -> match String.trim l with "" -> None | t -> Some t) lines
+  with
   | [] -> Error "empty input"
   | layer_line :: level_lines ->
-    let* layer = parse_layer_line (String.trim layer_line) in
+    let* layer = parse_layer_line layer_line in
     let rec parse_levels idx acc = function
       | [] -> Ok (List.rev acc)
       | line :: rest ->
-        let line = String.trim line in
         (match String.split_on_char ' ' line with
          | "level" :: num :: _ ->
            (match int_of_string_opt num with
             | Some i when i = idx ->
-              let prefix = Printf.sprintf "level %d" i in
+              let prefix = "level " ^ string_of_int i in
               let clause =
                 String.sub line (String.length prefix)
                   (String.length line - String.length prefix)
@@ -129,6 +128,8 @@ let of_string text =
     let* levels = parse_levels 0 [] level_lines in
     if levels = [] then Error "no levels"
     else Ok (Mapping.make layer (Array.of_list levels))
+
+let of_string text = of_lines (String.split_on_char '\n' text)
 
 let save path m =
   let oc = open_out path in
@@ -215,19 +216,22 @@ let parse_meta_line meta line =
          | _ -> Error "@solve-time needs one value")
      | k -> Error (Printf.sprintf "unknown metadata key @%s" k))
 
+(* Metadata lines, then the mapping body, from one split of [text]. *)
 let record_of_string text =
-  let lines = String.split_on_char '\n' text in
   let rec peel meta = function
-    | line :: rest when String.trim line = "" -> peel meta rest
-    | line :: rest when String.length (String.trim line) > 0 && (String.trim line).[0] = '@'
-      ->
-      let* meta = parse_meta_line meta (String.trim line) in
-      peel meta rest
-    | body ->
-      let* m = of_string (String.concat "\n" body) in
-      Ok (meta, m)
+    | line :: rest ->
+      let t = String.trim line in
+      if t = "" then peel meta rest
+      else if t.[0] = '@' then
+        let* meta = parse_meta_line meta t in
+        peel meta rest
+      else body meta (t :: rest)
+    | [] -> body meta []
+  and body meta lines =
+    let* m = of_lines lines in
+    Ok (meta, m)
   in
-  peel default_meta lines
+  peel default_meta (String.split_on_char '\n' text)
 
 let save_record path meta m =
   let oc = open_out path in

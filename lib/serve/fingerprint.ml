@@ -17,26 +17,35 @@
 type t = { hash : string; canon : string }
 
 (* FNV-1a, fixed offset basis and prime: stable across OCaml versions and
-   architectures (unlike [Hashtbl.hash]), which an on-disk cache needs. *)
+   architectures (unlike [Hashtbl.hash]), which an on-disk cache needs.
+   A plain loop keeps the state unboxed. *)
 let fnv1a_64 s =
   let h = ref (-3750763034362895579L) (* 0xcbf29ce484222325 *) in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 1099511628211L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        1099511628211L
+  done;
   Printf.sprintf "%016Lx" !h
 
-let make ~weights ~strategy ~certify arch layer =
+(* Everything in the canonical string after the layer:
+   "|arch=…|weights=…|strategy=…|certify=…", rendered once per config. *)
+type context = string
+
+let context ~weights ~strategy ~certify arch =
   let fl = Printf.sprintf "%h" in
-  let canon =
-    String.concat "|"
-      [ "layer=" ^ Layer.key layer;
-        "arch=" ^ Spec.key arch;
-        Printf.sprintf "weights=%s,%s,%s" (fl weights.Cosa.w_util) (fl weights.Cosa.w_comp)
-          (fl weights.Cosa.w_traf);
-        "strategy=" ^ Cosa.strategy_to_string strategy;
-        "certify=" ^ Cosa.certify_mode_to_string certify ]
-  in
+  String.concat "|"
+    [ ""; "arch=" ^ Spec.key arch;
+      Printf.sprintf "weights=%s,%s,%s" (fl weights.Cosa.w_util) (fl weights.Cosa.w_comp)
+        (fl weights.Cosa.w_traf);
+      "strategy=" ^ Cosa.strategy_to_string strategy;
+      "certify=" ^ Cosa.certify_mode_to_string certify ]
+
+let of_layer ctx layer =
+  let canon = "layer=" ^ Layer.key layer ^ ctx in
   { hash = fnv1a_64 canon; canon }
+
+let make ~weights ~strategy ~certify arch layer =
+  of_layer (context ~weights ~strategy ~certify arch) layer
 
 let hash t = t.hash
 let canon t = t.canon
@@ -59,5 +68,6 @@ let covers t ~weights:(wu, wc, wt) ~strategy =
       strategy
   in
   let n = String.length t.canon and m = String.length needle in
-  let rec at i = i + m <= n && (String.sub t.canon i m = needle || at (i + 1)) in
+  let rec from i j = j = m || (t.canon.[i + j] = needle.[j] && from i (j + 1)) in
+  let rec at i = i + m <= n && (from i 0 || at (i + 1)) in
   at 0

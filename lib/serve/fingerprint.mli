@@ -18,6 +18,16 @@ val make :
   Layer.t ->
   t
 
+type context
+(** The canonical string but the layer, rendered once per config:
+    [of_layer (context ~weights ~strategy ~certify arch) l] is
+    [make ~weights ~strategy ~certify arch l], byte for byte. *)
+
+val context :
+  weights:Cosa.weights -> strategy:Cosa.strategy -> certify:Cosa.certify_mode -> Spec.t -> context
+
+val of_layer : context -> Layer.t -> t
+
 val hash : t -> string
 (** 16 hex characters; the cache's on-disk file stem. *)
 

@@ -227,56 +227,63 @@ let disk_write s ~stem ~canon entry =
      with Sys_error _ | Unix.Unix_error _ ->
        (try Sys.remove tmp with Sys_error _ -> ()))
 
-(* A disk probe that verifies before serving; any failure is a reject. *)
+(* One open/fstat/read/close; [None] if there is no such file. *)
+let read_file path =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error ((Unix.ENOENT | Unix.ENOTDIR), _, _) -> None
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        let buf = Bytes.create (Unix.fstat fd).Unix.st_size in
+        let rec fill off =
+          if off < Bytes.length buf then
+            match Unix.read fd buf off (Bytes.length buf - off) with
+            | 0 -> failwith "short read"
+            | n -> fill (off + n)
+        in
+        fill 0;
+        Some (Bytes.unsafe_to_string buf))
+
+(* A disk probe that verifies before serving; a missing file is a plain
+   miss, any other failure a reject. *)
 let disk_load s ~arch ~layer fp =
   match s.dir with
   | None -> None
   | Some dir ->
+    let reject () =
+      s.stats.disk_rejects <- s.stats.disk_rejects + 1;
+      Telemetry.Metrics.incr m_disk_reject;
+      None
+    in
+    let kp = String.length key_prefix in
+    let frame text =
+      match String.index_opt text '\n' with
+      | Some i when String.length text > kp && String.sub text 0 kp = key_prefix ->
+        let rest = String.sub text (i + 1) (String.length text - i - 1) in
+        Some (String.sub text kp (i - kp), Mapping_io.record_of_string rest)
+      | _ -> None
+    in
     let path = Filename.concat dir (Fingerprint.hash fp ^ ".cosa") in
-    if not (Sys.file_exists path) then None
-    else begin
-      let reject () =
-        s.stats.disk_rejects <- s.stats.disk_rejects + 1;
-        Telemetry.Metrics.incr m_disk_reject;
-        None
-      in
-      let parsed =
-        try
-          let ic = open_in path in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () ->
-              let text = really_input_string ic (in_channel_length ic) in
-              match String.index_opt text '\n' with
-              | Some i
-                when String.length text > String.length key_prefix
-                     && String.sub text 0 (String.length key_prefix) = key_prefix ->
-                let canon = String.sub text (String.length key_prefix)
-                    (i - String.length key_prefix)
-                in
-                let rest = String.sub text (i + 1) (String.length text - i - 1) in
-                Some (canon, Mapping_io.record_of_string rest)
-              | _ -> None)
-        with _ -> None (* unreadable or truncated: reject, never crash *)
-      in
-      match parsed with
-      | None | Some (_, Error _) -> reject ()
-      | Some (canon, Ok (meta, mapping)) ->
-        if canon <> Fingerprint.canon fp then reject () (* collision or stale *)
-        else if Layer.key mapping.Mapping.layer <> Layer.key layer then reject ()
-        else begin
-          (* trust-but-verify: re-certify against the *requested*
-             architecture in exact arithmetic before serving *)
-          match Certify.Mapping_cert.check arch mapping with
-          | Certify.Certificate.Certified ->
-            s.stats.disk_hits <- s.stats.disk_hits + 1;
-            Telemetry.Metrics.incr m_hit_disk;
-            insert s fp { meta; mapping };
-            Some { meta; mapping }
-          | Certify.Certificate.Violated _ | (exception Robust.Failure.Error _) ->
-            reject ()
-        end
-    end
+    match Option.map frame (read_file path) with
+    | None -> None
+    | exception _ -> reject () (* unreadable, truncated or unparsable: never crash *)
+    | Some (None | Some (_, Error _)) -> reject ()
+    | Some (Some (canon, Ok (meta, mapping))) ->
+      if canon <> Fingerprint.canon fp then reject () (* collision or stale *)
+      else if not (Layer.equal_shape mapping.Mapping.layer layer) then reject ()
+      else begin
+        (* trust-but-verify: re-certify against the *requested*
+           architecture in exact arithmetic before serving *)
+        match Certify.Mapping_cert.check arch mapping with
+        | Certify.Certificate.Certified ->
+          s.stats.disk_hits <- s.stats.disk_hits + 1;
+          Telemetry.Metrics.incr m_hit_disk;
+          insert s fp { meta; mapping };
+          Some { meta; mapping }
+        | Certify.Certificate.Violated _ | (exception Robust.Failure.Error _) ->
+          reject ()
+      end
 
 (* ---- public API ------------------------------------------------------- *)
 

