@@ -217,7 +217,7 @@ let verify_response ~arch ~layer ~fp (s : Daemon.Protocol.scheduled) =
      | Error _ -> `Reject
      | Ok (meta, mapping) ->
        if not (meta_matches_fp fp meta) then `Reject
-       else if not (Layer.equal_shape mapping.Mapping.layer layer) then `Reject
+       else if Layer.key mapping.Mapping.layer <> Layer.key layer then `Reject
        else (
          match Certify.Mapping_cert.check arch mapping with
          | Certify.Certificate.Certified ->
@@ -235,13 +235,10 @@ let verify_response ~arch ~layer ~fp (s : Daemon.Protocol.scheduled) =
    (what servers resolve), not the display name — recover it from the
    spec's canonical contents. *)
 let variant_name arch =
-  match List.find_opt (fun (_, a) -> a == arch) Spec.variants with
+  let key = Spec.key arch in
+  match List.find_opt (fun (_, a) -> Spec.key a = key) Spec.variants with
   | Some (name, _) -> name
-  | None ->
-    let key = Spec.key arch in
-    (match List.find_opt (fun (_, a) -> Spec.key a = key) Spec.variants with
-     | Some (name, _) -> name
-     | None -> arch.Spec.aname)
+  | None -> arch.Spec.aname
 
 (* The daemon's [remote_probe] hook: ask healthy peers (in order) for
    this fingerprint's layer, verify, and hand back a servable entry.

@@ -5,12 +5,10 @@ let log_prod x = if x <= 0 then 0. else log (float_of_int x)
 let of_mapping ?(weights = Cosa_formulation.default_weights) arch (m : Mapping.t) =
   let nlev = Spec.level_count arch in
   let pre = Mapping.dim_prefix m in
-  let mlev = Array.length m.Mapping.levels in
   let tile_log level v =
-    let base = 7 * min level mlev in
+    let d = Mapping.prefix_product m pre ~upto:level in
     List.fold_left
-      (fun acc d ->
-        if Dims.relevant d v then acc +. log_prod pre.(base + Dims.dim_index d) else acc)
+      (fun acc x -> if Dims.relevant x v then acc +. log_prod (d x) else acc)
       0. Dims.all_dims
   in
   let util = ref 0. in

@@ -327,14 +327,6 @@ let layer_payload (service : Serve.Service.config)
   match lr.Serve.Service.served with
   | Error _ -> None
   | Ok s ->
-    (* the record names the rung that solved the schedule; the wire
-       [origin] names the tier that served it *)
-    let source, solve_time =
-      match s.Serve.Service.stored with
-      | Some m -> (m.Mapping_io.source, m.Mapping_io.solve_time)
-      | None ->
-        (Serve.Service.origin_to_string s.Serve.Service.origin, s.Serve.Service.solve_time)
-    in
     let meta =
       {
         Mapping_io.weights =
@@ -343,7 +335,9 @@ let layer_payload (service : Serve.Service.config)
               service.Serve.Service.weights.Cosa.w_comp,
               service.Serve.Service.weights.Cosa.w_traf );
         strategy = Cosa.strategy_to_string service.Serve.Service.strategy;
-        source;
+        (* the rung that solved the schedule; the wire [origin] names the
+           tier that served it *)
+        source = s.Serve.Service.meta.Mapping_io.source;
         verdict = s.Serve.Service.verdict;
         objective =
           Some
@@ -351,7 +345,7 @@ let layer_payload (service : Serve.Service.config)
               s.Serve.Service.objective.Cosa.comp,
               s.Serve.Service.objective.Cosa.traf,
               s.Serve.Service.objective.Cosa.total );
-        solve_time;
+        solve_time = s.Serve.Service.meta.Mapping_io.solve_time;
       }
     in
     Some

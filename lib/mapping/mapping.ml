@@ -22,10 +22,10 @@ let dim_prefix t =
   done;
   pre
 
-(* where level [i]'s row starts in [dim_prefix t] *)
-let row t i = 7 * max 0 (min i (Array.length t.levels))
+let prefix_product t pre ~upto d =
+  pre.((7 * max 0 (min upto (Array.length t.levels))) + Dims.dim_index d)
 
-let dim_product t ~upto d = (dim_prefix t).(row t upto + Dims.dim_index d)
+let dim_product t ~upto d = prefix_product t (dim_prefix t) ~upto d
 
 let spatial_product t i =
   List.fold_left (fun acc l -> acc * l.bound) 1 t.levels.(i).spatial
@@ -37,8 +37,7 @@ let temporal_product t i =
    relevant dimension tiles below [i]. IA gets the exact sliding-window
    extent ((p-1)*stride + r per axis). *)
 let tile_of_prefix t pre i v =
-  let base = row t i in
-  let d x = pre.(base + Dims.dim_index x) in
+  let d = prefix_product t pre ~upto:i in
   let stride = t.layer.Layer.stride in
   match v with
   | Dims.W -> float_of_int (d Dims.R * d Dims.S * d Dims.C * d Dims.K)
@@ -68,7 +67,7 @@ let validate arch t =
   let pre = dim_prefix t in
   List.iter
     (fun d ->
-      let prod = pre.((nlev * 7) + Dims.dim_index d) in
+      let prod = prefix_product t pre ~upto:nlev d in
       let expect = Layer.padded_bound t.layer d in
       if prod <> expect then violations := Bad_factorization (d, prod, expect) :: !violations)
     Dims.all_dims;

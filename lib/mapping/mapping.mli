@@ -26,8 +26,10 @@ val dim_product : t -> upto:int -> Dims.dim -> int
     seen by buffer level [upto] (Eq. 2's inner product). *)
 
 val dim_prefix : t -> int array
-(** Every {!dim_product} in one pass: [dim_product t ~upto:i d] is entry
-    [i * 7 + Dims.dim_index d], for [i] from 0 to the level count. *)
+(** Every {!dim_product} of a mapping in one pass, read by {!prefix_product}. *)
+
+val prefix_product : t -> int array -> upto:int -> Dims.dim -> int
+(** [prefix_product t (dim_prefix t) ~upto d] is [dim_product t ~upto d]. *)
 
 val spatial_product : t -> int -> int
 (** Product of all spatial bounds at a level. *)

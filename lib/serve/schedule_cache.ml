@@ -271,7 +271,7 @@ let disk_load s ~arch ~layer fp =
     | Some (None | Some (_, Error _)) -> reject ()
     | Some (Some (canon, Ok (meta, mapping))) ->
       if canon <> Fingerprint.canon fp then reject () (* collision or stale *)
-      else if not (Layer.equal_shape mapping.Mapping.layer layer) then reject ()
+      else if Layer.key mapping.Mapping.layer <> Layer.key layer then reject ()
       else begin
         (* trust-but-verify: re-certify against the *requested*
            architecture in exact arithmetic before serving *)

@@ -70,7 +70,7 @@ type served = {
   verdict : string;  (* certification verdict token: ok / skipped / failed *)
   solve_time : float;  (* this request's wall time for the shape; ~0 on hits *)
   fallback_chain : Robust.Failure.t list;  (* empty for cache hits *)
-  stored : Mapping_io.meta option;  (* a hit's own provenance record; [None] on a solve *)
+  meta : Mapping_io.meta;  (* provenance: the stored record's on a hit *)
 }
 
 type layer_report = {
@@ -157,12 +157,13 @@ let schedule_network_impl ?tier ?remote ?(count_miss = true) ?rung cfg
   in
   let cache_only = rung = Some Robust.Ladder.Cache_probe in
   let dedup = Network.distinct net in
-  (* one fingerprint context per strategy this call keys under *)
-  let context strategy =
-    lazy (Fingerprint.context ~weights:cfg.weights ~strategy ~certify:cfg.certify cfg.arch)
-  in
+  (* one fingerprint context per strategy, rendered when first keyed under *)
   let contexts =
-    List.map (fun s -> (s, context s)) [ cfg.strategy; Cosa.Joint; Cosa.Two_stage; Cosa.Heuristic ]
+    List.map
+      (fun strategy ->
+        ( strategy,
+          lazy (Fingerprint.context ~weights:cfg.weights ~strategy ~certify:cfg.certify cfg.arch) ))
+      [ Cosa.Auto; Cosa.Joint; Cosa.Two_stage; Cosa.Heuristic ]
   in
   (* 1. probe the cache for every distinct shape (coordinator domain).
      Under a rung override probe the base-strategy key first: serving a
@@ -256,7 +257,7 @@ let schedule_network_impl ?tier ?remote ?(count_miss = true) ?rung cfg
                 verdict = entry.Schedule_cache.meta.Mapping_io.verdict;
                 solve_time = 0.;
                 fallback_chain = [];
-                stored = Some entry.Schedule_cache.meta;
+                meta = entry.Schedule_cache.meta;
               }
           | None ->
             (match Hashtbl.find_opt by_canon (Fingerprint.canon fp) with
@@ -269,7 +270,7 @@ let schedule_network_impl ?tier ?remote ?(count_miss = true) ?rung cfg
                    verdict = verdict_token r.Cosa.certification;
                    solve_time = dt;
                    fallback_chain = r.Cosa.fallback_chain;
-                   stored = None;
+                   meta = meta_of_result cfg r;
                  }
              | Some (Error f) -> Error f
              | None -> Error (Robust.Failure.Invalid_input "service: lost solve result"))

@@ -66,10 +66,9 @@ type served = {
   verdict : string;  (** certification verdict token: ok / skipped / failed *)
   solve_time : float;  (** this request's wall time for the shape; ~0 on hits *)
   fallback_chain : Robust.Failure.t list;  (** empty for cache hits *)
-  stored : Mapping_io.meta option;
-      (** on a cache hit, the stored record's provenance: [source] names the
-          ladder rung that solved the schedule, [solve_time] that solve's
-          time; [None] on a solve *)
+  meta : Mapping_io.meta;
+      (** the schedule's provenance record, on a hit the stored one: [source]
+          names the ladder rung that solved it, [solve_time] that solve's time *)
 }
 
 type layer_report = {

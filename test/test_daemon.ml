@@ -394,7 +394,9 @@ let test_hit_keeps_provenance () =
         (List.mem origin1 [ "joint MIP"; "two-stage MIP" ]);
       check_string "hit: origin is the tier" "cache(mem)" origin2;
       check_string "hit: same @source" meta1.Mapping_io.source meta2.Mapping_io.source;
-      check_bool "hit: the solve's @solve-time" true (meta2.Mapping_io.solve_time > 0.))
+      check_bool "solve: a @solve-time" true (meta1.Mapping_io.solve_time > 0.);
+      Alcotest.(check (float 0.)) "hit: the solve's @solve-time" meta1.Mapping_io.solve_time
+        meta2.Mapping_io.solve_time)
 
 (* A malformed frame costs the client a typed error, never the server. *)
 let test_daemon_survives_garbage () =
