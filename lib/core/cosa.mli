@@ -85,7 +85,6 @@ val schedule :
   ?heuristic_retries:int ->
   ?certify:certify_mode ->
   ?warm_start:bool ->
-  ?refactor_interval:int ->
   Spec.t ->
   Layer.t ->
   result
@@ -106,10 +105,6 @@ val schedule :
     the parent's simplex basis with dual simplex instead of solving cold.
     It only changes how fast nodes solve, never which schedule wins — the
     escape hatch exists for benchmarking and bisection.
-    [refactor_interval] pins a fixed simplex refactorization cadence
-    (every [n] eta updates) in place of the solver's stability-triggered
-    default; like [warm_start] it can only change wall time, and exists
-    for deterministic A/B bisection of suspected numerical drift.
 
     Every rung's candidate additionally passes through the exact-arithmetic
     certification layer ({!Certify}) according to [certify] (default

@@ -161,8 +161,7 @@ let check_feasible ?(tol = 1e-6) model x =
       !ok)
 
 let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.Deadline.none)
-    ?(integrality_tol = 1e-6) ?priority ?(gap = 0.) ?warm_start ?(warm_lp = true)
-    ?refactor_interval model =
+    ?(integrality_tol = 1e-6) ?priority ?(gap = 0.) ?warm_start ?(warm_lp = true) model =
   let t0 = Robust.Deadline.now () in
   (* the effective budget is the tighter of the relative time limit and the
      caller's absolute deadline; both propagate into every node's simplex *)
@@ -250,8 +249,7 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
         let warm = if warm_lp then node.nbasis else None in
         let warm_factor = if warm_lp then node.nfactor else None in
         let res =
-          Simplex.solve_r ~session ?warm ?warm_factor ?refactor_interval ~deadline:dl
-            { base with lb; ub }
+          Simplex.solve_r ~session ?warm ?warm_factor ~deadline:dl { base with lb; ub }
         in
         (match res with
          | Ok r when node.depth > 0 ->
@@ -452,7 +450,7 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
 
 (* Public entry point: one "bb.solve" span covers the whole search. *)
 let solve ?node_limit ?time_limit ?deadline ?integrality_tol ?priority ?gap ?warm_start
-    ?warm_lp ?refactor_interval model =
+    ?warm_lp model =
   Telemetry.Trace.with_span ~cat:"bb" "bb.solve" (fun () ->
       solve_impl ?node_limit ?time_limit ?deadline ?integrality_tol ?priority ?gap
-        ?warm_start ?warm_lp ?refactor_interval model)
+        ?warm_start ?warm_lp model)

@@ -1,8 +1,11 @@
 (** Branch-and-bound MILP solver over {!Simplex} LP relaxations.
 
-    Best-first search ordered by the LP bound. Branching is on the most
-    fractional integer variable. Node and time limits make the solver
-    anytime: the best incumbent found so far is always returned. *)
+    The search plunges depth first from a node, into the child on the side
+    the LP value rounds to, until the plunge prunes; it then resumes best
+    first from a heap ordered by the LP bound. Branching picks the
+    fractional integer variable of highest priority, then the most
+    fractional one within that priority. Node and time limits make the
+    solver anytime: the best incumbent found so far is always returned. *)
 
 type status =
   | Optimal        (** proved optimal within tolerance *)
@@ -48,7 +51,6 @@ val solve :
   ?gap:float ->
   ?warm_start:float array ->
   ?warm_lp:bool ->
-  ?refactor_interval:int ->
   Lp.model ->
   result
 (** Defaults: [node_limit = 200_000], [time_limit = 60.] seconds,
@@ -69,10 +71,7 @@ val solve :
     so the warm entry loads the inverse instead of refactorizing it);
     thanks to vertex canonicalization in the solver this is exactly
     behaviour-preserving — same tree, same node counts, bit-identical
-    schedules — so the toggle exists only for benchmarking.
-    [refactor_interval] pins a fixed eta-chain refactorization cadence in
-    every node LP in place of the solver's stability triggers — a
-    deterministic A/B knob for bisecting suspected numerical drift. *)
+    schedules — so the toggle exists only for benchmarking. *)
 
 val check_feasible : ?tol:float -> Lp.model -> float array -> bool
 (** Whether an assignment satisfies all bounds, integrality, and

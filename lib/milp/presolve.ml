@@ -24,7 +24,7 @@ let rows_of (p : Simplex.problem) =
   rows
 
 let tighten ?(max_rounds = 4) ?integer (p : Simplex.problem) rows lb ub =
-  let is_int j = match integer with Some a -> a.(j) | None -> false in
+  let is_int = match integer with Some a -> a | None -> Array.make p.Simplex.ncols false in
   (* [dirty.(i)]: row i's last evaluation changed a bound, or a bound of one
      of its columns changed since. A clean row would recompute the same
      activities and derive no change, so it is skipped. *)
@@ -72,8 +72,8 @@ let tighten ?(max_rounds = 4) ?integer (p : Simplex.problem) rows lb ub =
             (* a * x_j = b - rest, rest in [rest_min, rest_max] *)
             let x_hi = (b -. rest_min) /. a and x_lo = (b -. rest_max) /. a in
             let new_lo = Float.min x_lo x_hi and new_hi = Float.max x_lo x_hi in
-            let new_lo = if is_int j then Float.round (ceil (new_lo -. tol)) else new_lo in
-            let new_hi = if is_int j then Float.round (floor (new_hi +. tol)) else new_hi in
+            let new_lo = if is_int.(j) then ceil (new_lo -. tol) else new_lo in
+            let new_hi = if is_int.(j) then floor (new_hi +. tol) else new_hi in
             if Float.is_nan new_lo || Float.is_nan new_hi then ()
             else begin
               if new_lo > lb.(j) +. tol && new_lo <> neg_infinity then begin

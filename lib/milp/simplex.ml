@@ -115,7 +115,6 @@ type state = {
   fac : Lu.t;                    (* incremental basis factorization engine *)
   xb : float array;              (* values of basic variables, by row *)
   xn : float array;              (* resting value of every column when nonbasic *)
-  mutable interval : int option; (* pinned refactor cadence (--refactor-interval) *)
   mutable loaded : Factor.t option;  (* canonical factor this solve entered from *)
   mutable degenerate_streak : int;
   mutable bland : bool;
@@ -133,6 +132,7 @@ type workspace = {
   wres : float array;         (* rhs/residual scratch *)
   wdev : float array;         (* devex reference weights, by row *)
   wx : float array;           (* rebase: vertex value of every column *)
+  wpat : Bytes.t;             (* rebase: interior pattern, '1' per interior column *)
   wlb : float array;          (* canonicalize: saved lower bounds *)
   wub : float array;          (* canonicalize: saved upper bounds *)
   wflag : bool array;         (* per column: warm basic-set check, rebase basic set *)
@@ -150,6 +150,7 @@ let make_workspace m ntot =
   { wy = Array.make n 0.; wcb = Array.make n 0.; walpha = Array.make n 0.;
     wmat = Array.make_matrix n n 0.; wres = Array.make n 0.;
     wdev = Array.make n 1.; wx = Array.make ntot 0.;
+    wpat = Bytes.make ntot '0';
     wlb = Array.make ntot 0.; wub = Array.make ntot 0.;
     wflag = Array.make ntot false; wrow = Array.make n false;
     wpiv = Array.make n 0; wacc = Array.make n 0;
@@ -224,10 +225,17 @@ let is_sorted (a : int array) =
   while !i < Array.length a && a.(!i - 1) < a.(!i) do incr i done;
   !i >= Array.length a
 
-let sorted_key basis =
-  let key = Array.copy basis in
-  Array.sort (fun (a : int) b -> compare a b) key;
-  key
+(* Allocation-free insertion sort with no closure call per comparison:
+   [rebase] emits a basic set as two ascending runs. *)
+let sort_basis (a : int array) =
+  for i = 1 to Array.length a - 1 do
+    let v = a.(i) and j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done
 
 (* Second-touch filter for prefix memoization: most chain prefixes are
    computed exactly once and never looked up again, so snapshotting each
@@ -260,8 +268,10 @@ let queued_factor = function
   | Some _ | None -> None
 
 let capture_factor st =
+  let key = Array.copy st.basis in
+  sort_basis key;
   let f =
-    { Factor.f_cols = st.p.cols; f_nrows = st.m; f_key = sorted_key st.basis;
+    { Factor.f_cols = st.p.cols; f_nrows = st.m; f_key = key;
       f_basis = Array.copy st.basis; f_binv = Lu.snapshot st.fac }
   in
   store_factor f;
@@ -305,11 +315,10 @@ let refactorize st ws =
   compute_xb st ws
 
 (* Stability trigger, consulted once per pivot: refactorize when the eta
-   chain is long or has absorbed a dangerously small pivot (or, with a
-   pinned [--refactor-interval], on a fixed cadence). Returns whether a
-   refactorization happened so the dual loop can reset its devex frame. *)
+   chain is long or has absorbed a dangerously small pivot. Returns whether
+   a refactorization happened so the dual loop can reset its devex frame. *)
 let maybe_refactor st ws =
-  match Lu.trigger ?interval:st.interval st.fac with
+  match Lu.trigger st.fac with
   | Lu.No_refactor -> false
   | Lu.Chain ->
     Telemetry.Metrics.incr m_trig_chain;
@@ -322,8 +331,8 @@ let maybe_refactor st ws =
 
 (* Row-residual audit, run at deadline checkpoints: ‖B xb + N xn − rhs‖∞
    relative to the rhs scale. Catches eta-chain drift that the per-pivot
-   magnitude test missed. Skipped under a pinned interval (the cadence is
-   then the experiment) and on a fresh factorization (nothing to fix). *)
+   magnitude test missed. Skipped on a fresh factorization (nothing to
+   fix). *)
 let residual_excess st ws =
   let m = st.m in
   let r = ws.wres in
@@ -353,8 +362,7 @@ let residual_excess st ws =
   !worst > residual_tol *. !scale
 
 let audit_residual st ws =
-  if st.interval = None && Lu.chain_length st.fac > 0 && residual_excess st ws
-  then begin
+  if Lu.chain_length st.fac > 0 && residual_excess st ws then begin
     Telemetry.Metrics.incr m_trig_residual;
     refactorize st ws;
     true
@@ -763,21 +771,27 @@ let canonicalize st cost weights ws deadline =
    vertex itself: interior columns (strictly between their bounds) must be
    basic, and the rest of the basis is completed by greedy elimination in
    ascending column order — a function of (problem, vertex) only. The
-   logical columns are unit vectors, so completion always succeeds. *)
-let rebase st ws =
+   logical columns are unit vectors, so completion always succeeds.
+
+   The accepted set depends only on which columns are interior (not on
+   [x], the bounds, the path or the sign of a logical column), so up to
+   [chain_max_rows] a session memoizes it per pattern; DESIGN §10 gives
+   the argument. *)
+let rebase st ws memo =
   let m = st.m in
-  let x = ws.wx in
+  let x = ws.wx and pat = ws.wpat in
   for j = 0 to st.ntot - 1 do
-    match st.loc.(j) with
-    | Basic r -> x.(j) <- st.xb.(r)
-    | At_lower | At_upper | Free_zero -> x.(j) <- st.xn.(j)
-  done;
-  let interior j =
+    (match st.loc.(j) with
+     | Basic r -> x.(j) <- st.xb.(r)
+     | At_lower | At_upper | Free_zero -> x.(j) <- st.xn.(j));
     let l = st.alb.(j) and u = st.aub.(j) in
-    if l > neg_infinity || u < infinity then
-      x.(j) > l +. feas_tol && x.(j) < u -. feas_tol
-    else Float.abs x.(j) > feas_tol
-  in
+    let interior =
+      if l > neg_infinity || u < infinity then
+        x.(j) > l +. feas_tol && x.(j) < u -. feas_tol
+      else Float.abs x.(j) > feas_tol
+    in
+    Bytes.set pat j (if interior then '1' else '0')
+  done;
   (* incremental elimination: lcols holds each accepted column after
      elimination against its predecessors, pivrow its pivot row, and
      nz.(nzs.(t) .. nzs.(t+1)-1) the rows where column t is nonzero — the
@@ -829,13 +843,22 @@ let rebase st ws =
       end
     end
   in
-  for j = 0 to st.ntot - 1 do
-    if interior j then try_accept j
-  done;
-  let interior_count = !count in
-  for j = 0 to st.ntot - 1 do
-    if not (interior j) then try_accept j
-  done;
+  let memo_on = m <= chain_max_rows in
+  (match if memo_on then Hashtbl.find_opt memo pat else None with
+   | Some (Some known) ->
+     Array.blit known 0 accepted 0 m;
+     count := m
+   | Some None -> ()
+   | None ->
+     for j = 0 to st.ntot - 1 do
+       if Bytes.get pat j = '1' then try_accept j
+     done;
+     for j = 0 to st.ntot - 1 do
+       if Bytes.get pat j <> '1' then try_accept j
+     done;
+     if memo_on then
+       Hashtbl.add memo (Bytes.copy pat)
+         (if !count = m then Some (Array.sub accepted 0 m) else None));
   if !count = m then begin
     let in_basis = ws.wflag in
     Array.fill in_basis 0 st.ntot false;
@@ -862,7 +885,6 @@ let rebase st ws =
     done;
     Array.blit accepted 0 st.basis 0 m
   end
-  else ignore interior_count
 (* a failed completion (cannot happen while the logical columns span the
    row space) keeps the path-dependent basis: identity is gated
    empirically, never at the cost of a solve failing *)
@@ -1040,7 +1062,7 @@ let chain_build st ws =
   end
 
 let finalize st ws =
-  Array.sort (fun (a : int) b -> compare a b) st.basis;
+  sort_basis st.basis;
   normalize_logicals st;
   let install f =
     Telemetry.Metrics.incr m_factor_hit;
@@ -1083,15 +1105,14 @@ let objective_value p x =
   !s
 
 let basis_of_state st =
-  let vstat =
-    Array.map
-      (function
-        | Basic _ -> Basis.Vbasic
-        | At_lower -> Basis.Vlower
-        | At_upper -> Basis.Vupper
-        | Free_zero -> Basis.Vfree)
-      st.loc
-  in
+  let vstat = Array.make st.ntot Basis.Vbasic in
+  for j = 0 to st.ntot - 1 do
+    match st.loc.(j) with
+    | Basic _ -> ()
+    | At_lower -> vstat.(j) <- Basis.Vlower
+    | At_upper -> vstat.(j) <- Basis.Vupper
+    | Free_zero -> vstat.(j) <- Basis.Vfree
+  done;
   { Basis.basic = Array.copy st.basis; vstat }
 
 (* ---- session ----------------------------------------------------------- *)
@@ -1110,6 +1131,7 @@ type session = {
   phase1_cost : float array;
   phase2_cost : float array;
   weights : float array;  (* [canonical_weight] of every column *)
+  memo : (Bytes.t, int array option) Hashtbl.t;  (* [rebase]'s accepted sets *)
 }
 
 let session p =
@@ -1134,13 +1156,13 @@ let session p =
       alb = Array.make ntot 0.; aub = Array.make ntot 0.;
       loc = Array.make ntot At_lower; basis = Array.make m 0;
       fac = Lu.create m; xb = Array.make m 0.; xn = Array.make ntot 0.;
-      interval = None; loaded = None; degenerate_streak = 0; bland = false;
+      loaded = None; degenerate_streak = 0; bland = false;
       iterations = 0 }
   in
   { st; ws = make_workspace m ntot;
     minus = Array.init m (fun i -> ([| i |], [| -1. |]));
     singleton; phase1_cost; phase2_cost;
-    weights = Array.init ntot canonical_weight }
+    weights = Array.init ntot canonical_weight; memo = Hashtbl.create 256 }
 
 (* Fresh per-attempt scalars; the arrays are re-initialized by the path. *)
 let reset st =
@@ -1243,13 +1265,14 @@ let warm_attempt s ~max_iterations ~deadline (wb : Basis.t) wfac =
     st.degenerate_streak <- 0;
     optimize st phase2_cost ws max_iterations deadline;
     canonicalize st phase2_cost s.weights ws deadline;
-    rebase st ws;
+    rebase st ws s.memo;
     let fac = finalize st ws in
     Telemetry.Metrics.add m_phase2 (st.iterations - dual_iters);
     let x = extract_x st in
-    if not (Float.is_finite (objective_value p x)) then raise Warm_reject
+    let obj = objective_value p x in
+    if not (Float.is_finite obj) then raise Warm_reject
     else
-      Ok { status = Optimal; obj = objective_value p x; x;
+      Ok { status = Optimal; obj; x;
            iterations = st.iterations; warm = true;
            basis = Some (basis_of_state st);
            factor = Some fac }
@@ -1372,14 +1395,14 @@ let cold_solve s ~max_iterations ~deadline =
       st.degenerate_streak <- 0;
       optimize st phase2_cost ws max_iterations deadline;
       canonicalize st phase2_cost s.weights ws deadline;
-      rebase st ws;
+      rebase st ws s.memo;
       let fac = finalize st ws in
       Telemetry.Metrics.add m_phase2 (st.iterations - p1_iters);
       let x = extract_x st in
-      if not (Float.is_finite (objective_value p x)) then
-        Error Robust.Failure.Numerical_instability
+      let obj = objective_value p x in
+      if not (Float.is_finite obj) then Error Robust.Failure.Numerical_instability
       else
-        Ok { status = Optimal; obj = objective_value p x; x;
+        Ok { status = Optimal; obj; x;
              iterations = st.iterations; warm = false;
              basis = Some (basis_of_state st);
              factor = Some fac }
@@ -1398,7 +1421,7 @@ let cold_solve s ~max_iterations ~deadline =
    [Error]; [Unbounded]/[Infeasible]/[Iteration_limit] remain ordinary
    statuses because branch-and-bound treats them as prunable outcomes. *)
 let solve_r_impl ?session:s ?max_iterations ?(deadline = Robust.Deadline.none) ?warm
-    ?warm_factor ?refactor_interval p =
+    ?warm_factor p =
   let m = p.nrows in
   let max_iterations =
     match max_iterations with
@@ -1435,7 +1458,6 @@ let solve_r_impl ?session:s ?max_iterations ?(deadline = Robust.Deadline.none) ?
         s
     in
     s.st.p <- p;
-    s.st.interval <- refactor_interval;
     let warm_res =
       match warm with
       | None -> None
@@ -1457,11 +1479,10 @@ let solve_r_impl ?session:s ?max_iterations ?(deadline = Robust.Deadline.none) ?
 
 (* Public entry point: one span (category "simplex") and one solve-count
    tick per LP; phase iteration counters are recorded inside the solve. *)
-let solve_r ?session ?max_iterations ?deadline ?warm ?warm_factor ?refactor_interval p =
+let solve_r ?session ?max_iterations ?deadline ?warm ?warm_factor p =
   Telemetry.Metrics.incr m_solves;
   Telemetry.Trace.with_span ~cat:"simplex" "simplex.solve" (fun () ->
-      solve_r_impl ?session ?max_iterations ?deadline ?warm ?warm_factor
-        ?refactor_interval p)
+      solve_r_impl ?session ?max_iterations ?deadline ?warm ?warm_factor p)
 
 (* Legacy exception-raising wrapper: raises [Robust.Failure.Error] where
    [solve_r] would return [Error]. Prefer [solve_r] in new code. *)

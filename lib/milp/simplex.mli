@@ -18,8 +18,7 @@
     refactorization only runs when a stability trigger demands it — the
     eta chain hit its length cap, a pivot magnitude fell below the
     stability floor, or a row-residual audit at a deadline checkpoint
-    detected drift (or on a fixed cadence when [refactor_interval] pins
-    one for A/B bisection). Across solves, canonical factorizations are
+    detected drift. Across solves, canonical factorizations are
     reused rather than recomputed: an optimal solve returns its
     {!Factor.t}, which a child LP accepts via [warm_factor] (the basis
     matrix does not depend on variable bounds, so the parent's inverse is
@@ -129,8 +128,10 @@ type session
     columns, the phase costs, the canonical weights, and the scratch of
     the canonical epilogue. A solve re-initializes all of it, so results
     are bit-identical to a solve without a session; the session only
-    removes the per-solve allocation. Not thread-safe: one session serves
-    one sequential caller. *)
+    removes the per-solve allocation, and (up to the prefix-chain cutoff)
+    memoizes the canonical basis completion per pattern of interior
+    columns, which is a function of that pattern and the shared matrix
+    alone. Not thread-safe: one session serves one sequential caller. *)
 
 val session : problem -> session
 (** [session p] sizes a session for [p] and for every problem sharing
@@ -148,7 +149,6 @@ val solve_r :
   ?deadline:Robust.Deadline.t ->
   ?warm:Basis.t ->
   ?warm_factor:Factor.t ->
-  ?refactor_interval:int ->
   problem ->
   (result, Robust.Failure.t) Stdlib.result
 (** Result-returning entry point. Defaults to a generous iteration cap
@@ -175,10 +175,6 @@ val solve_r :
     factor: without it the entry refactorizes (the per-domain factor
     cache serves only the canonicalization epilogue). Ignored without
     [warm].
-
-    [refactor_interval] pins a fixed refactorization cadence (every [n]
-    eta updates) in place of the default stability triggers — a
-    deterministic knob for A/B bisection of suspected instability.
 
     [session] supplies the buffers (see {!session}); without one the
     solve builds a throwaway session. Raises [Invalid_argument] when the

@@ -140,9 +140,8 @@ let test_stability_trigger () =
   Alcotest.(check bool) "refactor resets the trigger" true
     (Lu.trigger lu = Lu.No_refactor)
 
-(* The chain-length cap fires after eta_chain_cap benign updates, and a
-   pinned interval replaces it. *)
-let test_chain_and_interval () =
+(* The chain-length cap fires after eta_chain_cap benign updates. *)
+let test_chain_cap () =
   let m = 2 in
   let lu = Lu.create m in
   let cols = sparse_of_dense [| [| 1.; 0. |]; [| 0.; 1. |] |] in
@@ -154,9 +153,6 @@ let test_chain_and_interval () =
   done;
   Alcotest.(check bool) "below the cap: no refactor" true
     (Lu.trigger lu = Lu.No_refactor);
-  (* a pinned interval fires much earlier on the same chain *)
-  Alcotest.(check bool) "pinned interval fires below the cap" true
-    (Lu.trigger ~interval:5 lu = Lu.Chain);
   Lu.update lu ~pivot_tol 0 [| 1.; 0. |];
   (match Lu.trigger lu with
    | Lu.Chain -> ()
@@ -209,29 +205,6 @@ let test_factor_handoff () =
     (count "simplex.refactorizations");
   Alcotest.(check bool) "the entry factor was reused" true
     (count "simplex.factor_reuses" >= 1)
-
-(* A pinned --refactor-interval may change wall time only: results stay
-   bit-identical to the stability-triggered default. *)
-let test_refactor_interval_identity () =
-  let p =
-    { Milp.Simplex.nrows = 3; ncols = 4;
-      cols =
-        [| ([| 0; 1 |], [| 1.; 2. |]); ([| 0; 2 |], [| 3.; 1. |]);
-           ([| 1; 2 |], [| 1.; 1. |]); ([| 0; 1 |], [| 1.; 1. |]) |];
-      cost = [| -1.; -2.; -1.; -3. |];
-      lb = [| 0.; 0.; 0.; 0. |]; ub = [| 5.; 5.; 5.; 5. |];
-      rhs = [| 6.; 5.; 4. |] }
-  in
-  let a =
-    match Milp.Simplex.solve_r p with Ok r -> r | Error _ -> Alcotest.fail "default"
-  in
-  let b =
-    match Milp.Simplex.solve_r ~refactor_interval:1 p with
-    | Ok r -> r
-    | Error _ -> Alcotest.fail "interval"
-  in
-  Alcotest.(check bool) "refactor-interval=1 is bit-identical" true
-    (a.Milp.Simplex.x = b.Milp.Simplex.x && a.Milp.Simplex.obj = b.Milp.Simplex.obj)
 
 (* Determinism does not rest on the factor cache, which is domain-local: a
    warm solve handed only a basis (no factor) in a fresh domain starts from
@@ -548,12 +521,9 @@ let suite =
         test_kernels_match_dense;
       Alcotest.test_case "stability trigger fires on tiny pivot" `Quick
         test_stability_trigger;
-      Alcotest.test_case "chain cap and pinned interval" `Quick
-        test_chain_and_interval;
+      Alcotest.test_case "chain-length cap fires" `Quick test_chain_cap;
       Alcotest.test_case "factor handoff: bit-transparent, no refactors" `Quick
         test_factor_handoff;
-      Alcotest.test_case "refactor-interval pin is bit-transparent" `Quick
-        test_refactor_interval_identity;
       Alcotest.test_case "fresh-domain warm solve without a factor = cold" `Quick
         test_fresh_domain_warm_is_cold;
       Alcotest.test_case "a reused session = a fresh session, bit for bit" `Quick

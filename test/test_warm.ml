@@ -56,6 +56,16 @@ let certified model x =
   | Certify.Certificate.Certified -> true
   | Certify.Certificate.Violated _ -> false
 
+(* Bit-identity of two solves: status, objective bits, every primal bit and
+   the basis. *)
+let same_bits (a : Simplex.result) (b : Simplex.result) =
+  let bits = Int64.bits_of_float in
+  a.Simplex.status = b.Simplex.status
+  && bits a.Simplex.obj = bits b.Simplex.obj
+  && Array.length a.Simplex.x = Array.length b.Simplex.x
+  && Array.for_all2 (fun u v -> bits u = bits v) a.Simplex.x b.Simplex.x
+  && a.Simplex.basis = b.Simplex.basis
+
 let prop_warm_matches_cold =
   QCheck.Test.make ~name:"warm dual reopt agrees with cold primal" ~count:200
     (QCheck.make random_warm_case_gen)
@@ -78,6 +88,21 @@ let prop_warm_matches_cold =
             let child = { parent with Simplex.lb; ub } in
             match (Simplex.solve_r ~warm:basis child, Simplex.solve_r child) with
             | Ok w, Ok c ->
+              (* one shared session solves the child cold, then warm, twice
+                 over: the repeats hit the session's [rebase] memo (the warm
+                 solves also hit entries a cold solve stored with −1
+                 artificials) and must return the fresh-session bits *)
+              let s = Simplex.session child in
+              for _ = 1 to 2 do
+                (match Simplex.solve_r ~session:s child with
+                 | Ok r when same_bits r c -> ()
+                 | Ok _ | Error _ ->
+                   QCheck.Test.fail_reportf "shared-session cold solve differs from a fresh one");
+                match Simplex.solve_r ~session:s ~warm:basis child with
+                | Ok r when same_bits r w -> ()
+                | Ok _ | Error _ ->
+                  QCheck.Test.fail_reportf "shared-session warm solve differs from a fresh one"
+              done;
               if w.Simplex.status <> c.Simplex.status then
                 QCheck.Test.fail_reportf "status mismatch: warm vs cold"
               else if w.Simplex.status = Simplex.Optimal then
@@ -101,22 +126,25 @@ let prop_warm_matches_cold =
       | Ok _ -> QCheck.assume_fail ())
 
 (* Tier-1 pin on the branch-and-bound tree: three suite layers, two-stage
-   formulation, 500 nodes. The node count, the simplex iteration count and a
-   digest of the decoded mapping and the objective bits are pinned, so a
-   change that moves one bit of the node pipeline's arithmetic fails here,
-   not only in the bench identity gate. These LPs have at most 32 rows, so
-   their factors come from the prefix chain. *)
+   formulation, 500 nodes, and one of them again at the benchmark's budget
+   of 3000 nodes. Each row is (layer, node limit, nodes, simplex iterations,
+   digest of the decoded mapping and the objective bits), so a change that
+   moves one bit of the node pipeline's arithmetic fails here, not only in
+   the bench identity gate. These LPs have at most 32 rows, so their
+   factors come from the prefix chain, and at 3000 nodes most [rebase]
+   calls are memo hits. *)
 let tree_pins =
-  [ ("3_56_64_64_1", 500, 2010, "54e0f32ab19f2307a53bbf81234e3595");
-    ("ocr_35_700_2048", 500, 1354, "7e211a49d2e622d088295458b8f93787");
-    ("face_3_27_64_128_2", 500, 1491, "b0ee393786498ea26c8449481fd87ba0") ]
+  [ ("3_56_64_64_1", 500, 500, 2010, "54e0f32ab19f2307a53bbf81234e3595");
+    ("ocr_35_700_2048", 500, 500, 1354, "7e211a49d2e622d088295458b8f93787");
+    ("face_3_27_64_128_2", 500, 500, 1491, "b0ee393786498ea26c8449481fd87ba0");
+    ("3_56_64_64_1", 3000, 3000, 8971, "7b0c825c8c08150b14c2d8e718996e8a") ]
 
 (* The same pin on the joint formulation at 10 nodes: 62-196 rows, above
    the chain cutoff, so every factor is a scratch elimination. *)
 let joint_tree_pins =
-  [ ("fc1000", 10, 214, "12f3207fb7b9310ecbd749d0213e23e4");
-    ("face_fc_512_512", 10, 227, "bde2a872f1d8b69850392a8856ea4f0b");
-    ("1_56_64_256_1", 10, 800, "febb9f2616288ac7a8b110746a5043fa") ]
+  [ ("fc1000", 10, 10, 214, "12f3207fb7b9310ecbd749d0213e23e4");
+    ("face_fc_512_512", 10, 10, 227, "bde2a872f1d8b69850392a8856ea4f0b");
+    ("1_56_64_256_1", 10, 10, 800, "febb9f2616288ac7a8b110746a5043fa") ]
 
 let tree_fingerprint ~joint ~node_limit name =
   let f = Cosa_formulation.build ~joint_permutation:joint Spec.baseline (Zoo.find name) in
@@ -133,10 +161,12 @@ let tree_fingerprint ~joint ~node_limit name =
     r.Bb.simplex_iterations,
     Digest.to_hex (Digest.string (mapping ^ Int64.to_string (Int64.bits_of_float r.Bb.obj))) )
 
-let check_tree_pins ~joint ~node_limit pins () =
-  let got = List.map (fun (name, _, _, _) -> tree_fingerprint ~joint ~node_limit name) pins in
+let check_tree_pins ~joint pins () =
+  let got =
+    List.map (fun (name, node_limit, _, _, _) -> tree_fingerprint ~joint ~node_limit name) pins
+  in
   List.iter2
-    (fun (name, nodes, iterations, digest) (n, i, d) ->
+    (fun (name, _, nodes, iterations, digest) (n, i, d) ->
       Alcotest.(check int) (name ^ " nodes") nodes n;
       Alcotest.(check int) (name ^ " simplex iterations") iterations i;
       Alcotest.(check string) (name ^ " mapping and objective") digest d)
@@ -147,6 +177,6 @@ let suite =
   ( "warm",
     [ qc prop_warm_matches_cold;
       Alcotest.test_case "B&B tree pins on three suite layers" `Quick
-        (check_tree_pins ~joint:false ~node_limit:500 tree_pins);
+        (check_tree_pins ~joint:false tree_pins);
       Alcotest.test_case "joint B&B tree pins above the chain cutoff" `Quick
-        (check_tree_pins ~joint:true ~node_limit:10 joint_tree_pins) ] )
+        (check_tree_pins ~joint:true joint_tree_pins) ] )
