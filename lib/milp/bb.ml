@@ -125,16 +125,15 @@ let relax model =
   { Simplex.nrows = m; ncols; cols; cost; lb; ub; rhs }
 
 (* A search node: bound deltas against the base relaxation, plus the
-   parent's optimal LP basis and its canonical factorization. Both values
-   are shared (never mutated) between the two children, so carrying them
-   costs two pointers per node; the factor lets a child's warm solve load
-   the parent's basis inverse instead of refactorizing it. *)
+   parent's optimal LP basis, shared (never mutated) between the two
+   children. A node holds no factorization: the session's engine still
+   holds the parent's canonical factor when the plunge child is solved
+   next, and any other warm entry rebuilds it from the basis. *)
 type node = {
   nlb : (int * float) list;
   nub : (int * float) list;
   depth : int;
   nbasis : Simplex.Basis.t option;
-  nfactor : Simplex.Factor.t option;
 }
 
 (* Check a candidate assignment against the model's own constraints/bounds. *)
@@ -178,9 +177,6 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
   (* set when the search is cut short (budget, deadline, or aborted node
      LPs): the incumbent can then no longer be certified optimal *)
   let explored_all = ref true in
-  (* factors cached by earlier searches are tagged with their own column
-     arrays and can never hit in this one: free them *)
-  Simplex.clear_factor_cache ();
   let base = relax model in
   let nv = Lp.num_vars model in
   let int_vars =
@@ -232,7 +228,7 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
     List.iter (fun (j, _) -> if lb.(j) > ub.(j) +. 1e-12 then conflict := true) node.nub;
     if !conflict then
       Ok { Simplex.status = Simplex.Infeasible; obj = infinity; x = [||];
-           iterations = 0; warm = false; basis = None; factor = None }
+           iterations = 0; warm = false; basis = None }
     else begin
       (* propagate the branching decisions through the equality rows; this
          often fixes sibling variables or proves the node infeasible
@@ -240,17 +236,12 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
       let pre = Presolve.tighten ~integer:integer_cols base rows lb ub in
       if not pre.Presolve.feasible then
         Ok { Simplex.status = Simplex.Infeasible; obj = infinity; x = [||];
-             iterations = 0; warm = false; basis = None; factor = None }
+             iterations = 0; warm = false; basis = None }
       else begin
         (* a bound change keeps the parent basis dual feasible, so child
-           LPs reoptimize with a few dual pivots instead of a cold solve;
-           the parent's canonical factor rides along so the warm entry
-           loads the inverse instead of refactorizing it *)
+           LPs reoptimize with a few dual pivots instead of a cold solve *)
         let warm = if warm_lp then node.nbasis else None in
-        let warm_factor = if warm_lp then node.nfactor else None in
-        let res =
-          Simplex.solve_r ~session ?warm ?warm_factor ~deadline:dl { base with lb; ub }
-        in
+        let res = Simplex.solve_r ~session ?warm ~deadline:dl { base with lb; ub } in
         (match res with
          | Ok r when node.depth > 0 ->
            if r.Simplex.warm then begin
@@ -285,7 +276,7 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
     done;
     !best
   in
-  let root = { nlb = []; nub = []; depth = 0; nbasis = None; nfactor = None } in
+  let root = { nlb = []; nub = []; depth = 0; nbasis = None } in
   let unbounded = ref false in
   (* Smallest LP bound (internal sense) of a node dropped without proof
      that it holds nothing better than the incumbent: aborted and
@@ -364,21 +355,17 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
             (* both children start from this node's optimal basis (shared,
                immutable) — the branch only tightens one bound, so the
                basis stays dual feasible for either side. The plunge child
-               is solved next and takes the factor along; the queued one
-               keeps it only where [Simplex.queued_factor] says it pays. *)
+               is solved next, from the factor the session still holds. *)
             let down =
               { node with nub = (bv, floor fv) :: node.nub;
-                depth = node.depth + 1; nbasis = res.Simplex.basis;
-                nfactor = res.Simplex.factor }
+                depth = node.depth + 1; nbasis = res.Simplex.basis }
             in
             let up =
               { node with nlb = (bv, ceil fv) :: node.nlb;
-                depth = node.depth + 1; nbasis = res.Simplex.basis;
-                nfactor = res.Simplex.factor }
+                depth = node.depth + 1; nbasis = res.Simplex.basis }
             in
             let first, second = if fv -. floor fv <= 0.5 then (down, up) else (up, down) in
-            Heap.push heap res.Simplex.obj
-              { second with nfactor = Simplex.queued_factor second.nfactor };
+            Heap.push heap res.Simplex.obj second;
             Some (res.Simplex.obj, first)
           end
         end

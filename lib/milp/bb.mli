@@ -67,9 +67,7 @@ val solve :
     seeds the incumbent so the search starts with an upper bound (a MIP
     start). [warm_lp] (default [true]) reoptimizes each child node's LP
     with dual simplex from its parent's optimal basis instead of solving
-    cold (the parent's canonical factorization is handed down alongside,
-    so the warm entry loads the inverse instead of refactorizing it);
-    thanks to vertex canonicalization in the solver this is exactly
+    cold; thanks to vertex canonicalization in the solver this is exactly
     behaviour-preserving — same tree, same node counts, bit-identical
     schedules — so the toggle exists only for benchmarking. *)
 

@@ -113,8 +113,6 @@ let load t src =
   done;
   reset t
 
-let snapshot t = Array.init t.m (fun i -> Array.copy t.binv.(i))
-
 (* alpha = B⁻¹ a for a sparse column a: each output row dots the column's
    nonzeros against the corresponding inverse entries. *)
 let ftran t (rows, coeffs) alpha =

@@ -7,9 +7,8 @@
     bookkeeping the solver uses to decide when the eta chain has grown
     stale: the chain length since the last refactorization and the smallest
     pivot magnitude absorbed into the chain. {!trigger} turns those into a
-    refactorize-now decision — either stability-driven (the default: chain
-    cap plus a pivot-magnitude floor) or pinned to a fixed cadence when the
-    caller wants deterministic A/B bisection.
+    refactorize-now decision: the chain reached its length cap, or it
+    absorbed a pivot below the stability floor.
 
     [refactor] and [update] skip exact zeros: a row operation touches only
     the columns where the pivot row is nonzero (and, in the elimination
@@ -59,12 +58,14 @@ val refactor :
     when a pivot magnitude falls below [pivot_tol]. *)
 
 val load : t -> float array array -> unit
-(** [load t binv] copies a previously captured inverse into the engine and
-    resets the eta chain — the O(m²) alternative to {!refactor} when a
-    bit-exact factorization of the target basis is already known. *)
+(** [load t binv] copies [binv] into the engine and resets the eta chain:
+    the solver loads the diagonal inverse of its cold crash basis and the
+    identity its canonical chain starts from. *)
 
-val snapshot : t -> float array array
-(** A deep copy of the current inverse, safe to cache and [load] later. *)
+val reset : t -> unit
+(** [reset t] resets the eta chain and keeps the inverse, which from then
+    on counts as a fresh factorization for {!trigger}, {!chain_length} and
+    {!min_pivot}, as after {!refactor} or {!load}. *)
 
 val ftran : t -> int array * float array -> float array -> unit
 (** [ftran t (rows, coeffs) alpha] computes [alpha = B⁻¹ a] for a sparse
@@ -85,7 +86,7 @@ val update : t -> pivot_tol:float -> int -> float array -> unit
     Records the pivot magnitude for {!trigger}. *)
 
 val chain_length : t -> int
-(** Eta updates absorbed since the last {!refactor}/{!load}. *)
+(** Eta updates absorbed since the last {!refactor}, {!load} or {!reset}. *)
 
 val min_pivot : t -> float
 (** Smallest [|alpha.(r)|] absorbed since the last refactorization

@@ -30,23 +30,6 @@ module Basis = struct
   }
 end
 
-(* A captured canonical basis factorization: the dense inverse of the basis
-   matrix, tagged with the physical column array it was factorized from and
-   the (sorted) basic set. Because the basis matrix depends only on the
-   columns and the basic set — never on variable bounds — a factor captured
-   at a parent node's canonical vertex is bit-valid for every child LP in
-   branch-and-bound (children share [cols] physically and differ only in
-   bounds), so a warm solve can load it instead of refactorizing. *)
-module Factor = struct
-  type t = {
-    f_cols : (int array * float array) array;  (* physical identity tag *)
-    f_nrows : int;
-    f_key : int array;  (* cache key: the basic set, sorted ascending *)
-    f_basis : int array;  (* basic column per row, in canonical slot order *)
-    f_binv : float array array;  (* immutable snapshot of B⁻¹ *)
-  }
-end
-
 type result = {
   status : status;
   obj : float;
@@ -54,7 +37,6 @@ type result = {
   iterations : int;
   warm : bool;  (* solved by dual reoptimization from a supplied basis *)
   basis : Basis.t option;  (* final basis when [status = Optimal] *)
-  factor : Factor.t option;  (* canonical factorization of that basis *)
 }
 
 (* The solver's numerical tolerances, exposed as one record so the exact-
@@ -91,8 +73,10 @@ let m_eta = Telemetry.Metrics.counter "simplex.eta_updates"
 let m_trig_chain = Telemetry.Metrics.counter "simplex.refactor_triggers.chain"
 let m_trig_stability = Telemetry.Metrics.counter "simplex.refactor_triggers.stability"
 let m_trig_residual = Telemetry.Metrics.counter "simplex.refactor_triggers.residual"
-let m_factor_reuse = Telemetry.Metrics.counter "simplex.factor_reuses"
+(* warm entries that keep the engine's factor: the solves that build none
+   (the name predates the kept engine; bench/perf's hit ratio reads it) *)
 let m_factor_hit = Telemetry.Metrics.counter "simplex.factor_cache_hits"
+(* eta steps of the canonical chain *)
 let m_factor_ext = Telemetry.Metrics.counter "simplex.factor_extensions"
 
 (* Location of a column: basic in some row, or nonbasic resting at a bound. *)
@@ -100,7 +84,9 @@ type location = Basic of int | At_lower | At_upper | Free_zero
 
 (* Solver state. Every array is sized once per session (see [session]) and
    re-initialized at the start of each solve; only [p] and the mutable
-   scalars change identity between solves. *)
+   scalars change identity between solves. [canon] and [canon_ok] alone
+   outlive a solve: they say which basis [fac] still holds canonically,
+   so the next warm entry from that very basis keeps the engine. *)
 type state = {
   mutable p : problem;           (* the LP being solved: session's cols/cost *)
   m : int;                       (* rows *)
@@ -115,7 +101,8 @@ type state = {
   fac : Lu.t;                    (* incremental basis factorization engine *)
   xb : float array;              (* values of basic variables, by row *)
   xn : float array;              (* resting value of every column when nonbasic *)
-  mutable loaded : Factor.t option;  (* canonical factor this solve entered from *)
+  canon : int array;             (* basis [finalize] installed, in slot order *)
+  mutable canon_ok : bool;       (* [fac] still holds its canonical factor *)
   mutable degenerate_streak : int;
   mutable bland : bool;
   mutable iterations : int;
@@ -141,7 +128,6 @@ type workspace = {
   wacc : int array;           (* rebase: accepted columns *)
   wnz : int array;            (* rebase: nonzero rows of each accepted column *)
   wnzs : int array;           (* rebase: start of each accepted column's rows in [wnz] *)
-  wkey : int array;           (* sorted basic set / chain prefix key *)
   wslot : int array;          (* chain: column basic in each row *)
 }
 
@@ -155,12 +141,12 @@ let make_workspace m ntot =
     wflag = Array.make ntot false; wrow = Array.make n false;
     wpiv = Array.make n 0; wacc = Array.make n 0;
     wnz = Array.make (n * n) 0; wnzs = Array.make (n + 1) 0;
-    wkey = Array.make n 0; wslot = Array.make n 0 }
+    wslot = Array.make n 0 }
 
 let nonbasic_rest_value lb ub =
   if lb > neg_infinity then lb else if ub < infinity then ub else 0.
 
-(* ---- canonical factor cache -------------------------------------------- *)
+(* ---- canonical factor: size cutoff and basic-set order ----------------- *)
 
 let int_array_eq (a : int array) (b : int array) =
   let n = Array.length a in
@@ -170,60 +156,14 @@ let int_array_eq (a : int array) (b : int array) =
   while !i < n && a.(!i) = b.(!i) do incr i done;
   !i = n
 
-(* Per-domain direct-mapped cache of canonical factorizations, keyed by the
-   physical column array and the sorted basic set (plus synthetic prefix
-   keys — see [chain_build]). Entries hold bits that are a pure function of
-   (columns, basic set), so a cache hit can never change a solve's answer —
-   hit/miss patterns affect wall time only, which keeps the jobs=1 ≡ jobs=4
-   determinism contract intact by construction. Domain-local storage avoids
-   both locks and cross-domain sharing. *)
-let cache_slots = 32749
-
-(* The chain build (see [chain_build]) costs ~2x a from-scratch elimination
-   when no prefix is cached (two O(m²) passes plus an O(m²) snapshot per
-   column, against the single elimination), so it only wins where bases
-   repeat heavily across a branch-and-bound tree — the small node LPs.
-   Larger problems (the joint one-shot formulations) see each basis about
-   once; they keep the plain elimination. The cutoff depends on the
-   problem dimension alone, so which canonical form a basis gets stays
-   path-independent. It also bounds what is retained: above it a factor is
-   rarely hit again, and its canonical form — the sorted-order scratch
-   elimination — is what a warm entry without it recomputes anyway, so
-   only factors up to the cutoff enter the cache or wait in the
-   branch-and-bound queue ([queued_factor]). *)
+(* Which canonical factorization a basic set gets (see [finalize]) depends
+   on the row count alone, so the choice stays path-independent: the
+   prefix chain of [chain_build] up to this many rows (the two-stage node
+   LPs, 9-15 rows), the sorted-order scratch elimination above it (the
+   joint one-shot formulations, 62-196 rows). The elimination at every
+   size would be simpler, but it defines other bits and so other trees.
+   [rebase]'s memo uses the same cutoff. *)
 let chain_max_rows = 32
-
-let factor_cache_key : Factor.t option array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.make cache_slots None)
-
-let basis_slot m (key : int array) =
-  let h = ref (m * 0x9E3779B1) in
-  for i = 0 to Array.length key - 1 do
-    h := ((!h * 0x01000193) lxor key.(i)) land max_int
-  done;
-  !h mod cache_slots
-
-let lookup_factor p m (key : int array) =
-  if m > chain_max_rows then None
-  else
-    let cache = Domain.DLS.get factor_cache_key in
-    match cache.(basis_slot m key) with
-    | Some f as hit
-      when f.Factor.f_cols == p.cols && f.Factor.f_nrows = m
-           && int_array_eq f.Factor.f_key key ->
-      hit
-    | _ -> None
-
-let store_factor (f : Factor.t) =
-  if f.Factor.f_nrows <= chain_max_rows then begin
-    let cache = Domain.DLS.get factor_cache_key in
-    cache.(basis_slot f.Factor.f_nrows f.Factor.f_key) <- Some f
-  end
-
-let is_sorted (a : int array) =
-  let i = ref 1 in
-  while !i < Array.length a && a.(!i - 1) < a.(!i) do incr i done;
-  !i >= Array.length a
 
 (* Allocation-free insertion sort with no closure call per comparison:
    [rebase] emits a basic set as two ascending runs. *)
@@ -236,46 +176,6 @@ let sort_basis (a : int array) =
     done;
     a.(!j + 1) <- v
   done
-
-(* Second-touch filter for prefix memoization: most chain prefixes are
-   computed exactly once and never looked up again, so snapshotting each
-   one would waste an O(m²) copy per eta step. A prefix is materialized
-   into the factor cache only when the chain re-derives it a second time
-   (witnessed by a fingerprint table); storage policy affects wall time
-   only, never bits, so this cannot perturb determinism. *)
-let seen_fp_key : int array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.make cache_slots 0)
-
-let prefix_fp m (sset : int array) d =
-  let h = ref (m * 0x9E3779B1) in
-  for i = 0 to d - 1 do
-    h := ((!h * 0x01000193) lxor sset.(i)) land max_int
-  done;
-  let fp = ((!h * 0x01000193) lxor d) land max_int in
-  if fp = 0 then 1 else fp
-
-(* Every entry is tagged with the physical column array of the problem that
-   produced it, and a finished search's array is never seen again — so
-   dropping the entries loses no hit and frees their inverses. The
-   fingerprint table stays: it is a fixed array that frees nothing, and what
-   it witnessed decides which prefixes get stored, so clearing it would
-   move the extension counts (never a bit). *)
-let clear_factor_cache () =
-  Array.fill (Domain.DLS.get factor_cache_key) 0 cache_slots None
-
-let queued_factor = function
-  | Some f when f.Factor.f_nrows <= chain_max_rows -> Some f
-  | Some _ | None -> None
-
-let capture_factor st =
-  let key = Array.copy st.basis in
-  sort_basis key;
-  let f =
-    { Factor.f_cols = st.p.cols; f_nrows = st.m; f_key = key;
-      f_basis = Array.copy st.basis; f_binv = Lu.snapshot st.fac }
-  in
-  store_factor f;
-  f
 
 (* ---- factorization ----------------------------------------------------- *)
 
@@ -892,73 +792,42 @@ let rebase st ws memo =
 (* Canonicalize the logical columns to the warm path's uniform +1 sign
    before the final factorization: the cold crash path may have built a
    −1-signed artificial, and the canonical factor must be a function of
-   (problem, basis set) alone — never of the path that reached it — for
-   the factor cache to be sound. Safe here: every logical is locked at
-   zero by this point, so flipping a basic artificial's sign can only
-   negate its own (zero) basic value, and [compute_xb] rebuilds xb from
-   the factorization afterwards anyway. *)
+   (problem, basis set) alone — never of the path that reached it — for a
+   warm entry to keep it. Safe here: every logical is locked at zero by
+   this point, so flipping a basic artificial's sign can only negate its
+   own (zero) basic value, and [compute_xb] rebuilds xb from the
+   factorization afterwards anyway. *)
 let normalize_logicals st =
   for i = 0 to st.m - 1 do
     let _, coeffs = st.acols.(st.p.ncols + i) in
     if coeffs.(0) <> 1. then st.acols.(st.p.ncols + i) <- st.plus.(i)
   done
 
-(* Canonical extraction: install the canonical factorization of the final
-   basic set, so the returned floats depend only on (problem, basis set) —
-   never on which pivot path produced the basis or how rows happened to be
-   assigned along the way. The canonical form (slot order and inverse
-   bits) is the incremental chain of [chain_build], or the sorted-order
-   from-scratch elimination when a chain pivot is untrustworthy — both
-   functions of the set alone. Neither runs for a basis this domain has
-   seen before: if the solve entered from this very factor (a no-pivot
-   warm solve) or the per-domain cache holds it, the captured inverse is
-   loaded instead — bit-identical to recomputation by construction.
-   Returns the canonical factor for handoff to child nodes. *)
-(* A brand-new canonical basis is almost never far from one already seen:
-   on the bench sweep, 88% of distinct canonical bases differ from a
-   previously finalized one in exactly one column (98% in at most two).
-   [chain_build] exploits this by *defining* the canonical factorization
-   constructively: starting from the identity (all-logical) basis, insert
-   the sorted basis columns slot by slot — column [basis.(r)] enters at
-   pivot row [r], an eta update — and memoize every intermediate prefix
-   (itself a valid basis: [basis.(0..k-1)] completed by logicals) in the
-   factor cache. A new basis then extends the deepest cached prefix with
-   a handful of eta updates instead of an O(m³) from-scratch elimination.
-
-   Determinism: the construction order and pivot rows are forced by the
-   sorted basis alone, so the resulting bits are a function of
-   (columns, basis set) — never of the pivot path, the cache contents, or
-   which sibling built a shared prefix first. A cache hit merely skips
-   re-deriving bits the chain would reproduce exactly. The forced pivot
-   has no freedom to reject small elements, so a step whose pivot falls
-   below [chain_floor] abandons the chain and the caller falls back to
-   the pivoting from-scratch elimination — a predicate of (columns,
-   basis) as well, keeping the fallback deterministic too. *)
+(* A chain pivot (see [chain_build]) has no freedom to reject small
+   elements, so a step whose pivot falls at or below this abandons the
+   chain and the caller falls back to the pivoting from-scratch
+   elimination — a predicate of (columns, basis set) as well, keeping the
+   fallback deterministic too. *)
 let chain_floor = 1e-6
 
 (* [chain_build st ws]: called with [st.basis] holding the sorted basic
    set. On success, installs the chain factorization in [st.fac], rewrites
    [st.basis] into the chain's canonical slot order, and returns true; on
-   failure leaves [st.basis] sorted and the engine trashed for the caller
-   to rebuild from scratch.
+   failure, or above [chain_max_rows], leaves [st.basis] sorted and the
+   engine trashed for the caller to rebuild from scratch.
 
-   Construction: starting from the identity (all-logical) factorization,
-   insert the set's structural columns in ascending column order; each
-   insertion FTRANs the column and pivots at the largest-magnitude alpha
-   over the still-unclaimed rows (ties to the smallest row), an eta
-   update. Finally the set's own logical columns are swapped into the
-   leftover rows (ascending to ascending). Every choice is forced by the
+   Construction: starting from the identity factorization, insert the
+   set's structural columns in ascending column order; each insertion
+   FTRANs the column and pivots at the largest-magnitude alpha over the
+   still-unclaimed rows (ties to the smallest row), an eta update.
+   Finally the set's own logical columns are swapped into the leftover
+   rows (ascending to ascending). Every choice is forced by the
    (columns, basic set) pair, so the resulting bits — and the slot order —
-   are path-independent, as the canonicalization contract requires.
-
-   Each structural prefix is memoized in the factor cache under a
-   synthetic key (the first d structurals, padded with -1, which no real
-   basis can equal): sibling bases in a branch-and-bound tree differ from
-   one another in one or two columns, so they share deep prefixes, and a
-   brand-new basis usually costs a couple of eta extensions instead of an
-   O(m³) elimination. Cache state affects only where rebuilding starts,
-   never the bits: a cached prefix holds exactly the bits the chain would
-   re-derive. *)
+   are path-independent, as the canonicalization contract requires. The
+   finished chain counts as a fresh factorization, as a scratch
+   elimination does: its eta bookkeeping is reset, so the stability
+   triggers of whoever pivots from it next see the same state either
+   way. *)
 let chain_build st ws =
   let m = st.m and ncols = st.p.ncols in
   if m > chain_max_rows then false
@@ -968,35 +837,15 @@ let chain_build st ws =
     let nstr = ref 0 in
     while !nstr < m && sset.(!nstr) < ncols do incr nstr done;
     let k = !nstr in
-    (* deepest cached structural prefix, probing top-down *)
-    let key = ws.wkey in
-    Array.blit sset 0 key 0 k;
-    Array.fill key k (m - k) (-1);
-    let depth = ref k and seed = ref None in
-    while (match !seed with None -> true | Some _ -> false) && !depth > 0 do
-      (match lookup_factor st.p m key with
-       | Some _ as hit -> seed := hit
-       | None ->
-         decr depth;
-         key.(!depth) <- -1)
+    let b = ws.wslot and id = ws.wmat in
+    for i = 0 to m - 1 do
+      Array.fill id.(i) 0 m 0.;
+      id.(i).(i) <- 1.;
+      b.(i) <- ncols + i
     done;
-    let b = ws.wslot in
-    (match !seed with
-     | Some f ->
-       Lu.load st.fac f.Factor.f_binv;
-       Array.blit f.Factor.f_basis 0 b 0 m
-     | None ->
-       let id = ws.wmat in
-       for i = 0 to m - 1 do
-         Array.fill id.(i) 0 m 0.;
-         id.(i).(i) <- 1.
-       done;
-       Lu.load st.fac id;
-       for r = 0 to m - 1 do
-         b.(r) <- ncols + r
-       done);
+    Lu.load st.fac id;
     let ok = ref true in
-    let d = ref !depth in
+    let d = ref 0 in
     while !ok && !d < k do
       let j = sset.(!d) in
       Lu.ftran st.fac st.acols.(j) ws.walpha;
@@ -1011,18 +860,7 @@ let chain_build st ws =
         Lu.update st.fac ~pivot_tol !best ws.walpha;
         Telemetry.Metrics.incr m_factor_ext;
         b.(!best) <- j;
-        incr d;
-        let fp = prefix_fp m sset !d in
-        let seen = Domain.DLS.get seen_fp_key in
-        let slot = fp mod cache_slots in
-        if seen.(slot) = fp then begin
-          let pk = Array.make m (-1) in
-          Array.blit sset 0 pk 0 !d;
-          store_factor
-            { Factor.f_cols = st.p.cols; f_nrows = m; f_key = pk;
-              f_basis = Array.copy b; f_binv = Lu.snapshot st.fac }
-        end
-        else seen.(slot) <- fp
+        incr d
       end
     done;
     (* swap the set's logicals into the leftover rows: a wanted logical
@@ -1057,36 +895,34 @@ let chain_build st ws =
         end
       done
     end;
-    if !ok then Array.blit b 0 st.basis 0 m;
+    if !ok then begin
+      Array.blit b 0 st.basis 0 m;
+      Lu.reset st.fac
+    end;
     !ok
   end
 
+(* Canonical extraction: install the canonical factorization of the final
+   basic set, so the returned floats depend only on (problem, basis set) —
+   never on which pivot path produced the basis or how rows happened to be
+   assigned along the way. The canonical form (slot order and inverse
+   bits) is the chain of [chain_build], or the sorted-order from-scratch
+   elimination above [chain_max_rows] or when a chain pivot is
+   untrustworthy — both functions of the set alone. The engine keeps the
+   factor after the solve, and [canon] records its basis: a warm child
+   solved next from exactly that basis (branch-and-bound's plunge child)
+   enters without rebuilding it. *)
 let finalize st ws =
   sort_basis st.basis;
   normalize_logicals st;
-  let install f =
-    Telemetry.Metrics.incr m_factor_hit;
-    Lu.load st.fac f.Factor.f_binv;
-    Array.blit f.Factor.f_basis 0 st.basis 0 st.m;
-    f
-  in
-  let fac =
-    match st.loaded with
-    | Some f when f.Factor.f_nrows = st.m && int_array_eq f.Factor.f_key st.basis ->
-      install f
-    | _ -> (
-      match lookup_factor st.p st.m st.basis with
-      | Some f -> install f
-      | None ->
-        if not (chain_build st ws) then refactor_basis st ws;
-        capture_factor st)
-  in
+  if not (chain_build st ws) then refactor_basis st ws;
+  Array.blit st.basis 0 st.canon 0 st.m;
+  st.canon_ok <- true;
   for r = 0 to st.m - 1 do
     st.loc.(st.basis.(r)) <- st.basic_at.(r)
   done;
   compute_xb st ws;
-  check_health st;
-  fac
+  check_health st
 
 let extract_x st =
   let x = Array.make st.p.ncols 0. in
@@ -1121,8 +957,9 @@ let basis_of_state st =
    for a family of LPs sharing one constraint matrix and one cost vector —
    the nodes of one branch-and-bound search, which differ only in bounds.
    Every solve re-initializes all the state it reads, so a result never
-   depends on what the session solved before; the session only saves the
-   allocation. *)
+   depends on what the session solved before. The session saves the
+   allocation, and its engine keeps the last canonical factor for the
+   next warm entry from the same basis (see [finalize]). *)
 type session = {
   st : state;
   ws : workspace;
@@ -1156,8 +993,8 @@ let session p =
       alb = Array.make ntot 0.; aub = Array.make ntot 0.;
       loc = Array.make ntot At_lower; basis = Array.make m 0;
       fac = Lu.create m; xb = Array.make m 0.; xn = Array.make ntot 0.;
-      loaded = None; degenerate_streak = 0; bland = false;
-      iterations = 0 }
+      canon = Array.make m 0; canon_ok = false; degenerate_streak = 0;
+      bland = false; iterations = 0 }
   in
   { st; ws = make_workspace m ntot;
     minus = Array.init m (fun i -> ([| i |], [| -1. |]));
@@ -1166,7 +1003,6 @@ let session p =
 
 (* Fresh per-attempt scalars; the arrays are re-initialized by the path. *)
 let reset st =
-  st.loaded <- None;
   st.degenerate_streak <- 0;
   st.bland <- false;
   st.iterations <- 0
@@ -1179,7 +1015,7 @@ let reset st =
    would have succeeded cold. *)
 exception Warm_reject
 
-let warm_attempt s ~max_iterations ~deadline (wb : Basis.t) wfac =
+let warm_attempt s ~max_iterations ~deadline (wb : Basis.t) =
   let st = s.st and ws = s.ws in
   let p = st.p and m = st.m and ntot = st.ntot in
   if Array.length wb.Basis.basic <> m || Array.length wb.Basis.vstat <> ntot then
@@ -1235,27 +1071,28 @@ let warm_attempt s ~max_iterations ~deadline (wb : Basis.t) wfac =
      more than this is cheaper to restart cold than to let cycle *)
   let dual_cap = 200 + (2 * (m + ntot)) in
   try
-    (* Entry factorization: the parent's canonical factor, handed down
-       by the caller, is bit-valid for this child — the basis matrix
-       ignores bounds — so loading it replaces the O(m³) entry
-       refactorization with an O(m²) copy. Its slot order must match the
-       warm basis exactly. Without one the entry refactorizes. *)
-    (match wfac with
-     | Some f
-       when f.Factor.f_cols == p.cols && f.Factor.f_nrows = m
-            && int_array_eq f.Factor.f_basis basis ->
-       Telemetry.Metrics.incr m_factor_reuse;
-       Lu.load st.fac f.Factor.f_binv;
-       compute_xb st ws;
-       st.loaded <- wfac
-     | _ ->
-       refactorize st ws;
-       (* a scratch factorization of the warm order is the canonical
-          factor only where the canonical form is the sorted-order scratch
-          one; elsewhere [finalize] must build it, or a warm solve that
-          pivots nowhere would return non-canonical bits *)
-       if m > chain_max_rows && is_sorted basis then
-         st.loaded <- Some (capture_factor st));
+    (* Entry factorization. The basis matrix ignores bounds, so the
+       parent's canonical factor is bit-valid for this child. The engine
+       still holds it when this basis is, slot for slot, the one the
+       session's last solve finalized (branch-and-bound's plunge child).
+       Otherwise the entry rebuilds it from the basic set, and uses it if
+       the warm basis is in its canonical slot order; a basis in any other
+       order is factorized in that order. Either way the entry then pivots
+       the engine, so it no longer holds a canonical factor. *)
+    let keep = st.canon_ok && int_array_eq st.canon basis in
+    st.canon_ok <- false;
+    if keep then begin
+      Telemetry.Metrics.incr m_factor_hit;
+      compute_xb st ws
+    end
+    else begin
+      sort_basis basis;
+      if chain_build st ws && int_array_eq basis wb.Basis.basic then compute_xb st ws
+      else begin
+        Array.blit wb.Basis.basic 0 basis 0 m;
+        refactorize st ws
+      end
+    end;
     check_health st;
     dual_optimize st phase2_cost ws ~cap:dual_cap deadline;
     let dual_iters = st.iterations in
@@ -1266,7 +1103,7 @@ let warm_attempt s ~max_iterations ~deadline (wb : Basis.t) wfac =
     optimize st phase2_cost ws max_iterations deadline;
     canonicalize st phase2_cost s.weights ws deadline;
     rebase st ws s.memo;
-    let fac = finalize st ws in
+    finalize st ws;
     Telemetry.Metrics.add m_phase2 (st.iterations - dual_iters);
     let x = extract_x st in
     let obj = objective_value p x in
@@ -1274,12 +1111,11 @@ let warm_attempt s ~max_iterations ~deadline (wb : Basis.t) wfac =
     else
       Ok { status = Optimal; obj; x;
            iterations = st.iterations; warm = true;
-           basis = Some (basis_of_state st);
-           factor = Some fac }
+           basis = Some (basis_of_state st) }
   with
   | Dual_infeasible ->
     Ok { status = Infeasible; obj = infinity; x = extract_x st;
-         iterations = st.iterations; warm = true; basis = None; factor = None }
+         iterations = st.iterations; warm = true; basis = None }
   | Dual_giveup | Lp_unbounded | Lp_iteration_limit
   | Lp_abort Robust.Failure.Singular_basis
   | Lp_abort Robust.Failure.Numerical_instability ->
@@ -1326,7 +1162,8 @@ let cold_solve s ~max_iterations ~deadline =
   (* Crash basis: prefer a singleton (slack-like) column per row when the
      residual fits its bounds; fall back to an artificial otherwise. This
      usually makes phase 1 trivial for inequality-heavy models. The crash
-     inverse is diagonal, built in the refactorization scratch. *)
+     inverse is diagonal, built in the refactorization scratch; loading it
+     overwrites the last canonical factor. *)
   let binv = ws.wmat in
   for i = 0 to m - 1 do
     Array.fill binv.(i) 0 m 0.
@@ -1363,6 +1200,7 @@ let cold_solve s ~max_iterations ~deadline =
       xb.(i) <- Float.abs resid.(i)
     end
   done;
+  st.canon_ok <- false;
   Lu.load st.fac binv;
   let phase1_cost = s.phase1_cost and phase2_cost = s.phase2_cost in
   try
@@ -1380,8 +1218,7 @@ let cold_solve s ~max_iterations ~deadline =
     done;
     if !infeas > 1e-6 then
       Ok { status = Infeasible; obj = infinity; x = extract_x st;
-           iterations = st.iterations; warm = false; basis = None;
-           factor = None }
+           iterations = st.iterations; warm = false; basis = None }
     else begin
       (* lock artificials at zero for phase 2 *)
       for j = p.ncols to ntot - 1 do
@@ -1396,7 +1233,7 @@ let cold_solve s ~max_iterations ~deadline =
       optimize st phase2_cost ws max_iterations deadline;
       canonicalize st phase2_cost s.weights ws deadline;
       rebase st ws s.memo;
-      let fac = finalize st ws in
+      finalize st ws;
       Telemetry.Metrics.add m_phase2 (st.iterations - p1_iters);
       let x = extract_x st in
       let obj = objective_value p x in
@@ -1404,24 +1241,22 @@ let cold_solve s ~max_iterations ~deadline =
       else
         Ok { status = Optimal; obj; x;
              iterations = st.iterations; warm = false;
-             basis = Some (basis_of_state st);
-             factor = Some fac }
+             basis = Some (basis_of_state st) }
     end
   with
   | Lp_unbounded ->
     Ok { status = Unbounded; obj = neg_infinity; x = extract_x st;
-         iterations = st.iterations; warm = false; basis = None; factor = None }
+         iterations = st.iterations; warm = false; basis = None }
   | Lp_iteration_limit ->
     Ok { status = Iteration_limit; obj = nan; x = extract_x st;
-         iterations = st.iterations; warm = false; basis = None; factor = None }
+         iterations = st.iterations; warm = false; basis = None }
   | Lp_abort f -> Error f
 
 (* Result-returning entry point: all abnormal terminations (singular basis,
    blown deadline, NaN corruption, injected faults) come back as a typed
    [Error]; [Unbounded]/[Infeasible]/[Iteration_limit] remain ordinary
    statuses because branch-and-bound treats them as prunable outcomes. *)
-let solve_r_impl ?session:s ?max_iterations ?(deadline = Robust.Deadline.none) ?warm
-    ?warm_factor p =
+let solve_r_impl ?session:s ?max_iterations ?(deadline = Robust.Deadline.none) ?warm p =
   let m = p.nrows in
   let max_iterations =
     match max_iterations with
@@ -1442,10 +1277,10 @@ let solve_r_impl ?session:s ?max_iterations ?(deadline = Robust.Deadline.none) ?
     done;
     if !unbounded then
       Ok { status = Unbounded; obj = neg_infinity; x; iterations = 0;
-           warm = false; basis = None; factor = None }
+           warm = false; basis = None }
     else
       Ok { status = Optimal; obj = objective_value p x; x; iterations = 0;
-           warm = false; basis = None; factor = None }
+           warm = false; basis = None }
   end
   else begin
     let s =
@@ -1462,7 +1297,7 @@ let solve_r_impl ?session:s ?max_iterations ?(deadline = Robust.Deadline.none) ?
       match warm with
       | None -> None
       | Some wb ->
-        (match warm_attempt s ~max_iterations ~deadline wb warm_factor with
+        (match warm_attempt s ~max_iterations ~deadline wb with
          | res ->
            Telemetry.Metrics.incr m_warm;
            Some res
@@ -1479,10 +1314,10 @@ let solve_r_impl ?session:s ?max_iterations ?(deadline = Robust.Deadline.none) ?
 
 (* Public entry point: one span (category "simplex") and one solve-count
    tick per LP; phase iteration counters are recorded inside the solve. *)
-let solve_r ?session ?max_iterations ?deadline ?warm ?warm_factor p =
+let solve_r ?session ?max_iterations ?deadline ?warm p =
   Telemetry.Metrics.incr m_solves;
   Telemetry.Trace.with_span ~cat:"simplex" "simplex.solve" (fun () ->
-      solve_r_impl ?session ?max_iterations ?deadline ?warm ?warm_factor p)
+      solve_r_impl ?session ?max_iterations ?deadline ?warm p)
 
 (* Legacy exception-raising wrapper: raises [Robust.Failure.Error] where
    [solve_r] would return [Error]. Prefer [solve_r] in new code. *)

@@ -18,23 +18,20 @@
     refactorization only runs when a stability trigger demands it — the
     eta chain hit its length cap, a pivot magnitude fell below the
     stability floor, or a row-residual audit at a deadline checkpoint
-    detected drift. Across solves, canonical factorizations are
-    reused rather than recomputed: an optimal solve returns its
-    {!Factor.t}, which a child LP accepts via [warm_factor] (the basis
-    matrix does not depend on variable bounds, so the parent's inverse is
-    bit-valid for the child), and a per-domain cache short-circuits the
-    canonicalization epilogue's refactorization for bases (up to the
-    prefix-chain cutoff) that the domain has already factorized. Bases not
-    yet cached are built by canonical prefix-chain factorization —
-    eta-extending the deepest cached prefix of the basis set, inserting
-    structural columns in a canonically determined order — so small
-    node-LP bases almost never pay a
-    from-scratch factorization at all. The canonical factor of a basis is
-    a function of the basis set alone, and all reuse paths load inverses
-    that are bit-identical to recomputation, so warm/cold byte-identity
-    and cross-worker determinism are preserved by construction; cache
-    state moves wall time only. The dual pivot loop prices leaving rows
-    with devex reference-framework weights. *)
+    detected drift. The dual pivot loop prices leaving rows with devex
+    reference-framework weights.
+
+    Every optimal solve ends by installing the canonical factorization of
+    its final basic set, a function of the columns and that set alone: up
+    to 32 rows an eta chain from the identity basis that inserts the
+    structural columns in ascending order, above that (or when a chain
+    pivot is too small) a sorted-order Gauss-Jordan elimination. The
+    extracted floats therefore do not depend on the pivot path, which is
+    what makes warm and cold solves byte-identical. A warm entry starts
+    from the parent's canonical factor, which is bit-valid for the child
+    because the basis matrix ignores bounds: a {!session} keeps it in its
+    engine for the next solve, and any other warm entry rebuilds it. No
+    factor is carried from one solve to another in any other way. *)
 
 type status = Optimal | Infeasible | Unbounded | Iteration_limit
 
@@ -81,19 +78,6 @@ module Basis : sig
   }
 end
 
-(** A captured canonical basis factorization — the warm-start currency
-    that rides along with {!Basis.t}. Opaque: produced by an optimal solve
-    ([result.factor]) and consumed by [solve_r ~warm_factor]. A factor is
-    tagged with the physical column array it was factorized from; it is
-    bit-valid for any problem sharing that array (branch-and-bound
-    children differ only in bounds, which the basis matrix ignores), and
-    the solver validates the tag and the basic set before trusting it, so
-    a stale factor degrades to an ordinary refactorization rather than a
-    wrong answer. *)
-module Factor : sig
-  type t
-end
-
 type result = {
   status : status;
   obj : float;          (** meaningful when [status = Optimal] *)
@@ -103,21 +87,10 @@ type result = {
       (** the solve was served by dual reoptimization from the supplied
           basis (false for cold solves and warm attempts that fell back) *)
   basis : Basis.t option;
-      (** the final basis when [status = Optimal]; reuse it as [?warm] for
-          a nearby problem (same matrix, tightened bounds) *)
-  factor : Factor.t option;
-      (** canonical factorization of that basis, for [?warm_factor]; [None]
-          for non-optimal results *)
+      (** the final basis when [status = Optimal], in the canonical slot
+          order; reuse it as [?warm] for a nearby problem (same matrix,
+          tightened bounds) *)
 }
-
-val queued_factor : Factor.t option -> Factor.t option
-(** The factor worth keeping on a branch-and-bound node that waits in the
-    queue: the factor itself for bases up to the prefix-chain cutoff,
-    [None] above it. Above the cutoff the canonical factor is the
-    sorted-order scratch elimination that the node's warm entry recomputes
-    bit for bit without it, so dropping it costs one refactorization and
-    saves holding one m x m inverse per queued node; it never changes a
-    result. *)
 
 type session
 (** Reusable solver state for a family of LPs that share one constraint
@@ -127,28 +100,26 @@ type session
     the basis state, the {!Lu} engine, the column array with its logical
     columns, the phase costs, the canonical weights, and the scratch of
     the canonical epilogue. A solve re-initializes all of it, so results
-    are bit-identical to a solve without a session; the session only
-    removes the per-solve allocation, and (up to the prefix-chain cutoff)
-    memoizes the canonical basis completion per pattern of interior
-    columns, which is a function of that pattern and the shared matrix
-    alone. Not thread-safe: one session serves one sequential caller. *)
+    are bit-identical to a solve without a session. Beyond removing the
+    per-solve allocation, the session keeps two things across solves, and
+    neither can change a result. Up to 32 rows it memoizes the canonical
+    basis completion per pattern of interior columns, a function of that
+    pattern and the shared matrix. And its engine keeps the canonical
+    factor the last optimal solve installed, a function of the matrix and
+    that basic set: a warm solve from exactly that basis (a
+    branch-and-bound plunge child, solved right after its parent) starts
+    from it instead of rebuilding it. Not thread-safe: one session serves
+    one sequential caller. *)
 
 val session : problem -> session
 (** [session p] sizes a session for [p] and for every problem sharing
     [p.cols] and [p.cost]. *)
-
-val clear_factor_cache : unit -> unit
-(** Drop this domain's cached canonical factorizations. Entries are tagged
-    with the physical [cols] array they were computed from, so once the
-    search owning that array ends they can never be hit again; clearing
-    frees their memory and changes no result or count. *)
 
 val solve_r :
   ?session:session ->
   ?max_iterations:int ->
   ?deadline:Robust.Deadline.t ->
   ?warm:Basis.t ->
-  ?warm_factor:Factor.t ->
   problem ->
   (result, Robust.Failure.t) Stdlib.result
 (** Result-returning entry point. Defaults to a generous iteration cap
@@ -159,22 +130,16 @@ val solve_r :
     [warm], when given, must come from an optimal solve of a problem with
     the same constraint matrix (only [lb]/[ub] may differ — exactly the
     branch-and-bound child situation). The solver then installs the parent
-    basis and runs dual simplex; on success [result.warm] is [true].
+    basis and runs dual simplex; on success [result.warm] is [true]. It
+    enters from the parent's canonical factor: kept by the [session] when
+    the parent was its last solve, rebuilt otherwise; a basis that is not
+    in the canonical slot order is factorized in its own order.
     A warm attempt that cannot proceed (dimension mismatch, singular or
     stale basis, dual stall or cycling) silently falls back to the cold
     two-phase primal path, so passing [warm] never changes which statuses
     are reachable. A warm [Infeasible] claim is only made after the basis
     is re-verified dual feasible, so warm starting cannot prune a feasible
     child on drifted numerics.
-
-    [warm_factor] additionally hands the parent's canonical factorization
-    down so the warm entry loads it (O(m²)) instead of refactorizing
-    (O(m³)). It is validated against the problem and [warm] basis and is
-    bit-identical to recomputation, so supplying it never changes any
-    result — only wall time. It is the warm entry's only source of a
-    factor: without it the entry refactorizes (the per-domain factor
-    cache serves only the canonicalization epilogue). Ignored without
-    [warm].
 
     [session] supplies the buffers (see {!session}); without one the
     solve builds a throwaway session. Raises [Invalid_argument] when the

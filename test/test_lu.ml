@@ -160,9 +160,19 @@ let test_chain_cap () =
   Alcotest.(check (float 0.)) "benign pivots leave min_pivot at 1" 1.
     (Lu.min_pivot lu)
 
-(* End-to-end: a warm child solve fed the parent's canonical factor must
-   return bit-identical results to the same solve without it, and must not
-   refactorize at all when the parent optimum survives the bound change. *)
+let solved = function Ok r -> r | Error _ -> Alcotest.fail "solve failed"
+
+let bits (r : Milp.Simplex.result) =
+  ( r.Milp.Simplex.status,
+    Array.map Int64.bits_of_float r.Milp.Simplex.x,
+    Int64.bits_of_float r.Milp.Simplex.obj )
+
+(* End-to-end: a warm child solved right after its parent in one session
+   (branch-and-bound's plunge order) starts from the parent's canonical
+   factor, still held by the session's engine. It must return the bits of
+   the same warm solve in a fresh session, which rebuilds that factor, and
+   neither solve of the pair may refactorize when the parent optimum
+   survives the bound change. *)
 let test_factor_handoff () =
   let p =
     { Milp.Simplex.nrows = 2; ncols = 2;
@@ -170,45 +180,29 @@ let test_factor_handoff () =
       cost = [| 1.; 1. |]; lb = [| 0.; 0. |]; ub = [| 10.; 10. |];
       rhs = [| 4.; 3. |] }
   in
-  let parent =
-    match Milp.Simplex.solve_r p with Ok r -> r | Error _ -> Alcotest.fail "parent"
-  in
-  let wb = Option.get parent.Milp.Simplex.basis in
-  let wf = parent.Milp.Simplex.factor in
-  Alcotest.(check bool) "optimal solve returns a factor" true (wf <> None);
+  let wb = Option.get (solved (Milp.Simplex.solve_r p)).Milp.Simplex.basis in
   (* tighten a bound that does not cut the parent optimum *)
   let child = { p with ub = [| 9.; 10. |] } in
-  let with_factor =
-    match Milp.Simplex.solve_r ~warm:wb ?warm_factor:wf child with
-    | Ok r -> r
-    | Error _ -> Alcotest.fail "warm+factor"
-  in
-  let without_factor =
-    match Milp.Simplex.solve_r ~warm:wb child with
-    | Ok r -> r
-    | Error _ -> Alcotest.fail "warm"
-  in
-  Alcotest.(check bool) "factor handoff is bit-transparent" true
-    (with_factor.Milp.Simplex.x = without_factor.Milp.Simplex.x
-    && with_factor.Milp.Simplex.obj = without_factor.Milp.Simplex.obj);
-  (* counter check: the factor-fed solve performs zero refactorizations *)
+  let fresh = solved (Milp.Simplex.solve_r ~warm:wb child) in
   Telemetry.Sink.set Telemetry.Sink.Memory;
   Fun.protect ~finally:(fun () -> Telemetry.Sink.set Telemetry.Sink.Null)
   @@ fun () ->
   Telemetry.Metrics.reset ();
-  (match Milp.Simplex.solve_r ~warm:wb ?warm_factor:wf child with
-   | Ok _ -> ()
-   | Error _ -> Alcotest.fail "warm+factor re-solve");
+  let session = Milp.Simplex.session p in
+  ignore (solved (Milp.Simplex.solve_r ~session p));
+  let plunged = solved (Milp.Simplex.solve_r ~session ~warm:wb child) in
   let snap = Telemetry.Metrics.snapshot () in
   let count name = Telemetry.Metrics.counter_value snap name in
-  Alcotest.(check int) "no refactorizations with a factor in hand" 0
+  Alcotest.(check bool) "the child is warm-solved" true plunged.Milp.Simplex.warm;
+  Alcotest.(check bool) "kept factor = rebuilt factor, bit for bit" true
+    (bits plunged = bits fresh);
+  Alcotest.(check int) "no refactorizations for parent and child" 0
     (count "simplex.refactorizations");
-  Alcotest.(check bool) "the entry factor was reused" true
-    (count "simplex.factor_reuses" >= 1)
+  Alcotest.(check int) "the child kept the parent's factor" 1
+    (count "simplex.factor_cache_hits")
 
-(* Determinism does not rest on the factor cache, which is domain-local: a
-   warm solve handed only a basis (no factor) in a fresh domain starts from
-   an empty cache and must still return the bits of a cold solve in
+(* Determinism rests on no state outside a session: a warm solve handed
+   only a basis in a fresh domain must return the bits of a cold solve in
    another fresh domain. *)
 let probe_lp =
   { Milp.Simplex.nrows = 3; ncols = 4;
@@ -218,13 +212,6 @@ let probe_lp =
     cost = [| -1.1; -2.3; -1.7; -3.3 |];
     lb = [| 0.; 0.; 0.; 0. |]; ub = [| 5.; 5.; 5.; 5. |];
     rhs = [| 6.1; 5.3; 4.7 |] }
-
-let solved = function Ok r -> r | Error _ -> Alcotest.fail "solve failed"
-
-let bits (r : Milp.Simplex.result) =
-  ( r.Milp.Simplex.status,
-    Array.map Int64.bits_of_float r.Milp.Simplex.x,
-    Int64.bits_of_float r.Milp.Simplex.obj )
 
 let in_fresh_domain f = Domain.join (Domain.spawn f)
 
@@ -240,35 +227,47 @@ let test_fresh_domain_warm_is_cold () =
   Alcotest.(check bool) "warm path taken" true was_warm;
   Alcotest.(check bool) "warm without a factor = cold, bit for bit" true (warm = cold)
 
-(* A session keeps no result state between solves: LP A solved after other
-   LPs of the same matrix — an infeasible one, whose cold crash leaves
-   -1-signed artificials behind, and a warm one — gives the bits of a fresh
-   session, cold and warm. *)
+(* What a session keeps between solves never changes a result: LP A solved
+   after other LPs of the same matrix — an infeasible one, whose cold crash
+   leaves -1-signed artificials behind, and a warm one — gives the bits of
+   a fresh session, cold and warm. So does a warm child of the parent
+   solved after the parent and an infeasible solve in between: the cold
+   crash overwrites the parent's factor in the engine, so the child must
+   rebuild it and take the fresh session's pivots. Bits alone would not
+   show a stale entry factor (the epilogue rebuilds the factor before
+   extracting), so the iteration counts must match too. *)
 let test_session_reuse () =
   let a = { probe_lp with Milp.Simplex.ub = [| 5.; 1.; 5.; 5. |] } in
   let infeasible = { probe_lp with Milp.Simplex.lb = [| 3.; 3.; 3.; 3. |] } in
   let b = { probe_lp with Milp.Simplex.lb = [| 1.; 0.; 0.; 1. |] } in
   let wb = Option.get (solved (Milp.Simplex.solve_r probe_lp)).Milp.Simplex.basis in
+  let with_iterations r = (bits r, r.Milp.Simplex.iterations) in
   let fresh =
     in_fresh_domain (fun () ->
         ( bits (solved (Milp.Simplex.solve_r a)),
-          bits (solved (Milp.Simplex.solve_r ~warm:wb a)) ))
+          with_iterations (solved (Milp.Simplex.solve_r ~warm:wb a)) ))
   in
-  let inf, reused =
+  let inf, reused, after_parent =
     in_fresh_domain (fun () ->
         let session = Milp.Simplex.session probe_lp in
-        let go ?warm q = bits (solved (Milp.Simplex.solve_r ~session ?warm q)) in
-        let inf = go infeasible in
+        let go ?warm q = solved (Milp.Simplex.solve_r ~session ?warm q) in
+        let inf = bits (go infeasible) in
         ignore (go ~warm:wb b);
-        let cold = go a in
+        let cold = bits (go a) in
         ignore (go infeasible);
-        (inf, (cold, go ~warm:wb a)))
+        let warm = with_iterations (go ~warm:wb a) in
+        ignore (go probe_lp);
+        ignore (go infeasible);
+        (inf, (cold, warm), with_iterations (go ~warm:wb a)))
   in
   let inf_status, _, _ = inf in
   Alcotest.(check bool) "the infeasible LP is infeasible" true
     (inf_status = Milp.Simplex.Infeasible);
   Alcotest.(check bool) "cold A in a used session = fresh session" true (fst reused = fst fresh);
   Alcotest.(check bool) "warm A in a used session = fresh session" true (snd reused = snd fresh);
+  Alcotest.(check bool) "warm A after its parent and an infeasible solve = fresh session"
+    true (fst after_parent = fst (snd fresh));
+  Alcotest.(check int) "... in as many iterations" (snd (snd fresh)) (snd after_parent);
   Alcotest.check_raises "a session refuses another matrix"
     (Invalid_argument "Simplex.solve_r: session built for another problem") (fun () ->
       ignore

@@ -88,20 +88,30 @@ let prop_warm_matches_cold =
             let child = { parent with Simplex.lb; ub } in
             match (Simplex.solve_r ~warm:basis child, Simplex.solve_r child) with
             | Ok w, Ok c ->
-              (* one shared session solves the child cold, then warm, twice
-                 over: the repeats hit the session's [rebase] memo (the warm
-                 solves also hit entries a cold solve stored with −1
-                 artificials) and must return the fresh-session bits *)
+              (* one shared session solves the child cold, then warm, then
+                 the parent and the child warm again (branch-and-bound's
+                 plunge order, where the child keeps the parent's factor in
+                 the session's engine), twice over: the repeats hit the
+                 session's [rebase] memo (the warm solves also hit entries a
+                 cold solve stored with −1 artificials), and every solve of
+                 the child must return the fresh-session bits *)
               let s = Simplex.session child in
+              let warm_check what =
+                match Simplex.solve_r ~session:s ~warm:basis child with
+                | Ok r when same_bits r w -> ()
+                | Ok _ | Error _ ->
+                  QCheck.Test.fail_reportf "%s warm solve differs from a fresh one" what
+              in
               for _ = 1 to 2 do
                 (match Simplex.solve_r ~session:s child with
                  | Ok r when same_bits r c -> ()
                  | Ok _ | Error _ ->
                    QCheck.Test.fail_reportf "shared-session cold solve differs from a fresh one");
-                match Simplex.solve_r ~session:s ~warm:basis child with
-                | Ok r when same_bits r w -> ()
-                | Ok _ | Error _ ->
-                  QCheck.Test.fail_reportf "shared-session warm solve differs from a fresh one"
+                warm_check "shared-session";
+                (match Simplex.solve_r ~session:s parent with
+                 | Ok _ -> ()
+                 | Error _ -> QCheck.Test.fail_reportf "shared-session parent solve failed");
+                warm_check "plunge-order"
               done;
               if w.Simplex.status <> c.Simplex.status then
                 QCheck.Test.fail_reportf "status mismatch: warm vs cold"
