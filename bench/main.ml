@@ -67,7 +67,6 @@ let snapshot_json (s : Telemetry.Metrics.snapshot) =
 
 let exp_ran = ref false
 let exp_results : string list ref = ref []
-let serve_result : string option ref = ref None
 let sweep_result : string option ref = ref None
 let soak_result : string option ref = ref None
 let soak_cluster_result : string option ref = ref None
@@ -144,7 +143,7 @@ let split_top_level text =
   List.rev !sections
 
 let section_order =
-  [ "experiments"; "serve"; "warm_sweep"; "soak"; "soak_cluster"; "fuse"; "micro" ]
+  [ "experiments"; "warm_sweep"; "soak"; "soak_cluster"; "fuse"; "micro" ]
 
 let write_results path =
   let fresh =
@@ -152,7 +151,6 @@ let write_results path =
        [ ("experiments",
           Printf.sprintf "[%s]" (String.concat "," (List.rev !exp_results))) ]
      else [])
-    @ (match !serve_result with Some s -> [ ("serve", s) ] | None -> [])
     @ (match !sweep_result with Some s -> [ ("warm_sweep", s) ] | None -> [])
     @ (match !soak_result with Some s -> [ ("soak", s) ] | None -> [])
     @ (match !soak_cluster_result with Some s -> [ ("soak_cluster", s) ] | None -> [])
@@ -311,74 +309,6 @@ let micro_benchmarks () =
     tests;
   flush stdout
 
-(* Batch-service benchmarks: cold-vs-warm ResNet-50 through the certified
-   schedule cache, plus the domain-pool determinism check (the acceptance
-   criteria of the serve subsystem: warm >= 10x faster with byte-identical
-   schedules, and a 4-domain run matching the 1-domain run exactly). *)
-let serve_benchmarks () =
-  print_newline ();
-  print_endline "Batch service: cold vs warm network scheduling";
-  print_endline "==============================================";
-  Telemetry.Sink.set Telemetry.Sink.Memory;
-  Telemetry.Metrics.reset ();
-  let arch = Spec.baseline in
-  let net = Network.resnet50 in
-  let mappings report =
-    List.map
-      (fun (lr : Serve.Service.layer_report) ->
-        match lr.Serve.Service.served with
-        | Ok s -> Mapping_io.to_string s.Serve.Service.mapping
-        | Error f -> "FAILED " ^ Robust.Failure.to_string f)
-      report.Serve.Service.layers
-  in
-  (* The node budget, not the wall clock, must be the binding limit: node-
-     bound branch-and-bound terminates deterministically, so jobs=1 and
-     jobs=4 (and cold vs warm) produce bit-identical schedules even under
-     domain-contention timing noise. Two-stage is pinned because the joint
-     MIP's per-node LPs are ~100x more expensive, so no practical node
-     budget keeps it off the wall clock. *)
-  let run ~jobs ~tier cfg_arch =
-    let cfg =
-      Serve.Service.config ~strategy:Cosa.Two_stage ~node_limit:6_000 ~time_limit:60.
-        ~jobs cfg_arch
-    in
-    Serve.Service.schedule_network ~tier cfg net
-  in
-  let cache = Serve.Schedule_cache.create ~capacity:256 () in
-  let cold = run ~jobs:4 ~tier:cache arch in
-  let warm = run ~jobs:4 ~tier:cache arch in
-  let speedup = cold.Serve.Service.wall_time /. Float.max 1e-9 warm.Serve.Service.wall_time in
-  Printf.printf
-    "cold: %.2f s (%d distinct shapes solved)\nwarm: %.4f s (%d served from cache)\n\
-     warm speedup: %.0fx (acceptance: >= 10x)\n"
-    cold.Serve.Service.wall_time cold.Serve.Service.distinct warm.Serve.Service.wall_time
-    warm.Serve.Service.served_from_cache speedup;
-  Printf.printf "warm schedules byte-identical: %b\n" (mappings cold = mappings warm);
-  Printf.printf "warm total latency identical: %b\n"
-    (cold.Serve.Service.total_latency = warm.Serve.Service.total_latency);
-  (* pool determinism: same request, 1 domain vs 4 domains, fresh caches *)
-  let one = run ~jobs:1 ~tier:(Serve.Schedule_cache.create ~capacity:256 ()) arch in
-  let four = run ~jobs:4 ~tier:(Serve.Schedule_cache.create ~capacity:256 ()) arch in
-  let jobs_identical = mappings one = mappings four in
-  Printf.printf "1-domain vs 4-domain schedules identical: %b\n" jobs_identical;
-  Printf.printf "1-domain vs 4-domain total latency identical: %b\n"
-    (one.Serve.Service.total_latency = four.Serve.Service.total_latency);
-  serve_result :=
-    Some
-      (Printf.sprintf
-         "{\"cold_s\":%s,\"warm_s\":%s,\"warm_speedup\":%s,\"warm_hit_rate\":%s,\
-          \"warm_identical\":%b,\"jobs_identical\":%b,\"telemetry\":%s}"
-         (json_float cold.Serve.Service.wall_time)
-         (json_float warm.Serve.Service.wall_time)
-         (json_float speedup)
-         (json_float (Serve.Schedule_cache.hit_rate cache))
-         (mappings cold = mappings warm)
-         jobs_identical
-         (snapshot_json (Telemetry.Metrics.snapshot ())));
-  Telemetry.Metrics.reset ();
-  Telemetry.Sink.set Telemetry.Sink.Null;
-  flush stdout
-
 (* Fault-injected soak of the scheduling daemon: mixed interactive traffic
    against an in-process server with the deterministic fault harness armed
    on the solver sites. Acceptance, per seed:
@@ -388,9 +318,11 @@ let serve_benchmarks () =
      (faults are restricted to solver sites, so server- and harness-side
      certification stay sound while solves are being perturbed);
    - typed overload handling: the load step (more concurrent clients than
-     queue slots, tight budgets) must produce typed rejections and no
-     [Failed] responses — backpressure degrades monotonically, it never
-     turns into silent drops or errors;
+     queue slots, tight budgets, three requests in four naming a layer the
+     warm-up never cached) must produce typed rejections and no [Failed]
+     responses — backpressure degrades monotonically, it never turns into
+     silent drops or errors — while its cache hits are answered inline on
+     the connection fast path;
    - bounded latency: p95 server-side serve time of admitted requests stays
      within the request SLO (modest slack for the final deadline check);
    - clean drain: shutdown answers everything in flight, accounting
@@ -405,6 +337,14 @@ let soak_solver_sites =
 let soak_layers =
   [ "3_56_64_64_1"; "1_56_64_256_1"; "1_56_256_64_1"; "3_28_128_128_1";
     "1_28_128_512_1" ]
+
+(* Suite layers the warm-up never caches: the load step's misses, which
+   queue for the solver thread while its hits are answered inline. *)
+let soak_cold_layers =
+  List.filter_map
+    (fun (l : Layer.t) ->
+      if List.mem l.Layer.name soak_layers then None else Some l.Layer.name)
+    (List.concat_map snd Zoo.suites)
 
 let soak_failures = ref 0
 
@@ -442,7 +382,8 @@ let soak_round seed =
         ~min_samples:4 ~time_limit:0.6 ()
     in
     Daemon.Server.create
-      (Daemon.Server.config ~admission ~cache_dir ~default_budget_s:warm_budget
+      (Daemon.Server.config ~admission ~default_budget_s:warm_budget
+         ~tier:(Serve.Schedule_cache.create ~dir:cache_dir ~capacity:256 ())
          ~socket_path:sock service)
   in
   (* every response any traffic thread sees, for post-hoc verification *)
@@ -464,7 +405,7 @@ let soak_round seed =
   let server = make_server () in
   let server_thread = Daemon.Server.start server in
   Daemon.Server.wait_ready server;
-  let fired = ref 0 in
+  let fired = ref 0 and load_fastpath = ref 0 in
   Robust.Fault.with_faults ~rate:soak_fault_rate ~only:soak_solver_sites seed
     (fun () ->
       (* warmup: generous budgets, populates cache and cost estimator *)
@@ -474,7 +415,9 @@ let soak_round seed =
          List.iter (fun l -> record warm_budget (send c warm_budget l)) soak_layers;
          List.iter (fun l -> record warm_budget (send c warm_budget l)) soak_layers;
          Daemon.Client.close c);
-      (* load step: 8 concurrent clients vs 4 queue slots, tight budgets *)
+      (* load step: 8 concurrent clients vs 4 queue slots, tight budgets;
+         every fourth request names a cached layer, the rest are misses *)
+      let fastpath_before = (Daemon.Server.stats server).Daemon.Server.fastpath_served in
       let burst_threads =
         List.init 8 (fun i ->
             Thread.create
@@ -483,14 +426,16 @@ let soak_round seed =
                 | Error _ -> Mutex.protect resp_lock (fun () -> incr client_errors)
                 | Ok c ->
                   let rng = Prim.Rng.create ((seed * 31) + i) in
-                  for _ = 1 to 8 do
-                    let layer = Prim.Rng.pick rng soak_layers in
-                    record burst_budget (send c burst_budget layer)
+                  for j = 1 to 8 do
+                    let layers = if j mod 4 = 0 then soak_layers else soak_cold_layers in
+                    record burst_budget (send c burst_budget (Prim.Rng.pick rng layers))
                   done;
                   Daemon.Client.close c)
               ())
       in
       List.iter Thread.join burst_threads;
+      load_fastpath :=
+        (Daemon.Server.stats server).Daemon.Server.fastpath_served - fastpath_before;
       (* recovery after the step: a generous request must be admitted again *)
       (match Daemon.Client.connect sock with
        | Error e -> failwith ("soak: cannot reconnect: " ^ e)
@@ -498,7 +443,7 @@ let soak_round seed =
          record warm_budget (send c warm_budget (List.hd soak_layers));
          Daemon.Client.close c);
       fired := Robust.Fault.fired_count ());
-  let fired = !fired in
+  let fired = !fired and load_fastpath = !load_fastpath in
   Daemon.Server.shutdown server;
   Thread.join server_thread;
   let s = Daemon.Server.stats server in
@@ -545,14 +490,15 @@ let soak_round seed =
   in
   Printf.printf
     "seed %d: %d responses (%d scheduled, %d rejected, %d failed), %d faults fired, \
-     p95 burst serve %.3fs, drain persisted %d\n"
+     p95 burst serve %.3fs, %d load-step fast-path hits, drain persisted %d\n"
     seed (List.length all) (List.length scheduled) rejected failed fired p95_burst
-    s.Daemon.Server.persisted;
+    load_fastpath s.Daemon.Server.persisted;
   soak_check (fired > 0) "faults actually fired during the soak";
   soak_check (!wrong = 0) "zero wrong-schedule serves (all responses re-certified)";
   soak_check (failed = 0) "no Failed responses under fault-injected overload";
   soak_check (!client_errors = 0) "no client-side protocol errors";
   soak_check (rejected > 0) "load step produced typed rejections (backpressure)";
+  soak_check (load_fastpath > 0) "load step served cache hits on the connection fast path";
   soak_check
     (s.Daemon.Server.rejected_queue_full + s.Daemon.Server.rejected_shedding
      + s.Daemon.Server.rejected_deadline > 0)
@@ -604,10 +550,10 @@ let soak_round seed =
      round start) rides into BENCH_results.json next to the checks *)
   Printf.sprintf
     "{\"seed\":%d,\"responses\":%d,\"scheduled\":%d,\"rejected\":%d,\"failed\":%d,\
-     \"faults_fired\":%d,\"p95_burst_s\":%s,\"persisted\":%d,\"wrong\":%d,\
-     \"restart_from_cache\":%d,\"telemetry\":%s}"
+     \"faults_fired\":%d,\"p95_burst_s\":%s,\"load_fastpath\":%d,\"persisted\":%d,\
+     \"wrong\":%d,\"restart_from_cache\":%d,\"telemetry\":%s}"
     seed (List.length all) (List.length scheduled) rejected failed fired
-    (json_float p95_burst) s.Daemon.Server.persisted !wrong !from_cache
+    (json_float p95_burst) load_fastpath s.Daemon.Server.persisted !wrong !from_cache
     (Telemetry.Export.metrics_json (Telemetry.Metrics.snapshot ()))
 
 let soak_benchmarks () =
@@ -1432,10 +1378,9 @@ let warm_sweep () =
 
 let () =
   let t0 = Unix.gettimeofday () in
-  (* one optional argument selects a single section: exp | serve | sweep | micro *)
+  (* one optional argument selects a single section *)
   (match if Array.length Sys.argv > 1 then Some Sys.argv.(1) else None with
    | Some "exp" -> run_experiments ()
-   | Some "serve" -> serve_benchmarks ()
    | Some "sweep" -> warm_sweep ()
    | Some "soak" -> soak_benchmarks ()
    | Some "soak-cluster" ->
@@ -1447,15 +1392,13 @@ let () =
    | Some "fuse" -> fuse_benchmarks ()
    | Some other ->
      Printf.eprintf
-       "unknown section %S (expected exp, serve, sweep, soak, soak-cluster, fuse, \
-        or micro)\n"
+       "unknown section %S (expected exp, sweep, soak, soak-cluster, fuse, or micro)\n"
        other;
      exit 2
    | None ->
      print_endline "CoSA reproduction: full experiment harness";
      print_endline "==========================================";
      run_experiments ();
-     serve_benchmarks ();
      soak_benchmarks ();
      soak_cluster_benchmarks ();
      warm_sweep ();

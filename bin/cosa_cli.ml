@@ -414,8 +414,7 @@ let serve_cmd =
       Daemon.Admission.default_config ~queue_capacity ~quota_rate ~quota_burst
         ~shed_delay_s:shed_delay ~time_limit ()
     in
-    (* The daemon always injects its cache, which keeps the inline cache
-       fast path on connection threads; shards = 1 is the one-partition
+    (* The daemon serves from this cache; shards = 1 is the one-partition
        cache with records flat in the directory. *)
     let cache =
       Serve.Schedule_cache.create ?dir:cache_dir ~tmp_sweep_age_s:tmp_sweep_age
@@ -436,14 +435,12 @@ let serve_cmd =
        | Some p -> [ ("peers", fun () -> Cluster.Peers.stats_json p) ])
     in
     let cfg =
-      Daemon.Server.config ~admission ?cache_dir ~cache_capacity:cache_size
-        ~default_budget_s:default_budget ?tcp
-        ~tier:cache
+      Daemon.Server.config ~admission ~default_budget_s:default_budget ?tcp
         ?remote_probe:(Option.map Cluster.Peers.probe peer_tier)
         ?housekeeping:(Option.map (fun p () -> Cluster.Peers.tick p) peer_tier)
         ~read_deadline_s:read_deadline ~idle_timeout_s:idle_timeout
-        ~tmp_sweep_age_s:tmp_sweep_age ~fault_crash_exit:fault_crash
-        ~flight_capacity:flight ~stats_extra ~socket_path:socket service
+        ~fault_crash_exit:fault_crash ~flight_capacity:flight ~stats_extra ~tier:cache
+        ~socket_path:socket service
     in
     let server = Daemon.Server.create cfg in
     (* SIGTERM/SIGINT request a graceful drain: finish in-flight work,

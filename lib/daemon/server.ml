@@ -14,16 +14,13 @@
      inside a network request still uses the domain pool, spawned from
      the solver thread.
 
-   The cache: an injected [Serve.Schedule_cache] (what `cosa_cli serve`
-   does) unlocks the cache fast path, where a connection thread answers a
-   pure cache probe inline, so hits no longer serialize through the
-   solver thread, which only ever sees misses. Without one the server
-   creates its own one-shard cache and every request, hit or miss, queues
-   for the solver thread: the soak's load step relies on cached requests
-   queueing to provoke typed rejections. An injected [remote_probe] is
-   handed to [Serve.Service.schedule_network ?remote] on the solver path;
-   the prober owns re-certification, so a peer can cost a counted miss but
-   never a wrong serve.
+   The cache: the caller injects the [Serve.Schedule_cache] and keeps it
+   (`cosa_cli serve` owns its directory, shards and capacity). Every
+   connection thread probes it inline, so hits never serialize through
+   the solver thread, which only ever sees misses. An injected
+   [remote_probe] is handed to [Serve.Service.schedule_network ?remote]
+   on the solver path; the prober owns re-certification, so a peer can
+   cost a counted miss but never a wrong serve.
 
    All shared state (queue, admission, stats, connection registry) lives
    under one mutex. Overload never goes silent: every path out of
@@ -74,12 +71,8 @@ type config = {
   tcp : (string * int) option;  (* extra TCP listener: (bind host, port) *)
   service : Serve.Service.config;  (* base arch/strategy/budgets/pool width *)
   admission : Admission.config;
-  cache_dir : string option;
-  cache_capacity : int;
   default_budget_s : float;  (* for requests that carry no budget *)
-  tier : Serve.Schedule_cache.t option;
-      (* injected cache; enables the conn-thread cache fast path. Absent:
-         the server owns a one-shard cache and every request queues. *)
+  tier : Serve.Schedule_cache.t;  (* injected cache, probed inline by conn threads *)
   remote_probe :
     (arch:Spec.t -> layer:Layer.t -> Serve.Fingerprint.t -> Serve.Schedule_cache.entry option)
       option;
@@ -97,7 +90,6 @@ type config = {
          force-shutdown still-busy connections so their threads fail out
          of blocked writes; <= 0 = wait indefinitely *)
   idle_timeout_s : float;  (* reap connections idle this long; <= 0 = never *)
-  tmp_sweep_age_s : float;  (* stale-temp-file sweep threshold for the own cache *)
   fault_crash_exit : bool;
       (* honor the net.peer_crash fault site with a process exit — only
          ever set by chaos harnesses, so an ordinary --fault-seed run
@@ -109,19 +101,15 @@ type config = {
          JSON and be safe to call from a connection thread *)
 }
 
-let config ?(admission = Admission.default_config ()) ?cache_dir
-    ?(cache_capacity = 256) ?(default_budget_s = 30.) ?tcp ?tier ?remote_probe
-    ?housekeeping ?(read_deadline_s = 30.) ?(write_deadline_s = 30.)
-    ?(drain_deadline_s = 30.) ?(idle_timeout_s = 300.)
-    ?(tmp_sweep_age_s = 0.) ?(fault_crash_exit = false)
-    ?(flight_capacity = 256) ?(stats_extra = []) ~socket_path service =
+let config ?(admission = Admission.default_config ()) ?(default_budget_s = 30.) ?tcp
+    ?remote_probe ?housekeeping ?(read_deadline_s = 30.) ?(write_deadline_s = 30.)
+    ?(drain_deadline_s = 30.) ?(idle_timeout_s = 300.) ?(fault_crash_exit = false)
+    ?(flight_capacity = 256) ?(stats_extra = []) ~tier ~socket_path service =
   {
     socket_path;
     tcp;
     service;
     admission;
-    cache_dir;
-    cache_capacity;
     default_budget_s;
     tier;
     remote_probe;
@@ -130,7 +118,6 @@ let config ?(admission = Admission.default_config ()) ?cache_dir
     write_deadline_s;
     drain_deadline_s;
     idle_timeout_s;
-    tmp_sweep_age_s;
     fault_crash_exit;
     flight_capacity = max 16 flight_capacity;
     stats_extra;
@@ -198,8 +185,6 @@ type flight_entry = {
 
 type t = {
   cfg : config;
-  cache : Serve.Schedule_cache.t;  (* injected, or the server's own *)
-  fast_ok : bool;  (* the cache was injected: conn threads probe it inline *)
   adm : Admission.t;
   lock : Mutex.t;
   qc : Condition.t;  (* wakes the solver: work queued or draining *)
@@ -216,18 +201,8 @@ type t = {
 }
 
 let create cfg =
-  let cache, fast_ok =
-    match cfg.tier with
-    | Some cache -> (cache, true)
-    | None ->
-      ( Serve.Schedule_cache.create ?dir:cfg.cache_dir
-          ~tmp_sweep_age_s:cfg.tmp_sweep_age_s ~capacity:cfg.cache_capacity (),
-        false )
-  in
   {
     cfg;
-    cache;
-    fast_ok;
     adm = Admission.create cfg.admission;
     lock = Mutex.create ();
     qc = Condition.create ();
@@ -258,7 +233,6 @@ let create cfg =
   }
 
 let stats t = Mutex.protect t.lock (fun () -> { t.stats with served = t.stats.served })
-let tier t = t.cache
 
 (* Async-signal-safe: one atomic store, no locks. *)
 let shutdown t = Atomic.set t.stop true
@@ -298,10 +272,10 @@ let resolve t (req : Protocol.request) =
 let admission_hit_rate t (service : Serve.Service.config) (net : Network.t) =
   match net.Network.entries with
   | [ { Network.layer; _ } ] ->
-    Serve.Schedule_cache.shard_hit_rate t.cache
-      (Serve.Schedule_cache.shard_index t.cache
+    Serve.Schedule_cache.shard_hit_rate t.cfg.tier
+      (Serve.Schedule_cache.shard_index t.cfg.tier
          (Serve.Service.request_fingerprint service layer))
-  | _ -> Serve.Schedule_cache.hit_rate t.cache
+  | _ -> Serve.Schedule_cache.hit_rate t.cfg.tier
 
 (* ---- solver thread ---------------------------------------------------- *)
 
@@ -321,6 +295,12 @@ let reject_stat t (reason : Protocol.reject_reason) =
      t.stats.rejected_deadline <- t.stats.rejected_deadline + 1;
      Telemetry.Metrics.incr m_rej_deadline);
   Protocol.Rejected reason
+
+(* Callers hold [t.lock]. *)
+let fail_stat t msg =
+  t.stats.failed <- t.stats.failed + 1;
+  Telemetry.Metrics.incr m_failed;
+  Protocol.Failed msg
 
 let layer_payload (service : Serve.Service.config)
     (lr : Serve.Service.layer_report) =
@@ -379,7 +359,7 @@ let serve_job t (job : job) =
      (monotonic backpressure), never upgrade. *)
   let reselected =
     Mutex.protect t.lock (fun () ->
-        let hit_rate = Serve.Schedule_cache.hit_rate t.cache in
+        let hit_rate = Serve.Schedule_cache.hit_rate t.cfg.tier in
         let budget = (Admission.config t.adm).Admission.safety *. remaining in
         match Robust.Ladder.select ~budget (Admission.estimates t.adm ~hit_rate) with
         | None -> None
@@ -401,7 +381,7 @@ let serve_job t (job : job) =
         time_limit = Float.min job.service.Serve.Service.time_limit remaining }
     in
     let report =
-      Serve.Service.schedule_network ~tier:t.cache ?remote:t.cfg.remote_probe ~rung
+      Serve.Service.schedule_network ~tier:t.cfg.tier ?remote:t.cfg.remote_probe ~rung
         service job.net
     in
     let dt = Robust.Deadline.now () -. start in
@@ -422,8 +402,6 @@ let serve_job t (job : job) =
             (* cache-only probe missed: certified answer or typed no *)
             reject_stat t Protocol.Deadline_unmeetable
           | _ ->
-            t.stats.failed <- t.stats.failed + 1;
-            Telemetry.Metrics.incr m_failed;
             let first_failure =
               List.find_map
                 (fun (lr : Serve.Service.layer_report) ->
@@ -432,7 +410,7 @@ let serve_job t (job : job) =
                   | Ok _ -> None)
                 report.Serve.Service.layers
             in
-            Protocol.Failed (Option.value first_failure ~default:"layer failure")
+            fail_stat t (Option.value first_failure ~default:"layer failure")
         else begin
           t.stats.served <- t.stats.served + 1;
           scheduled_of_report ~rung ~arrival:job.arrival ~queue_wait service report
@@ -462,9 +440,7 @@ let solver_loop t =
               serve_job t job)
         with e ->
           Mutex.protect t.lock (fun () ->
-              t.stats.failed <- t.stats.failed + 1;
-              Telemetry.Metrics.incr m_failed);
-          Protocol.Failed ("internal error: " ^ Printexc.to_string e)
+              fail_stat t ("internal error: " ^ Printexc.to_string e))
       in
       Mutex.protect t.lock (fun () -> t.running_until <- 0.);
       Telemetry.Metrics.observe h_e2e (Robust.Deadline.now () -. job.arrival);
@@ -479,40 +455,37 @@ let solver_loop t =
 (* ---- connection handling ---------------------------------------------- *)
 
 (* Cache fast path: a pure local cache probe on the calling (connection)
-   thread. Only taken when the cache was injected ([fast_ok]); never
-   consults peers (a [cache_only] request from a peer must not cascade)
-   and never solves. Probes book no miss ([count_miss:false]): a
-   fast-path miss on an ordinary request is re-probed by the solver path,
-   so booking it here too would count two (or, across the rung-key walk,
-   more) misses per request and deflate the hit rate admission prices
-   against. A missed [cache_only] peer probe books no miss at all — it is
-   answered with a typed rejection without reaching the solver path, and
-   peer traffic should not skew the window that prices *local* admission.
-   Fast-path hits always count. *)
+   thread. Never consults peers (a [cache_only] request from a peer must
+   not cascade) and never solves. Probes book no miss
+   ([count_miss:false]): a fast-path miss on an ordinary request is
+   re-probed by the solver path, so booking it here too would count two
+   (or, across the rung-key walk, more) misses per request and deflate
+   the hit rate admission prices against. A missed [cache_only] peer
+   probe books no miss at all — it is answered with a typed rejection
+   without reaching the solver path, and peer traffic should not skew
+   the window that prices *local* admission. Fast-path hits always
+   count. *)
 let try_fast_path t (service : Serve.Service.config) net ~arrival ~budget =
-  if not t.fast_ok then None
+  let scfg =
+    { service with Serve.Service.deadline = Robust.Deadline.at (arrival +. budget) }
+  in
+  let report =
+    Serve.Service.schedule_network ~tier:t.cfg.tier ~count_miss:false
+      ~rung:Robust.Ladder.Cache_probe scfg net
+  in
+  if report.Serve.Service.failed > 0 then None
   else begin
-    let scfg =
-      { service with Serve.Service.deadline = Robust.Deadline.at (arrival +. budget) }
-    in
-    let report =
-      Serve.Service.schedule_network ~tier:t.cache ~count_miss:false
-        ~rung:Robust.Ladder.Cache_probe scfg net
-    in
-    if report.Serve.Service.failed > 0 then None
-    else begin
-      let dt = Robust.Deadline.now () -. arrival in
-      Mutex.protect t.lock (fun () ->
-          t.stats.served <- t.stats.served + 1;
-          t.stats.fastpath_served <- t.stats.fastpath_served + 1;
-          Admission.observe t.adm Robust.Ladder.Cache_probe dt);
-      Telemetry.Metrics.incr m_fastpath;
-      Telemetry.Metrics.incr (rung_counter Robust.Ladder.Cache_probe);
-      Telemetry.Metrics.observe h_e2e dt;
-      Some
-        (scheduled_of_report ~rung:Robust.Ladder.Cache_probe ~arrival
-           ~queue_wait:0. scfg report)
-    end
+    let dt = Robust.Deadline.now () -. arrival in
+    Mutex.protect t.lock (fun () ->
+        t.stats.served <- t.stats.served + 1;
+        t.stats.fastpath_served <- t.stats.fastpath_served + 1;
+        Admission.observe t.adm Robust.Ladder.Cache_probe dt);
+    Telemetry.Metrics.incr m_fastpath;
+    Telemetry.Metrics.incr (rung_counter Robust.Ladder.Cache_probe);
+    Telemetry.Metrics.observe h_e2e dt;
+    Some
+      (scheduled_of_report ~rung:Robust.Ladder.Cache_probe ~arrival ~queue_wait:0.
+         scfg report)
   end
 
 (* Either answered inline (fast-path cache hit / rejection / resolution
@@ -525,7 +498,7 @@ let handle_request t (admitted_rung : string ref) (req : Protocol.request) =
       t.stats.received <- t.stats.received + 1;
       Telemetry.Metrics.incr m_received);
   match resolve t req with
-  | Error msg -> Protocol.Failed msg
+  | Error msg -> Mutex.protect t.lock (fun () -> fail_stat t msg)
   | Ok (service, net) ->
     let budget =
       if req.Protocol.budget_s > 0. && Float.is_finite req.Protocol.budget_s then
@@ -538,8 +511,8 @@ let handle_request t (admitted_rung : string ref) (req : Protocol.request) =
      | Some resp ->
        admitted_rung := Robust.Ladder.to_string Robust.Ladder.Cache_probe;
        resp
-     | None when req.Protocol.cache_only && t.fast_ok ->
-       (* peer probe missed the injected cache: typed miss, no queueing *)
+     | None when req.Protocol.cache_only ->
+       (* peer probe missed the cache: typed miss, no queueing *)
        Mutex.protect t.lock (fun () -> reject_stat t Protocol.Deadline_unmeetable)
      | None ->
        let admitted =
@@ -556,13 +529,7 @@ let handle_request t (admitted_rung : string ref) (req : Protocol.request) =
                    ~queue_delay_s:queue_delay ~hit_rate
                with
                | Error reason -> `Done (reject_stat t reason)
-               | Ok selected ->
-                 (* a cache-only request on the server's own cache still
-                    goes through the queue, but pinned to the probe rung *)
-                 let rung =
-                   if req.Protocol.cache_only then Robust.Ladder.Cache_probe
-                   else selected
-                 in
+               | Ok rung ->
                  admitted_rung := Robust.Ladder.to_string rung;
                  let est_cost =
                    List.fold_left
@@ -774,7 +741,7 @@ let stats_payload t scope =
       [ ("daemon.queue_depth", float_of_int queue_depth);
         ("daemon.connections", float_of_int conns);
         ("daemon.max_queue_depth", float_of_int st.max_queue_depth);
-        ("cache.hit_rate", Serve.Schedule_cache.hit_rate t.cache) ]
+        ("cache.hit_rate", Serve.Schedule_cache.hit_rate t.cfg.tier) ]
     in
     let merge live registry =
       List.sort compare
@@ -825,8 +792,8 @@ let stats_payload t scope =
     Buffer.add_char buf ']';
     Buffer.add_string buf
       (Printf.sprintf ",\"cache\":{\"hit_rate\":%.6f,%s}"
-         (Serve.Schedule_cache.hit_rate t.cache)
-         (Serve.Schedule_cache.counters_json (Serve.Schedule_cache.stats t.cache)));
+         (Serve.Schedule_cache.hit_rate t.cfg.tier)
+         (Serve.Schedule_cache.counters_json (Serve.Schedule_cache.stats t.cfg.tier)));
     List.iter
       (fun (name, thunk) ->
         let payload = try thunk () with _ -> "null" in
@@ -1042,7 +1009,7 @@ let run t =
   in
   drain ();
   Thread.join solver;
-  let written = Serve.Schedule_cache.persist t.cache in
+  let written = Serve.Schedule_cache.persist t.cfg.tier in
   Mutex.protect t.lock (fun () -> t.stats.persisted <- written);
   Telemetry.Log.info "daemon.drained"
     [ ("served", string_of_int t.stats.served);

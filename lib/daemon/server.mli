@@ -5,15 +5,11 @@
 
     Threading: systhreads on one OCaml domain — an accept loop (which also
     ticks injected housekeeping such as peer health probes), one thread
-    per connection, and a single solver thread. Injecting a
-    {!Serve.Schedule_cache} (as [cosa_cli serve] does) unlocks the cache
-    fast path, where connection threads answer pure cache hits inline and
-    only misses reach the solver thread. Without one the server creates
-    its own one-shard cache and every request, hit or miss, queues for the
-    solver thread; the soak's load step requests only cached layers and
-    relies on that queueing to provoke typed rejections, which is why this
-    mode stays. Parallelism inside a solve comes from {!Serve.Service}'s
-    domain pool, driven by the solver thread. *)
+    per connection, and a single solver thread. Connection threads probe
+    the injected {!Serve.Schedule_cache} inline and answer hits without
+    queueing; only misses reach the solver thread. Parallelism inside a
+    solve comes from {!Serve.Service}'s domain pool, driven by the solver
+    thread. *)
 
 type config = {
   socket_path : string;
@@ -24,12 +20,11 @@ type config = {
       (** base architecture/strategy/budgets; per-request deadlines and
           rung overrides are applied on top *)
   admission : Admission.config;
-  cache_dir : string option;  (** enables the persistent disk tier *)
-  cache_capacity : int;
   default_budget_s : float;  (** budget for requests that carry none *)
-  tier : Serve.Schedule_cache.t option;
-      (** injected cache, probed inline by connection threads; absent =
-          the server's own one-shard cache, hits queue like misses *)
+  tier : Serve.Schedule_cache.t;
+      (** the schedule cache, owned by the caller: probed inline by
+          connection threads, stored into by the solver thread, persisted
+          by the drain *)
   remote_probe :
     (arch:Spec.t ->
     layer:Layer.t ->
@@ -59,9 +54,6 @@ type config = {
           [<= 0] waits indefinitely. *)
   idle_timeout_s : float;
       (** reap connections idle (no frame) this long; [<= 0] disables *)
-  tmp_sweep_age_s : float;
-      (** stale temp-file sweep age threshold for the server-owned cache
-          ([0.] = sweep all, the historical behavior) *)
   fault_crash_exit : bool;
       (** honor the [net.peer_crash] fault site with a process exit(42)
           mid-response — chaos harnesses only *)
@@ -78,11 +70,8 @@ type config = {
 
 val config :
   ?admission:Admission.config ->
-  ?cache_dir:string ->
-  ?cache_capacity:int ->
   ?default_budget_s:float ->
   ?tcp:string * int ->
-  ?tier:Serve.Schedule_cache.t ->
   ?remote_probe:
     (arch:Spec.t ->
     layer:Layer.t ->
@@ -93,35 +82,35 @@ val config :
   ?write_deadline_s:float ->
   ?drain_deadline_s:float ->
   ?idle_timeout_s:float ->
-  ?tmp_sweep_age_s:float ->
   ?fault_crash_exit:bool ->
   ?flight_capacity:int ->
   ?stats_extra:(string * (unit -> string)) list ->
+  tier:Serve.Schedule_cache.t ->
   socket_path:string ->
   Serve.Service.config ->
   config
-(** Defaults: no TCP listener, no injected tier/peers/housekeeping,
+(** Defaults: no TCP listener, no peers/housekeeping,
     [read_deadline_s 30.], [write_deadline_s 30.], [drain_deadline_s 30.],
-    [idle_timeout_s 300.], [tmp_sweep_age_s 0.],
-    [fault_crash_exit false], [flight_capacity 256], no extra stats
-    sections. *)
+    [idle_timeout_s 300.], [fault_crash_exit false], [flight_capacity 256],
+    no extra stats sections. *)
 
 type stats = {
   mutable received : int;
   mutable admitted : int;
   mutable served : int;
   mutable failed : int;
+      (** [Failed] answers: an unknown layer, network or arch, a layer
+          the service could not serve, or an internal error *)
   mutable rejected_queue_full : int;
   mutable rejected_quota : int;
   mutable rejected_shedding : int;
   mutable rejected_deadline : int;
       (** unmeetable at admission, plus admitted requests whose budget
-          the queue wait consumed (re-checked at dequeue), plus
-          cache-only probes that missed *)
+          the queue wait consumed (re-checked at dequeue) or whose
+          probe-rung serve missed, plus cache-only probes that missed *)
   mutable max_queue_depth : int;
   mutable fastpath_served : int;
-      (** cache hits answered inline on connection threads (requires an
-          injected cache) *)
+      (** cache hits answered inline on connection threads *)
   mutable reaped : int;  (** idle connections closed by the reaper *)
   mutable persisted : int;  (** cache records written by the drain *)
 }
@@ -150,10 +139,6 @@ val wait_ready : t -> unit
 
 val stats : t -> stats
 (** A consistent snapshot. *)
-
-val tier : t -> Serve.Schedule_cache.t
-(** The server's cache (injected or its own) — exposed for drain/restart
-    tests. *)
 
 val process_request : t -> Protocol.request -> Protocol.response
 (** The full admission + serve path, bypassing the socket — what a

@@ -431,6 +431,7 @@ let test_corrupt_peer_degrades_to_live_solve () =
           (Daemon.Server.config ~admission ~default_budget_s:10.
              ~remote_probe:(fun ~arch ~layer fp ->
                Cluster.Peers.probe peers ~arch ~layer fp)
+             ~tier:(Serve.Schedule_cache.create ~capacity:256 ())
              ~socket_path:sock service)
       in
       let thread = Daemon.Server.start server in
@@ -498,6 +499,7 @@ let test_request_id_propagation () =
           (Daemon.Server.config ~admission ~default_budget_s:10.
              ~remote_probe:(fun ~arch ~layer fp ->
                Cluster.Peers.probe peers ~arch ~layer fp)
+             ~tier:(Serve.Schedule_cache.create ~capacity:256 ())
              ~socket_path:sock service)
       in
       let thread = Daemon.Server.start server in

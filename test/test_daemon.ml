@@ -305,7 +305,7 @@ let qcheck_ladder_select =
 
 (* ---- live daemon: socket e2e, typed rejection, graceful drain --------- *)
 
-let with_temp_daemon ?(cache_dir = None) f =
+let with_temp_daemon ?(tier = Serve.Schedule_cache.create ~capacity:256 ()) f =
   let sock =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "cosa_test_%d_%d.sock" (Unix.getpid ()) (Random.bits ()))
@@ -317,7 +317,7 @@ let with_temp_daemon ?(cache_dir = None) f =
   let admission = A.default_config ~queue_capacity:4 ~time_limit:0.6 () in
   let server =
     Daemon.Server.create
-      (Daemon.Server.config ~admission ?cache_dir ~default_budget_s:10.
+      (Daemon.Server.config ~admission ~default_budget_s:10. ~tier
          ~socket_path:sock service)
   in
   let thread = Daemon.Server.start server in
@@ -328,10 +328,11 @@ let with_temp_daemon ?(cache_dir = None) f =
       Thread.join thread)
     (fun () -> f server sock)
 
-let request ?(budget = 10.) ?(arch = "baseline") ?(req_id = 0L) sock name =
+let request ?(budget = 10.) ?(arch = "baseline") ?(req_id = 0L) ?(cache_only = false)
+    sock name =
   Daemon.Client.one_shot sock
-    { P.client = ""; budget_s = budget; arch; target = P.Layer name;
-      cache_only = false; req_id; hop = 0 }
+    { P.client = ""; budget_s = budget; arch; target = P.Layer name; cache_only;
+      req_id; hop = 0 }
 
 let test_daemon_e2e () =
   with_temp_daemon (fun server sock ->
@@ -373,7 +374,43 @@ let test_daemon_e2e () =
       let s = Daemon.Server.stats server in
       check_int "received" 5 s.Daemon.Server.received;
       check_int "served" 2 s.Daemon.Server.served;
-      check_int "rejected deadline" 1 s.Daemon.Server.rejected_deadline)
+      check_int "rejected deadline" 1 s.Daemon.Server.rejected_deadline;
+      check_int "failed" 2 s.Daemon.Server.failed;
+      check_int "every request answered once" s.Daemon.Server.received
+        (s.Daemon.Server.served + s.Daemon.Server.failed
+        + s.Daemon.Server.rejected_queue_full + s.Daemon.Server.rejected_quota
+        + s.Daemon.Server.rejected_shedding + s.Daemon.Server.rejected_deadline))
+
+(* A [cache_only] request never enters admission: a hit is answered
+   inline on the connection thread, a miss is a typed rejection that
+   books no cache miss. *)
+let test_cache_only () =
+  let tier = Serve.Schedule_cache.create ~capacity:256 () in
+  with_temp_daemon ~tier (fun server sock ->
+      (match request sock "3_56_64_64_1" with
+       | Ok (P.Scheduled _) -> ()
+       | _ -> Alcotest.fail "seed solve failed");
+      let before = Daemon.Server.stats server in
+      let misses () = (Serve.Schedule_cache.stats tier).Serve.Schedule_cache.misses in
+      let misses_before = misses () in
+      (match request ~cache_only:true sock "3_56_64_64_1" with
+       | Ok (P.Scheduled { P.layers = [ l ]; _ }) ->
+         check_string "hit origin" "cache(mem)" l.P.origin
+       | _ -> Alcotest.fail "expected a cache-only hit");
+      let hit = Daemon.Server.stats server in
+      check_int "hit served on the fast path" (before.Daemon.Server.fastpath_served + 1)
+        hit.Daemon.Server.fastpath_served;
+      check_int "hit not admitted" before.Daemon.Server.admitted
+        hit.Daemon.Server.admitted;
+      (match request ~cache_only:true sock "1_56_64_256_1" with
+       | Ok (P.Rejected P.Deadline_unmeetable) -> ()
+       | _ -> Alcotest.fail "expected Deadline_unmeetable for a cache-only miss");
+      let miss = Daemon.Server.stats server in
+      check_int "miss not admitted" before.Daemon.Server.admitted
+        miss.Daemon.Server.admitted;
+      check_int "miss rejected" (before.Daemon.Server.rejected_deadline + 1)
+        miss.Daemon.Server.rejected_deadline;
+      check_int "miss books no cache miss" misses_before (misses ()))
 
 (* A served record's [@source] names the ladder rung that solved the
    schedule, on a hit as on the solve; the wire origin names the tier. *)
@@ -470,7 +507,9 @@ let with_tcp_daemon f =
   let server =
     Daemon.Server.create
       (Daemon.Server.config ~admission ~default_budget_s:10.
-         ~tcp:("127.0.0.1", port) ~socket_path:sock service)
+         ~tcp:("127.0.0.1", port)
+         ~tier:(Serve.Schedule_cache.create ~capacity:256 ())
+         ~socket_path:sock service)
   in
   let thread = Daemon.Server.start server in
   Daemon.Server.wait_ready server;
@@ -526,7 +565,8 @@ let test_daemon_drain_and_restart () =
       Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
       Unix.rmdir dir)
     (fun () ->
-      with_temp_daemon ~cache_dir:(Some dir) (fun _ sock ->
+      with_temp_daemon ~tier:(Serve.Schedule_cache.create ~dir ~capacity:256 ())
+        (fun _ sock ->
           match request sock "3_56_64_64_1" with
           | Ok (P.Scheduled _) -> ()
           | _ -> Alcotest.fail "seed solve failed");
@@ -536,7 +576,8 @@ let test_daemon_drain_and_restart () =
         (Array.for_all
            (fun n -> Filename.check_suffix n ".cosa")
            (Sys.readdir dir));
-      with_temp_daemon ~cache_dir:(Some dir) (fun server sock ->
+      with_temp_daemon ~tier:(Serve.Schedule_cache.create ~dir ~capacity:256 ())
+        (fun server sock ->
           (match request sock "3_56_64_64_1" with
            | Ok (P.Scheduled s) ->
              (match s.P.layers with
@@ -553,7 +594,8 @@ let test_daemon_drain_and_restart () =
    strictly read-only: request/admission counters and cache hit/miss
    accounting must be byte-for-byte what they were before the query. *)
 let test_stats_frame () =
-  with_temp_daemon (fun server sock ->
+  let tier = Serve.Schedule_cache.create ~capacity:256 () in
+  with_temp_daemon ~tier (fun server sock ->
       let id = 0xfeed_face_1234_5678L in
       (match request ~req_id:id sock "3_56_64_64_1" with
        | Ok (P.Scheduled _) -> ()
@@ -564,7 +606,7 @@ let test_stats_frame () =
       let counters () =
         let s = Daemon.Server.stats server in
         let c =
-          let cs = Serve.Schedule_cache.stats (Daemon.Server.tier server) in
+          let cs = Serve.Schedule_cache.stats tier in
           (cs.Serve.Schedule_cache.hits, cs.Serve.Schedule_cache.misses)
         in
         (s.Daemon.Server.received, s.Daemon.Server.served, c)
@@ -627,6 +669,7 @@ let suite =
       qc qcheck_admission_monotone;
       qc qcheck_ladder_select;
       Alcotest.test_case "daemon e2e" `Slow test_daemon_e2e;
+      Alcotest.test_case "daemon cache-only hit and miss" `Slow test_cache_only;
       Alcotest.test_case "daemon survives garbage" `Slow test_daemon_survives_garbage;
       Alcotest.test_case "daemon rejects version mismatch" `Slow
         test_daemon_rejects_version_mismatch;
