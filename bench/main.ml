@@ -1,16 +1,16 @@
 (* Full benchmark harness: regenerates every table and figure of the
    paper's evaluation (Section V) plus the DESIGN.md ablations, then runs
-   Bechamel micro-benchmarks of the core computational kernels (one
-   Test.make per reproduced artefact family).
+   the daemon soaks, the warm-vs-cold sweep and the fusion gate.
 
    Run with: dune exec bench/main.exe
+   One section: dune exec bench/main.exe -- exp|sweep|soak|soak-cluster|fuse
    A single experiment: dune exec bin/cosa_cli.exe -- exp fig6
 
    Besides the human-readable report on stdout, the harness accumulates a
    machine-readable summary — per-experiment wall time plus a telemetry
-   snapshot (branch-and-bound nodes, simplex iterations, cache hit rates,
-   micro-kernel ns/run) — and writes it to BENCH_results.json so CI and
-   regression tooling can diff runs without parsing tables. *)
+   snapshot (branch-and-bound nodes, simplex iterations, cache hit rates)
+   — and writes it to BENCH_results.json so CI and regression tooling can
+   diff runs without parsing tables. *)
 
 (* ---- machine-readable results ---------------------------------------- *)
 
@@ -71,8 +71,6 @@ let sweep_result : string option ref = ref None
 let soak_result : string option ref = ref None
 let soak_cluster_result : string option ref = ref None
 let fuse_result : string option ref = ref None
-let micro_ran = ref false
-let micro_results : string list ref = ref []
 
 (* Split the top level of an existing results file into (key, raw value)
    pairs so a partial bench run can merge into it instead of overwriting:
@@ -143,7 +141,7 @@ let split_top_level text =
   List.rev !sections
 
 let section_order =
-  [ "experiments"; "warm_sweep"; "soak"; "soak_cluster"; "fuse"; "micro" ]
+  [ "experiments"; "warm_sweep"; "soak"; "soak_cluster"; "fuse" ]
 
 let write_results path =
   let fresh =
@@ -155,9 +153,6 @@ let write_results path =
     @ (match !soak_result with Some s -> [ ("soak", s) ] | None -> [])
     @ (match !soak_cluster_result with Some s -> [ ("soak_cluster", s) ] | None -> [])
     @ (match !fuse_result with Some s -> [ ("fuse", s) ] | None -> [])
-    @ (if !micro_ran then
-         [ ("micro", Printf.sprintf "[%s]" (String.concat "," (List.rev !micro_results))) ]
-       else [])
   in
   (* sections the current run did not produce survive from the existing file *)
   let kept =
@@ -204,110 +199,6 @@ let run_experiments () =
     Registry.all;
   Telemetry.Metrics.reset ();
   Telemetry.Sink.set Telemetry.Sink.Null
-
-(* Bechamel micro-benchmarks: the kernels whose cost dominates each
-   artefact family. *)
-let micro_benchmarks () =
-  micro_ran := true;
-  let open Bechamel in
-  (* the micro numbers are the <2%-overhead acceptance baseline, so they
-     must measure the disabled-telemetry fast path *)
-  Telemetry.Sink.set Telemetry.Sink.Null;
-  let arch = Spec.baseline in
-  let layer = Zoo.find "3_14_256_256_1" in
-  let mapping = (Cosa.schedule arch layer).Cosa.mapping in
-  let formulation = Cosa_formulation.build arch layer in
-  let relaxed = Milp.Bb.relax formulation.Cosa_formulation.lp in
-  let rng = Prim.Rng.create 99 in
-  (* eta-engine kernel fixtures at the representative row count of the CoSA
-     relaxation: a logical basis with the structural columns alongside, one
-     FTRAN column (the densest structural one) and one sparse cost vector *)
-  let lu_m = relaxed.Milp.Simplex.nrows in
-  let lu_ncols = relaxed.Milp.Simplex.ncols in
-  let lu_cols = Array.make (lu_ncols + lu_m) ([||], [||]) in
-  Array.blit relaxed.Milp.Simplex.cols 0 lu_cols 0 lu_ncols;
-  for i = 0 to lu_m - 1 do
-    lu_cols.(lu_ncols + i) <- ([| i |], [| 1. |])
-  done;
-  let lu = Milp.Lu.create lu_m in
-  Milp.Lu.refactor lu
-    ~scratch:(Array.make_matrix lu_m lu_m 0.)
-    ~cols:lu_cols
-    ~basis:(Array.init lu_m (fun i -> lu_ncols + i))
-    ~pivot_tol:1e-9;
-  let lu_col =
-    let best = ref 0 in
-    for j = 1 to lu_ncols - 1 do
-      if Array.length (fst lu_cols.(j)) > Array.length (fst lu_cols.(!best)) then
-        best := j
-    done;
-    lu_cols.(!best)
-  in
-  let lu_alpha = Array.make lu_m 0. in
-  let lu_cost = Array.init lu_m (fun i -> if i mod 3 = 0 then 1. else 0.) in
-  let lu_y = Array.make lu_m 0. in
-  let tests =
-    [
-      (* figs 1/3/4, 6-9: every data point is one analytical-model call *)
-      Test.make ~name:"model_evaluate(fig1,3,4,6-9)"
-        (Staged.stage (fun () -> ignore (Model.evaluate arch mapping)));
-      (* tab6 + all CoSA rows: LP relaxation solve inside branch-and-bound *)
-      Test.make ~name:"simplex_solve(tab6,cosa)"
-        (Staged.stage (fun () -> ignore (Milp.Simplex.solve relaxed)));
-      (* per-pivot kernels of the incremental LU engine: sparse FTRAN of
-         the densest structural column, BTRAN of a sparse cost vector *)
-      Test.make ~name:(Printf.sprintf "lu_ftran(m=%d)" lu_m)
-        (Staged.stage (fun () -> Milp.Lu.ftran lu lu_col lu_alpha));
-      Test.make ~name:(Printf.sprintf "lu_btran(m=%d)" lu_m)
-        (Staged.stage (fun () -> Milp.Lu.btran lu lu_cost lu_y));
-      (* fig1: one valid-schedule sample *)
-      Test.make ~name:"sampler_valid(fig1)"
-        (Staged.stage (fun () -> ignore (Sampler.valid rng arch layer)));
-      (* fig10: one NoC-simulator cycle on a loaded mesh *)
-      Test.make ~name:"mesh_cycle(fig10)"
-        (Staged.stage
-           (let mesh = Mesh.create arch.Spec.noc in
-            let pkt =
-              Packet.make ~id:0 ~src:(-1) ~dests:[ 0; 5; 10; 15 ] ~flits:8
-                ~tensor:Dims.W ~step:0
-            in
-            fun () ->
-              if Mesh.idle mesh then Mesh.inject mesh Mesh.Gb pkt;
-              Mesh.step mesh));
-      (* fig11: one CoSA-GPU one-shot schedule *)
-      Test.make ~name:"gpu_cosa_schedule(fig11)"
-        (Staged.stage (fun () ->
-             ignore (Gpu.cosa_schedule Gpu.k80 (Gpu.gemm_of_layer layer))));
-    ]
-  in
-  print_newline ();
-  print_endline "Micro-benchmarks (Bechamel, monotonic clock)";
-  print_endline "============================================";
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all
-          (Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:None ())
-          [ instance ] test
-      in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name est ->
-          match Analyze.OLS.estimates est with
-          | Some [ ns ] ->
-            Printf.printf "  %-32s %12.1f ns/run\n" name ns;
-            micro_results :=
-              Printf.sprintf "{\"name\":\"%s\",\"ns_per_run\":%s}" (json_escape name)
-                (json_float ns)
-              :: !micro_results
-          | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
-        analyzed)
-    tests;
-  flush stdout
 
 (* Fault-injected soak of the scheduling daemon: mixed interactive traffic
    against an in-process server with the deterministic fault harness armed
@@ -1299,11 +1190,12 @@ let fuse_benchmarks () =
 
 (* Warm-start sweep: the warm-started-dual-simplex acceptance gate. Every
    distinct ResNet-50 shape is scheduled node-bound (deterministic) twice —
-   --warm-start on and off — under identical budgets. Warm starting must
-   only change how fast each node LP solves, never the search itself, so
-   the gate demands byte-identical schedules, objectives, and node counts,
-   then reports the iteration economics (phase1+phase2+dual totals) and
-   the fraction of non-root node LPs served by dual reoptimization. *)
+   [Cosa.schedule ~warm_start] true and false — under identical budgets.
+   Warm starting must only change how fast each node LP solves, never the
+   search itself, so the gate demands byte-identical schedules,
+   objectives, and node counts, then reports the iteration economics
+   (phase1+phase2+dual totals) and the fraction of non-root node LPs
+   served by dual reoptimization. *)
 let warm_sweep () =
   print_newline ();
   print_endline "Warm-start sweep: node-bound ResNet-50, warm vs cold node LPs";
@@ -1388,11 +1280,10 @@ let () =
        if Array.length Sys.argv > 2 then Some (int_of_string Sys.argv.(2)) else None
      in
      soak_cluster_benchmarks ?only_seed ()
-   | Some "micro" -> micro_benchmarks ()
    | Some "fuse" -> fuse_benchmarks ()
    | Some other ->
      Printf.eprintf
-       "unknown section %S (expected exp, sweep, soak, soak-cluster, fuse, or micro)\n"
+       "unknown section %S (expected exp, sweep, soak, soak-cluster, or fuse)\n"
        other;
      exit 2
    | None ->
@@ -1402,7 +1293,6 @@ let () =
      soak_benchmarks ();
      soak_cluster_benchmarks ();
      warm_sweep ();
-     fuse_benchmarks ();
-     micro_benchmarks ());
+     fuse_benchmarks ());
   Printf.printf "\nTotal harness time: %.1f s\n" (Unix.gettimeofday () -. t0);
   write_results "BENCH_results.json"

@@ -49,15 +49,6 @@ let fault_rate_arg =
   Arg.(value & opt float 0.02 & info [ "fault-rate" ] ~docv:"RATE"
          ~doc:"Per-site-visit fault probability when --fault-seed is given.")
 
-let warm_start_arg =
-  let on_off = Arg.enum [ ("on", true); ("off", false) ] in
-  Arg.(value & opt on_off true & info [ "warm-start" ] ~docv:"on|off"
-         ~doc:"LP warm starting inside branch-and-bound: child nodes reoptimize \
-               from the parent's simplex basis via dual simplex ($(b,on), \
-               default) instead of solving cold. Changes how fast nodes solve, \
-               never which schedule wins; $(b,off) exists for benchmarking and \
-               bisection.")
-
 let certify_arg =
   let certify_conv =
     Arg.enum [ ("off", Cosa.Off); ("warn", Cosa.Warn); ("strict", Cosa.Strict) ]
@@ -180,14 +171,13 @@ let schedule_cmd =
            ~doc:"Also write the schedule to $(docv) (cosa_cli evaluate reads it back).")
   in
   let run arch_name layer_name strategy save node_limit time_limit fault_seed fault_rate
-      certify warm_start trace metrics profile trace_ring =
+      certify trace metrics profile trace_ring =
     let arch = arch_of_name arch_name in
     let layer = find_layer layer_name in
     let r =
       with_telemetry ?ring:trace_ring trace metrics profile (fun () ->
           with_faults fault_seed fault_rate (fun () ->
-              Cosa.schedule ~strategy ~node_limit ~time_limit ~certify ~warm_start arch
-                layer))
+              Cosa.schedule ~strategy ~node_limit ~time_limit ~certify arch layer))
     in
     (match save with
      | Some path ->
@@ -222,8 +212,7 @@ let schedule_cmd =
   Cmd.v (Cmd.info "schedule" ~doc:"Produce a CoSA schedule for a layer and report it.")
     Term.(const run $ arch_arg $ layer_arg $ strategy_arg $ save_arg $ node_limit_arg
           $ time_limit_arg $ fault_seed_arg $ fault_rate_arg $ certify_arg
-          $ warm_start_arg $ trace_arg $ metrics_arg
-          $ profile_arg $ trace_ring_arg)
+          $ trace_arg $ metrics_arg $ profile_arg $ trace_ring_arg)
 
 (* cosa_cli batch --network resnet50 --jobs 4 --cache-dir PATH *)
 let batch_cmd =
@@ -267,7 +256,7 @@ let batch_cmd =
            ~doc:"Maximum members per fusion group (at least 2).")
   in
   let run arch_name network_name jobs cache_dir cache_size node_limit strategy time_limit
-      certify warm_start fuse fuse_max_group trace metrics profile trace_ring =
+      certify fuse fuse_max_group trace metrics profile trace_ring =
     let arch = arch_of_name arch_name in
     let net =
       match Network.find network_name with
@@ -279,8 +268,7 @@ let batch_cmd =
     in
     let tier = Serve.Schedule_cache.create ?dir:cache_dir ~capacity:cache_size () in
     let cfg =
-      Serve.Service.config ~strategy ~certify ~node_limit ~time_limit ~jobs ~warm_start
-        arch
+      Serve.Service.config ~strategy ~certify ~node_limit ~time_limit ~jobs arch
     in
     let report =
       with_telemetry ?ring:trace_ring trace metrics profile (fun () ->
@@ -295,7 +283,7 @@ let batch_cmd =
              schedule cache, solve misses on a domain pool; optionally fuse \
              producer-consumer chains to cut off-chip traffic.")
     Term.(const run $ arch_arg $ network_arg $ jobs_arg $ cache_dir_arg $ cache_size_arg
-          $ node_limit_arg $ strategy_arg $ time_limit_arg $ certify_arg $ warm_start_arg
+          $ node_limit_arg $ strategy_arg $ time_limit_arg $ certify_arg
           $ fuse_arg $ fuse_max_group_arg $ trace_arg $ metrics_arg $ profile_arg
           $ trace_ring_arg)
 
@@ -391,7 +379,7 @@ let serve_cmd =
   let run arch_name socket jobs cache_dir cache_size queue_capacity quota_rate
       quota_burst shed_delay default_budget tcp peers shards tmp_sweep_age
       read_deadline idle_timeout fault_seed fault_rate fault_sites fault_crash flight
-      node_limit strategy time_limit certify warm_start trace metrics profile
+      node_limit strategy time_limit certify trace metrics profile
       trace_ring log_file log_level =
     arm_event_log log_file log_level;
     (match trace_ring with Some n -> Telemetry.Trace.set_capacity n | None -> ());
@@ -407,8 +395,7 @@ let serve_cmd =
         tcp
     in
     let service =
-      Serve.Service.config ~strategy ~certify ~node_limit ~time_limit ~jobs ~warm_start
-        arch
+      Serve.Service.config ~strategy ~certify ~node_limit ~time_limit ~jobs arch
     in
     let admission =
       Daemon.Admission.default_config ~queue_capacity ~quota_rate ~quota_burst
@@ -502,7 +489,7 @@ let serve_cmd =
           $ tcp_arg $ peer_arg $ shards_arg $ tmp_sweep_age_arg $ read_deadline_arg
           $ idle_timeout_arg $ fault_seed_arg $ fault_rate_arg $ fault_sites_arg
           $ fault_crash_arg $ flight_arg
-          $ node_limit_arg $ strategy_arg $ time_limit_arg $ certify_arg $ warm_start_arg
+          $ node_limit_arg $ strategy_arg $ time_limit_arg $ certify_arg
           $ trace_arg $ metrics_arg $ profile_arg
           $ trace_ring_arg $ log_arg $ log_level_arg)
 
@@ -555,22 +542,7 @@ let request_cmd =
     (* Mint the request id client-side (hop 0 = origin) so the operator can
        grep this id in the daemon's flight recorder, event log, and trace —
        the same id the daemon propagates to any warm-peer probe. *)
-    let req_id =
-      let mix z =
-        let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-            0xbf58476d1ce4e5b9L in
-        let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-            0x94d049bb133111ebL in
-        Int64.logxor z (Int64.shift_right_logical z 31)
-      in
-      let seed =
-        Int64.logxor
-          (Int64.of_float (Unix.gettimeofday () *. 1e6))
-          (Int64.shift_left (Int64.of_int (Unix.getpid ())) 40)
-      in
-      let id = mix seed in
-      if id = 0L then 1L else id
-    in
+    let req_id = Daemon.Server.mint_req_id () in
     let req =
       {
         Daemon.Protocol.client;

@@ -58,7 +58,6 @@ type result = {
   solve_time : float;
   nodes : int;
   repaired : bool;
-  used_joint : bool;
   source : source;
   certification : certification;
       (* exact-arithmetic verdict on the returned mapping (and, for MIP
@@ -110,9 +109,12 @@ let trivial_mapping arch layer =
   in
   Mapping.make layer levels
 
+(* Seed-perturbed sampler retries on the heuristic rung, after the first
+   attempt. *)
+let heuristic_retries = 3
+
 let schedule_impl ?weights ?(strategy = Auto) ?(node_limit = 50_000) ?(time_limit = 4.)
-    ?(deadline = Robust.Deadline.none) ?(heuristic_retries = 3) ?(certify = Warn)
-    ?(warm_start = true) arch layer =
+    ?(deadline = Robust.Deadline.none) ?(certify = Warn) ?(warm_start = true) arch layer =
   (* [warm_start] here toggles LP warm starting (parent-basis dual simplex)
      inside B&B; the MIP-start incumbent below reuses the name locally. *)
   let warm_lp_enabled = warm_start in
@@ -142,7 +144,6 @@ let schedule_impl ?weights ?(strategy = Auto) ?(node_limit = 50_000) ?(time_limi
       solve_time = solve_time ();
       nodes = !total_nodes;
       repaired;
-      used_joint = (source = Milp_joint);
       source;
       certification;
       fallback_chain;
@@ -370,13 +371,13 @@ let schedule_impl ?weights ?(strategy = Auto) ?(node_limit = 50_000) ?(time_limi
 
 (* Public entry point: one "cosa.schedule" span per call, annotated with
    the layer, the serving rung, and the certification verdict. *)
-let schedule ?weights ?strategy ?node_limit ?time_limit ?deadline ?heuristic_retries
-    ?certify ?warm_start arch layer =
+let schedule ?weights ?strategy ?node_limit ?time_limit ?deadline ?certify ?warm_start
+    arch layer =
   Telemetry.Metrics.incr m_schedules;
   let sp = Telemetry.Trace.begin_span ~cat:"cosa" "cosa.schedule" in
   let r =
-    schedule_impl ?weights ?strategy ?node_limit ?time_limit ?deadline
-      ?heuristic_retries ?certify ?warm_start arch layer
+    schedule_impl ?weights ?strategy ?node_limit ?time_limit ?deadline ?certify ?warm_start
+      arch layer
   in
   Telemetry.Trace.end_span
     ~args:

@@ -58,6 +58,10 @@ type certification =
 
 val certification_to_string : certification -> string
 
+val verdict_token : certification -> string
+(** The one-word verdict of traces and reports: [ok], [failed] or
+    [skipped]. *)
+
 type result = {
   mapping : Mapping.t;
   objective : objective_breakdown;
@@ -65,7 +69,6 @@ type result = {
   solve_time : float;  (** seconds, formulation + solve + decode *)
   nodes : int;
   repaired : bool;  (** decode needed the capacity repair pass *)
-  used_joint : bool;  (** the returned mapping came from the joint MIP *)
   source : source;  (** the degradation-ladder rung that produced [mapping] *)
   certification : certification;
       (** exact-arithmetic verdict on the returned schedule: the solver's
@@ -82,7 +85,6 @@ val schedule :
   ?node_limit:int ->
   ?time_limit:float ->
   ?deadline:Robust.Deadline.t ->
-  ?heuristic_retries:int ->
   ?certify:certify_mode ->
   ?warm_start:bool ->
   Spec.t ->
@@ -99,12 +101,12 @@ val schedule :
     budget is the tighter of [time_limit] (relative, default 4 s, covering
     the whole call) and [deadline] (absolute); it is enforced down to the
     simplex pivot loop, so even a single LP solve cannot blow the budget.
-    [heuristic_retries] (default 3) bounds the seed-perturbed sampler
-    retries on the heuristic rung. [warm_start] (default [true]) toggles
-    LP warm starting inside branch-and-bound: child nodes reoptimize from
-    the parent's simplex basis with dual simplex instead of solving cold.
-    It only changes how fast nodes solve, never which schedule wins — the
-    escape hatch exists for benchmarking and bisection.
+    The heuristic rung makes up to four seed-perturbed sampler attempts.
+    [warm_start] (default [true]) toggles LP warm starting inside
+    branch-and-bound: child nodes reoptimize from the parent's simplex
+    basis with dual simplex instead of solving cold. It only changes how
+    fast nodes solve, never which schedule wins: the warm-vs-cold sweep
+    reaches its cold reference through it.
 
     Every rung's candidate additionally passes through the exact-arithmetic
     certification layer ({!Certify}) according to [certify] (default

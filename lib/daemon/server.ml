@@ -39,19 +39,9 @@
    the accept loop notices within one select tick and does the actual
    teardown from normal thread context. *)
 
-(* Telemetry: the daemon's observable surface. Counters for admission
-   verdicts and the rung distribution, a gauge for queue depth, and
-   end-to-end latency histograms. Zero-cost while the sink is off. *)
-let m_received = Telemetry.Metrics.counter "daemon.received"
-let m_admitted = Telemetry.Metrics.counter "daemon.admitted"
-let m_rej_queue = Telemetry.Metrics.counter "daemon.rejected.queue_full"
-let m_rej_quota = Telemetry.Metrics.counter "daemon.rejected.quota"
-let m_rej_shed = Telemetry.Metrics.counter "daemon.rejected.shedding"
-let m_rej_deadline = Telemetry.Metrics.counter "daemon.rejected.deadline"
-let m_failed = Telemetry.Metrics.counter "daemon.failed"
-let m_fastpath = Telemetry.Metrics.counter "daemon.fastpath_served"
-let m_reaped = Telemetry.Metrics.counter "daemon.conns_reaped"
-let g_queue_depth = Telemetry.Metrics.gauge "daemon.queue_depth"
+(* Telemetry: what the always-on [stats] record does not count — the rung
+   distribution and end-to-end latency histograms. Zero-cost while the
+   sink is off. Request outcomes are counted once, in [stats]. *)
 
 let h_e2e =
   Telemetry.Metrics.histogram ~buckets:Telemetry.Metrics.duration_buckets "daemon.e2e_s"
@@ -80,15 +70,6 @@ type config = {
          prober must re-certify before returning an entry *)
   housekeeping : (unit -> unit) option;  (* ticked by the accept loop *)
   read_deadline_s : float;  (* per-connection receive deadline; <= 0 = none *)
-  write_deadline_s : float;
-      (* per-connection send deadline (SO_SNDTIMEO); <= 0 = none. A client
-         that stops reading blocks its connection thread in the response
-         write with [busy] set; without a bound the drain loop would wait
-         on it forever. A timed-out write is a dead connection. *)
-  drain_deadline_s : float;
-      (* graceful-drain backstop: after this long without quiescing,
-         force-shutdown still-busy connections so their threads fail out
-         of blocked writes; <= 0 = wait indefinitely *)
   idle_timeout_s : float;  (* reap connections idle this long; <= 0 = never *)
   fault_crash_exit : bool;
       (* honor the net.peer_crash fault site with a process exit — only
@@ -102,9 +83,9 @@ type config = {
 }
 
 let config ?(admission = Admission.default_config ()) ?(default_budget_s = 30.) ?tcp
-    ?remote_probe ?housekeeping ?(read_deadline_s = 30.) ?(write_deadline_s = 30.)
-    ?(drain_deadline_s = 30.) ?(idle_timeout_s = 300.) ?(fault_crash_exit = false)
-    ?(flight_capacity = 256) ?(stats_extra = []) ~tier ~socket_path service =
+    ?remote_probe ?housekeeping ?(read_deadline_s = 30.) ?(idle_timeout_s = 300.)
+    ?(fault_crash_exit = false) ?(flight_capacity = 256) ?(stats_extra = []) ~tier
+    ~socket_path service =
   {
     socket_path;
     tcp;
@@ -115,16 +96,26 @@ let config ?(admission = Admission.default_config ()) ?(default_budget_s = 30.) 
     remote_probe;
     housekeeping;
     read_deadline_s;
-    write_deadline_s;
-    drain_deadline_s;
     idle_timeout_s;
     fault_crash_exit;
     flight_capacity = max 16 flight_capacity;
     stats_extra;
   }
 
-(* Plain mirrors of the telemetry counters: the metrics sink is off by
-   default, and tests and the drain report need the numbers regardless. *)
+(* Per-connection send deadline (SO_SNDTIMEO). A client that stops
+   reading blocks its connection thread in the response write with [busy]
+   set; without a bound the drain loop would wait on it forever. A
+   timed-out write is a dead connection. *)
+let write_deadline_s = 30.
+
+(* Graceful-drain backstop: after this long without quiescing, still-busy
+   connections are force-shutdown so their threads fail out of blocked
+   writes. *)
+let drain_deadline_s = 30.
+
+(* The one count of every request outcome, always on: the metrics sink is
+   off by default, and tests, the drain report and every Stats frame need
+   the numbers regardless. *)
 type stats = {
   mutable received : int;
   mutable admitted : int;
@@ -282,24 +273,16 @@ let admission_hit_rate t (service : Serve.Service.config) (net : Network.t) =
 (* Callers hold [t.lock]. *)
 let reject_stat t (reason : Protocol.reject_reason) =
   (match reason with
-   | Protocol.Queue_full ->
-     t.stats.rejected_queue_full <- t.stats.rejected_queue_full + 1;
-     Telemetry.Metrics.incr m_rej_queue
-   | Protocol.Quota_exceeded ->
-     t.stats.rejected_quota <- t.stats.rejected_quota + 1;
-     Telemetry.Metrics.incr m_rej_quota
-   | Protocol.Shedding ->
-     t.stats.rejected_shedding <- t.stats.rejected_shedding + 1;
-     Telemetry.Metrics.incr m_rej_shed
+   | Protocol.Queue_full -> t.stats.rejected_queue_full <- t.stats.rejected_queue_full + 1
+   | Protocol.Quota_exceeded -> t.stats.rejected_quota <- t.stats.rejected_quota + 1
+   | Protocol.Shedding -> t.stats.rejected_shedding <- t.stats.rejected_shedding + 1
    | Protocol.Deadline_unmeetable ->
-     t.stats.rejected_deadline <- t.stats.rejected_deadline + 1;
-     Telemetry.Metrics.incr m_rej_deadline);
+     t.stats.rejected_deadline <- t.stats.rejected_deadline + 1);
   Protocol.Rejected reason
 
 (* Callers hold [t.lock]. *)
 let fail_stat t msg =
   t.stats.failed <- t.stats.failed + 1;
-  Telemetry.Metrics.incr m_failed;
   Protocol.Failed msg
 
 let layer_payload (service : Serve.Service.config)
@@ -429,7 +412,6 @@ let solver_loop t =
       let job = Queue.pop t.queue in
       t.pending_cost <- Float.max 0. (t.pending_cost -. job.est_cost);
       t.running_until <- Robust.Deadline.now () +. job.est_cost;
-      Telemetry.Metrics.set_gauge g_queue_depth (float_of_int (Queue.length t.queue));
       Mutex.unlock t.lock;
       let resp =
         (* re-bind the request context here: the connection thread's
@@ -480,7 +462,6 @@ let try_fast_path t (service : Serve.Service.config) net ~arrival ~budget =
         t.stats.served <- t.stats.served + 1;
         t.stats.fastpath_served <- t.stats.fastpath_served + 1;
         Admission.observe t.adm Robust.Ladder.Cache_probe dt);
-    Telemetry.Metrics.incr m_fastpath;
     Telemetry.Metrics.incr (rung_counter Robust.Ladder.Cache_probe);
     Telemetry.Metrics.observe h_e2e dt;
     Some
@@ -494,9 +475,7 @@ let try_fast_path t (service : Serve.Service.config) net ~arrival ~budget =
    to the flight recorder. *)
 let handle_request t (admitted_rung : string ref) (req : Protocol.request) =
   let arrival = Robust.Deadline.now () in
-  Mutex.protect t.lock (fun () ->
-      t.stats.received <- t.stats.received + 1;
-      Telemetry.Metrics.incr m_received);
+  Mutex.protect t.lock (fun () -> t.stats.received <- t.stats.received + 1);
   match resolve t req with
   | Error msg -> Mutex.protect t.lock (fun () -> fail_stat t msg)
   | Ok (service, net) ->
@@ -557,11 +536,9 @@ let handle_request t (admitted_rung : string ref) (req : Protocol.request) =
                  Queue.push job t.queue;
                  t.pending_cost <- t.pending_cost +. est_cost;
                  t.stats.admitted <- t.stats.admitted + 1;
-                 Telemetry.Metrics.incr m_admitted;
                  let depth = Queue.length t.queue in
                  if depth > t.stats.max_queue_depth then
                    t.stats.max_queue_depth <- depth;
-                 Telemetry.Metrics.set_gauge g_queue_depth (float_of_int depth);
                  Condition.signal t.qc;
                  `Admitted job
              end)
@@ -715,10 +692,9 @@ let flight_json t =
 let stats_payload t scope =
   match scope with
   | Protocol.Stats_prometheus ->
-    (* The registry only records while the span sink is armed; the
-       always-on stats mirror is authoritative for the daemon's own
-       counters. Splice it over the registry values so a scrape of an
-       untraced daemon still carries the operational numbers. *)
+    (* The always-on [stats] record beside the registry, which only
+       records while the sink is armed. No name is in both, so a scrape of
+       an untraced daemon still carries every request outcome, once. *)
     let st, queue_depth, conns =
       Mutex.protect t.lock (fun () ->
           ( { t.stats with served = t.stats.served },
@@ -743,10 +719,7 @@ let stats_payload t scope =
         ("daemon.max_queue_depth", float_of_int st.max_queue_depth);
         ("cache.hit_rate", Serve.Schedule_cache.hit_rate t.cfg.tier) ]
     in
-    let merge live registry =
-      List.sort compare
-        (live @ List.filter (fun (n, _) -> not (List.mem_assoc n live)) registry)
-    in
+    let merge live registry = List.sort compare (live @ registry) in
     Telemetry.Export.prometheus
       {
         snap with
@@ -851,9 +824,8 @@ let conn_loop t id conn =
      [write_response] reports as a dead connection. Without it the
      connection thread would block in [write_frame] with [busy] set and
      the drain loop could never quiesce. *)
-  if t.cfg.write_deadline_s > 0. then
-    (try Unix.setsockopt_float conn.fd Unix.SO_SNDTIMEO t.cfg.write_deadline_s
-     with Unix.Unix_error _ | Invalid_argument _ -> ());
+  (try Unix.setsockopt_float conn.fd Unix.SO_SNDTIMEO write_deadline_s
+   with Unix.Unix_error _ | Invalid_argument _ -> ());
   let rec loop () =
     let event =
       if t.cfg.read_deadline_s > 0. then Protocol.read_frame_timeout conn.fd
@@ -871,7 +843,6 @@ let conn_loop t id conn =
         && Robust.Deadline.now () -. conn.last > t.cfg.idle_timeout_s
       then begin
         Mutex.protect t.lock (fun () -> t.stats.reaped <- t.stats.reaped + 1);
-        Telemetry.Metrics.incr m_reaped;
         Telemetry.Log.info "daemon.reap"
           [ ("idle_s", Printf.sprintf "%.1f" (Robust.Deadline.now () -. conn.last)) ]
       end
@@ -982,7 +953,7 @@ let run t =
      drain completes instead of hanging SIGTERM forever. Re-armed per
      interval in case a connection goes busy after the first sweep. *)
   let drain_start = Robust.Deadline.now () in
-  let next_force = ref (drain_start +. t.cfg.drain_deadline_s) in
+  let next_force = ref (drain_start +. drain_deadline_s) in
   let rec drain () =
     let quiesced =
       Mutex.protect t.lock (fun () ->
@@ -991,8 +962,8 @@ let run t =
           && Hashtbl.fold (fun _ c acc -> acc && not c.busy) t.conns true)
     in
     if not quiesced then begin
-      if t.cfg.drain_deadline_s > 0. && Robust.Deadline.now () >= !next_force then begin
-        next_force := Robust.Deadline.now () +. t.cfg.drain_deadline_s;
+      if Robust.Deadline.now () >= !next_force then begin
+        next_force := Robust.Deadline.now () +. drain_deadline_s;
         let stuck =
           Mutex.protect t.lock (fun () ->
               Hashtbl.fold (fun _ c acc -> if c.busy then c.fd :: acc else acc)

@@ -42,16 +42,6 @@ type config = {
   read_deadline_s : float;
       (** per-connection receive deadline; a peer stalling mid-frame this
           long poisons the connection. [<= 0] disables. *)
-  write_deadline_s : float;
-      (** per-connection send deadline (SO_SNDTIMEO): a client that stops
-          reading makes the response write fail after this long and the
-          connection is treated as dead, instead of pinning its thread
-          (and the drain) in a blocked write. [<= 0] disables. *)
-  drain_deadline_s : float;
-      (** graceful-drain backstop: if the drain has not quiesced after
-          this long, still-busy connections are force-shutdown (re-armed
-          per interval) so SIGTERM cannot hang on a wedged client.
-          [<= 0] waits indefinitely. *)
   idle_timeout_s : float;
       (** reap connections idle (no frame) this long; [<= 0] disables *)
   fault_crash_exit : bool;
@@ -79,8 +69,6 @@ val config :
     Serve.Schedule_cache.entry option) ->
   ?housekeeping:(unit -> unit) ->
   ?read_deadline_s:float ->
-  ?write_deadline_s:float ->
-  ?drain_deadline_s:float ->
   ?idle_timeout_s:float ->
   ?fault_crash_exit:bool ->
   ?flight_capacity:int ->
@@ -90,10 +78,18 @@ val config :
   Serve.Service.config ->
   config
 (** Defaults: no TCP listener, no peers/housekeeping,
-    [read_deadline_s 30.], [write_deadline_s 30.], [drain_deadline_s 30.],
-    [idle_timeout_s 300.], [fault_crash_exit false], [flight_capacity 256],
-    no extra stats sections. *)
+    [read_deadline_s 30.], [idle_timeout_s 300.], [fault_crash_exit false],
+    [flight_capacity 256], no extra stats sections. Two bounds are fixed
+    at 30 s: the per-connection send deadline (SO_SNDTIMEO: a client that
+    stops reading fails its response write and is treated as dead,
+    instead of pinning its thread and the drain in a blocked write), and
+    the drain backstop (if the drain has not quiesced by then, still-busy
+    connections are force-shutdown, re-armed per interval, so SIGTERM
+    cannot hang on a wedged client). *)
 
+(** The one count of every request outcome. Always on; the Prometheus
+    frame renders each field as [cosa_daemon_<field>] (the reaper's as
+    [cosa_daemon_conns_reaped]). *)
 type stats = {
   mutable received : int;
   mutable admitted : int;
@@ -148,6 +144,12 @@ val process_request : t -> Protocol.request -> Protocol.response
     Mints a request id when the request carries [0L], binds it to the
     calling thread ([Telemetry.Trace.with_request]) for the duration,
     and writes a flight-recorder record on every outcome. *)
+
+val mint_req_id : unit -> int64
+(** A fresh nonzero request id, unique across processes and restarts: the
+    pid, the clock and a process-local counter through a 64-bit mixer. The
+    daemon mints one for each request that arrives with [0L]; clients mint
+    their own to grep it in the flight recorder. *)
 
 val stats_payload : t -> Protocol.stats_scope -> string
 (** The Stats frame payload: the versioned JSON snapshot

@@ -15,6 +15,10 @@ type result = {
 
 let value r v = r.values.(Lp.var_index v)
 
+(* A value within this of an integer counts as integral, in the branching
+   rule and in the MIP-start feasibility check. *)
+let integrality_tol = 1e-6
+
 (* Telemetry: one span per search plus one per evaluated node (category
    "bb"), a per-reason prune breakdown, and an instant event on every
    incumbent update so a trace shows the gap closing over time. *)
@@ -159,8 +163,10 @@ let check_feasible ?(tol = 1e-6) model x =
         (Lp.constrs model);
       !ok)
 
-let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.Deadline.none)
-    ?(integrality_tol = 1e-6) ?priority ?(gap = 0.) ?warm_start ?(warm_lp = true) model =
+(* One "bb.solve" span covers the whole search. *)
+let solve ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.Deadline.none)
+    ?priority ?(gap = 0.) ?warm_start ?(warm_lp = true) model =
+  Telemetry.Trace.with_span ~cat:"bb" "bb.solve" @@ fun () ->
   let t0 = Robust.Deadline.now () in
   (* the effective budget is the tighter of the relative time limit and the
      caller's absolute deadline; both propagate into every node's simplex *)
@@ -434,10 +440,3 @@ let solve_impl ?(node_limit = 200_000) ?(time_limit = 60.) ?(deadline = Robust.D
     else
       { status = Infeasible; obj = nan; values = Array.make nv 0.; bound = nan;
         nodes = !nodes; simplex_iterations = !simplex_iterations; elapsed; failures }
-
-(* Public entry point: one "bb.solve" span covers the whole search. *)
-let solve ?node_limit ?time_limit ?deadline ?integrality_tol ?priority ?gap ?warm_start
-    ?warm_lp model =
-  Telemetry.Trace.with_span ~cat:"bb" "bb.solve" (fun () ->
-      solve_impl ?node_limit ?time_limit ?deadline ?integrality_tol ?priority ?gap
-        ?warm_start ?warm_lp model)

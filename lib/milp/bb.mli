@@ -46,7 +46,6 @@ val solve :
   ?node_limit:int ->
   ?time_limit:float ->
   ?deadline:Robust.Deadline.t ->
-  ?integrality_tol:float ->
   ?priority:float array ->
   ?gap:float ->
   ?warm_start:float array ->
@@ -54,7 +53,7 @@ val solve :
   Lp.model ->
   result
 (** Defaults: [node_limit = 200_000], [time_limit = 60.] seconds,
-    [integrality_tol = 1e-6], [gap = 0.]. The effective wall-clock budget
+    [gap = 0.], integrality to 1e-6. The effective wall-clock budget
     is the tighter of [time_limit] (relative) and [deadline] (absolute);
     it is propagated into every node's simplex solve, so a single long LP
     cannot blow the budget. [solve] never raises: node LPs that fail with

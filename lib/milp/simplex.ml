@@ -2,7 +2,7 @@ type status = Optimal | Infeasible | Unbounded | Iteration_limit
 
 (* Internal control-flow exception: aborts the current solve with a typed
    failure (singular basis, deadline, NaN corruption, injected fault).
-   Never escapes [solve_r]; [solve] re-raises it as [Robust.Failure.Error]. *)
+   Never escapes [solve_r], which returns it as an [Error]. *)
 exception Lp_abort of Robust.Failure.t
 
 type problem = {
@@ -143,8 +143,34 @@ let make_workspace m ntot =
     wnz = Array.make (n * n) 0; wnzs = Array.make (n + 1) 0;
     wslot = Array.make n 0 }
 
-let nonbasic_rest_value lb ub =
-  if lb > neg_infinity then lb else if ub < infinity then ub else 0.
+(* Rest nonbasic column [j] at its lower bound, else at its upper, else
+   (no finite bound) free at zero; [rest_upper] tries the upper first. *)
+let rest_lower st j =
+  let l = st.alb.(j) and u = st.aub.(j) in
+  if l > neg_infinity then begin st.loc.(j) <- At_lower; st.xn.(j) <- l end
+  else if u < infinity then begin st.loc.(j) <- At_upper; st.xn.(j) <- u end
+  else begin st.loc.(j) <- Free_zero; st.xn.(j) <- 0. end
+
+let rest_upper st j =
+  let u = st.aub.(j) in
+  if u < infinity then begin st.loc.(j) <- At_upper; st.xn.(j) <- u end
+  else rest_lower st j
+
+(* Fresh per-attempt scalars, bounds and resting state. The logical
+   columns are bounded by [0, logical_ub]: locked at zero on the warm path,
+   phase-1 artificials (unbounded above) on the cold one. *)
+let reset st ~logical_ub =
+  let p = st.p and m = st.m in
+  st.degenerate_streak <- 0;
+  st.bland <- false;
+  st.iterations <- 0;
+  Array.blit p.lb 0 st.alb 0 p.ncols;
+  Array.fill st.alb p.ncols m 0.;
+  Array.blit p.ub 0 st.aub 0 p.ncols;
+  Array.fill st.aub p.ncols m logical_ub;
+  Array.fill st.xn 0 st.ntot 0.;
+  Array.fill st.loc 0 st.ntot At_lower;
+  Array.fill st.xb 0 m 0.
 
 (* ---- canonical factor: size cutoff and basic-set order ----------------- *)
 
@@ -190,61 +216,17 @@ let refactor_basis st ws =
   try Lu.refactor st.fac ~scratch:ws.wmat ~cols:st.acols ~basis:st.basis ~pivot_tol
   with Lu.Singular -> raise (Lp_abort Robust.Failure.Singular_basis)
 
-(* xb = binv * (rhs - sum_{nonbasic j} A_j * xn_j) *)
-let compute_xb st ws =
-  let m = st.m in
+(* ws.wres = rhs − Σ A_j v_j, with v_j the resting value of every
+   nonbasic column, plus (when [with_basic]) the basic value of every
+   basic one. *)
+let residual st ws ~with_basic =
   let r = ws.wres in
-  Array.blit st.p.rhs 0 r 0 m;
-  for j = 0 to st.ntot - 1 do
-    match st.loc.(j) with
-    | Basic _ -> ()
-    | At_lower | At_upper | Free_zero ->
-      let v = st.xn.(j) in
-      if v <> 0. then begin
-        let rows, coeffs = st.acols.(j) in
-        for k = 0 to Array.length rows - 1 do
-          let row = rows.(k) in
-          r.(row) <- r.(row) -. (coeffs.(k) *. v)
-        done
-      end
-  done;
-  Lu.apply st.fac r st.xb
-
-let refactorize st ws =
-  refactor_basis st ws;
-  compute_xb st ws
-
-(* Stability trigger, consulted once per pivot: refactorize when the eta
-   chain is long or has absorbed a dangerously small pivot. Returns whether
-   a refactorization happened so the dual loop can reset its devex frame. *)
-let maybe_refactor st ws =
-  match Lu.trigger st.fac with
-  | Lu.No_refactor -> false
-  | Lu.Chain ->
-    Telemetry.Metrics.incr m_trig_chain;
-    refactorize st ws;
-    true
-  | Lu.Stability ->
-    Telemetry.Metrics.incr m_trig_stability;
-    refactorize st ws;
-    true
-
-(* Row-residual audit, run at deadline checkpoints: ‖B xb + N xn − rhs‖∞
-   relative to the rhs scale. Catches eta-chain drift that the per-pivot
-   magnitude test missed. Skipped on a fresh factorization (nothing to
-   fix). *)
-let residual_excess st ws =
-  let m = st.m in
-  let r = ws.wres in
-  Array.blit st.p.rhs 0 r 0 m;
-  let scale = ref 1. in
-  for i = 0 to m - 1 do
-    let a = Float.abs r.(i) in
-    if a > !scale then scale := a
-  done;
+  Array.blit st.p.rhs 0 r 0 st.m;
   for j = 0 to st.ntot - 1 do
     let v =
-      match st.loc.(j) with Basic i -> st.xb.(i) | At_lower | At_upper | Free_zero -> st.xn.(j)
+      match st.loc.(j) with
+      | Basic i -> if with_basic then st.xb.(i) else 0.
+      | At_lower | At_upper | Free_zero -> st.xn.(j)
     in
     if v <> 0. then begin
       let rows, coeffs = st.acols.(j) in
@@ -254,20 +236,27 @@ let residual_excess st ws =
       done
     end
   done;
-  let worst = ref 0. in
-  for i = 0 to m - 1 do
+  r
+
+(* xb = binv * (rhs - sum_{nonbasic j} A_j * xn_j) *)
+let compute_xb st ws = Lu.apply st.fac (residual st ws ~with_basic:false) st.xb
+
+let refactorize st ws =
+  refactor_basis st ws;
+  compute_xb st ws
+
+(* Row-residual audit: ‖B xb + N xn − rhs‖∞ relative to the rhs scale.
+   Catches eta-chain drift that the per-pivot magnitude test missed. *)
+let residual_excess st ws =
+  let r = residual st ws ~with_basic:true in
+  let scale = ref 1. and worst = ref 0. in
+  for i = 0 to st.m - 1 do
+    let a = Float.abs st.p.rhs.(i) in
+    if a > !scale then scale := a;
     let a = Float.abs r.(i) in
     if a > !worst then worst := a
   done;
   !worst > residual_tol *. !scale
-
-let audit_residual st ws =
-  if Lu.chain_length st.fac > 0 && residual_excess st ws then begin
-    Telemetry.Metrics.incr m_trig_residual;
-    refactorize st ws;
-    true
-  end
-  else false
 
 (* NaN/Inf anywhere in the basic values means the eta updates have silently
    corrupted the factorization; surface it as a typed failure instead of
@@ -278,6 +267,54 @@ let check_health st =
       raise (Lp_abort Robust.Failure.Numerical_instability)
   done
 
+(* The deadline is polled every [deadline_every] iterations — frequent
+   enough that a single solve cannot overshoot its budget by more than a
+   few pivots, rare enough that the clock read does not show up in
+   profiles. *)
+let deadline_every = 32
+
+(* Run before every pivot of both loops: the [simplex.pivot] fault site;
+   every [deadline_every] iterations the deadline, the health check and
+   the residual audit (skipped on a fresh factorization: nothing to fix);
+   then the stability trigger (a long eta chain or a dangerously small
+   pivot). Returns whether the factor was rebuilt, so the dual loop can
+   reset its devex frame. *)
+let checkpoint st ws deadline =
+  (match Robust.Fault.check "simplex.pivot" with
+   | Ok () -> ()
+   | Error f -> raise (Lp_abort f));
+  let audited =
+    st.iterations mod deadline_every = 0
+    && begin
+      if Robust.Deadline.expired deadline then
+        raise (Lp_abort Robust.Failure.Deadline_exceeded);
+      check_health st;
+      Lu.chain_length st.fac > 0 && residual_excess st ws
+    end
+  in
+  if audited then begin
+    Telemetry.Metrics.incr m_trig_residual;
+    refactorize st ws
+  end;
+  let triggered =
+    match Lu.trigger st.fac with
+    | Lu.No_refactor -> false
+    | Lu.Chain -> Telemetry.Metrics.incr m_trig_chain; true
+    | Lu.Stability -> Telemetry.Metrics.incr m_trig_stability; true
+  in
+  if triggered then refactorize st ws;
+  audited || triggered
+
+(* Degeneracy bookkeeping after each pivot of either loop: a long enough
+   streak of degenerate steps switches pricing to Bland's rule. *)
+let note_step st ~degenerate =
+  if degenerate then st.degenerate_streak <- st.degenerate_streak + 1
+  else st.degenerate_streak <- 0;
+  if (not st.bland) && st.degenerate_streak > 2 * (st.m + st.ntot) then begin
+    st.bland <- true;
+    Telemetry.Metrics.incr m_bland
+  end
+
 (* Reduced cost of column j given the dual vector y. Inlined so the float
    result stays unboxed in the pricing loops. *)
 let[@inline] reduced_cost st cost y j =
@@ -287,6 +324,15 @@ let[@inline] reduced_cost st cost y j =
     s := !s -. (y.(rows.(k)) *. coeffs.(k))
   done;
   !s
+
+(* The direction in which a nonbasic column resting at [loc] with reduced
+   cost [d] improves the objective by more than [tol]: 1. up, -1. down
+   (a free column can go either way), 0. when it is dual feasible. *)
+let[@inline] price_dir loc d tol =
+  match loc with
+  | At_lower -> if d < -.tol then 1. else 0.
+  | At_upper -> if d > tol then -1. else 0.
+  | Free_zero | Basic _ -> if d < -.tol then 1. else if d > tol then -1. else 0.
 
 (* y = c_B B⁻¹: btran over the cost of the basic columns. *)
 let compute_duals st ws cost y =
@@ -309,28 +355,14 @@ exception Lp_unbounded
 exception Lp_iteration_limit
 
 (* One phase of the primal simplex: minimize [cost] from the current basis.
-   Mutates [st]; returns when no improving nonbasic column remains. The
-   deadline is polled every [deadline_every] iterations — frequent enough
-   that a single solve cannot overshoot its budget by more than a few
-   pivots, rare enough that the clock read does not show up in profiles. *)
-let deadline_every = 32
-
+   Mutates [st]; returns when no improving nonbasic column remains. *)
 let optimize st cost ws max_iterations deadline =
   let m = st.m in
   let y = ws.wy and alpha = ws.walpha in
   let continue_ = ref true in
   while !continue_ do
     if st.iterations >= max_iterations then raise Lp_iteration_limit;
-    (match Robust.Fault.check "simplex.pivot" with
-     | Ok () -> ()
-     | Error f -> raise (Lp_abort f));
-    if st.iterations mod deadline_every = 0 then begin
-      if Robust.Deadline.expired deadline then
-        raise (Lp_abort Robust.Failure.Deadline_exceeded);
-      check_health st;
-      ignore (audit_residual st ws)
-    end;
-    ignore (maybe_refactor st ws);
+    ignore (checkpoint st ws deadline);
     compute_duals st ws cost y;
     (* Pricing: Dantzig rule normally, Bland's rule after a degenerate streak. *)
     let entering = ref (-1) in
@@ -343,18 +375,7 @@ let optimize st cost ws max_iterations deadline =
          | loc ->
            if st.aub.(j) -. st.alb.(j) > pivot_tol then begin
              let d = reduced_cost st cost y j in
-             let dir =
-               match loc with
-               | At_lower | Free_zero -> if d < -.opt_tol then 1. else 0.
-               | At_upper -> if d > opt_tol then -1. else 0.
-               | Basic _ -> 0.
-             in
-             let dir =
-               (* a free variable can also move down on positive reduced cost *)
-               match loc with
-               | Free_zero when dir = 0. && d > opt_tol -> -1.
-               | Free_zero | At_lower | At_upper | Basic _ -> dir
-             in
+             let dir = price_dir loc d opt_tol in
              if dir <> 0. then
                if st.bland then begin
                  entering := j;
@@ -382,40 +403,27 @@ let optimize st cost ws max_iterations deadline =
       let leaving_to_upper = ref false in
       for i = 0 to m - 1 do
         let rate = dir *. alpha.(i) in
-        let bj = st.basis.(i) in
-        if rate > pivot_tol then begin
-          (* basic value decreases toward its lower bound *)
-          if st.alb.(bj) > neg_infinity then begin
-            let step = (st.xb.(i) -. st.alb.(bj)) /. rate in
-            if step < !t -. pivot_tol || (step < !t +. pivot_tol && !leaving >= 0
-                 && Float.abs alpha.(i) > Float.abs alpha.(!leaving)) then begin
-              t := max 0. step;
-              leaving := i;
-              leaving_to_upper := false
-            end
-          end
-        end
-        else if rate < -.pivot_tol then begin
-          (* basic value increases toward its upper bound *)
-          if st.aub.(bj) < infinity then begin
-            let step = (st.aub.(bj) -. st.xb.(i)) /. -.rate in
-            if step < !t -. pivot_tol || (step < !t +. pivot_tol && !leaving >= 0
-                 && Float.abs alpha.(i) > Float.abs alpha.(!leaving)) then begin
-              t := max 0. step;
-              leaving := i;
-              leaving_to_upper := true
-            end
+        (* the basic value moves up toward its upper bound or down toward
+           its lower; an infinite bound leaves infinite room *)
+        let up = rate < -.pivot_tol and bj = st.basis.(i) in
+        let room =
+          if up then st.aub.(bj) -. st.xb.(i)
+          else if rate > pivot_tol then st.xb.(i) -. st.alb.(bj)
+          else infinity
+        in
+        if room < infinity then begin
+          let step = room /. Float.abs rate in
+          if step < !t -. pivot_tol || (step < !t +. pivot_tol && !leaving >= 0
+               && Float.abs alpha.(i) > Float.abs alpha.(!leaving)) then begin
+            t := max 0. step;
+            leaving := i;
+            leaving_to_upper := up
           end
         end
       done;
       if !t = infinity then raise Lp_unbounded;
       let t = !t in
-      if t < feas_tol then st.degenerate_streak <- st.degenerate_streak + 1
-      else st.degenerate_streak <- 0;
-      if (not st.bland) && st.degenerate_streak > 2 * (m + st.ntot) then begin
-        st.bland <- true;
-        Telemetry.Metrics.incr m_bland
-      end;
+      note_step st ~degenerate:(t < feas_tol);
       (* apply the step to basic values *)
       for i = 0 to m - 1 do
         st.xb.(i) <- st.xb.(i) -. (dir *. t *. alpha.(i))
@@ -459,14 +467,9 @@ let dual_feasible st cost y =
       match st.loc.(j) with
       | Basic _ -> ()
       | loc ->
-        if st.aub.(j) -. st.alb.(j) > pivot_tol then begin
-          let d = reduced_cost st cost y j in
-          match loc with
-          | At_lower -> if d < -.tol then raise Exit
-          | At_upper -> if d > tol then raise Exit
-          | Free_zero -> if Float.abs d > tol then raise Exit
-          | Basic _ -> ()
-        end
+        if st.aub.(j) -. st.alb.(j) > pivot_tol
+           && price_dir loc (reduced_cost st cost y j) tol <> 0.
+        then raise Exit
     done;
     true
   with Exit -> false
@@ -493,16 +496,7 @@ let dual_optimize st cost ws ~cap deadline =
   let continue_ = ref true in
   while !continue_ do
     if st.iterations - start >= cap then raise Dual_giveup;
-    (match Robust.Fault.check "simplex.pivot" with
-     | Ok () -> ()
-     | Error f -> raise (Lp_abort f));
-    if st.iterations mod deadline_every = 0 then begin
-      if Robust.Deadline.expired deadline then
-        raise (Lp_abort Robust.Failure.Deadline_exceeded);
-      check_health st;
-      if audit_residual st ws then Array.fill dw 0 m 1.
-    end;
-    if maybe_refactor st ws then Array.fill dw 0 m 1.;
+    if checkpoint st ws deadline then Array.fill dw 0 m 1.;
     (* leaving row: largest violation²/weight (devex) *)
     let r = ref (-1) in
     let best_score = ref 0. in
@@ -575,12 +569,7 @@ let dual_optimize st cost ws ~cap deadline =
         if Float.abs alpha.(r) < pivot_tol then raise Dual_giveup;
         (* dual degeneracy (zero-ratio pivots) can cycle: same Bland ladder
            as the primal loop *)
-        if !best_ratio < opt_tol then st.degenerate_streak <- st.degenerate_streak + 1
-        else st.degenerate_streak <- 0;
-        if (not st.bland) && st.degenerate_streak > 2 * (m + st.ntot) then begin
-          st.bland <- true;
-          Telemetry.Metrics.incr m_bland
-        end;
+        note_step st ~degenerate:(!best_ratio < opt_tol);
         let b = st.basis.(r) in
         let target = if s > 0. then st.aub.(b) else st.alb.(b) in
         let t = (st.xb.(r) -. target) /. alpha.(r) in
@@ -617,7 +606,7 @@ let dual_optimize st cost ws ~cap deadline =
    vertices, and which one a solve lands on depends on the pivot path — so
    a warm dual reoptimization and a cold two-phase solve of the same LP
    would return different (equally optimal) solutions, which would diverge
-   the branch-and-bound trees of --warm-start=on and off runs. To keep the
+   the branch-and-bound trees of warm and cold runs. To keep the
    solution a function of the problem alone, every optimal solve finishes
    by minimizing a fixed generic secondary objective over the optimal face
    (entering columns restricted to zero reduced cost in the true
@@ -766,22 +755,11 @@ let rebase st ws memo =
       in_basis.(accepted.(t)) <- true
     done;
     for j = 0 to st.ntot - 1 do
+      let l = st.alb.(j) and u = st.aub.(j) in
       if in_basis.(j) then st.loc.(j) <- st.basic_at.(0) (* row fixed in [finalize] *)
-      else begin
-        let l = st.alb.(j) and u = st.aub.(j) in
-        if l > neg_infinity && (u = infinity || x.(j) -. l <= u -. x.(j)) then begin
-          st.loc.(j) <- At_lower;
-          st.xn.(j) <- l
-        end
-        else if u < infinity then begin
-          st.loc.(j) <- At_upper;
-          st.xn.(j) <- u
-        end
-        else begin
-          st.loc.(j) <- Free_zero;
-          st.xn.(j) <- 0.
-        end
-      end
+      else if l > neg_infinity && (u = infinity || x.(j) -. l <= u -. x.(j)) then
+        rest_lower st j
+      else rest_upper st j
     done;
     Array.blit accepted 0 st.basis 0 m
   end
@@ -1001,11 +979,30 @@ let session p =
     singleton; phase1_cost; phase2_cost;
     weights = Array.init ntot canonical_weight; memo = Hashtbl.create 256 }
 
-(* Fresh per-attempt scalars; the arrays are re-initialized by the path. *)
-let reset st =
-  st.degenerate_streak <- 0;
+(* A result that carries no basis: every status but [Optimal]. *)
+let no_basis st status obj ~warm =
+  { status; obj; x = extract_x st; iterations = st.iterations; warm; basis = None }
+
+(* Phase 2 and the canonical epilogue, shared by both paths: optimize the
+   true objective from a feasible basis, settle on the canonical vertex
+   and its canonical factor, and extract. A non-finite objective aborts
+   as [Numerical_instability]: the warm path falls back to cold on it, the
+   cold path returns it. *)
+let phase2 s ~max_iterations ~deadline ~warm =
+  let st = s.st and ws = s.ws in
+  let start = st.iterations in
   st.bland <- false;
-  st.iterations <- 0
+  st.degenerate_streak <- 0;
+  optimize st s.phase2_cost ws max_iterations deadline;
+  canonicalize st s.phase2_cost s.weights ws deadline;
+  rebase st ws s.memo;
+  finalize st ws;
+  Telemetry.Metrics.add m_phase2 (st.iterations - start);
+  let x = extract_x st in
+  let obj = objective_value st.p x in
+  if not (Float.is_finite obj) then raise (Lp_abort Robust.Failure.Numerical_instability);
+  { status = Optimal; obj; x; iterations = st.iterations; warm;
+    basis = Some (basis_of_state st) }
 
 (* ---- warm path --------------------------------------------------------- *)
 
@@ -1017,42 +1014,25 @@ exception Warm_reject
 
 let warm_attempt s ~max_iterations ~deadline (wb : Basis.t) =
   let st = s.st and ws = s.ws in
-  let p = st.p and m = st.m and ntot = st.ntot in
+  let m = st.m and ntot = st.ntot in
   if Array.length wb.Basis.basic <> m || Array.length wb.Basis.vstat <> ntot then
     raise Warm_reject;
-  reset st;
   (* logical columns take the uniform +1 sign and are locked at zero: a
      warm solve never needs phase-1 artificials, only a nonsingular square
      basis (a parent's sign-flipped artificial still yields one) *)
-  Array.blit st.plus 0 st.acols p.ncols m;
-  let alb = st.alb and aub = st.aub and xn = st.xn and loc = st.loc in
-  Array.blit p.lb 0 alb 0 p.ncols;
-  Array.fill alb p.ncols m 0.;
-  Array.blit p.ub 0 aub 0 p.ncols;
-  Array.fill aub p.ncols m 0.;
-  Array.fill xn 0 ntot 0.;
-  Array.fill loc 0 ntot At_lower;
-  Array.fill st.xb 0 m 0.;
+  reset st ~logical_ub:0.;
+  Array.blit st.plus 0 st.acols st.p.ncols m;
   for j = 0 to ntot - 1 do
-    let l = alb.(j) and u = aub.(j) in
     match wb.Basis.vstat.(j) with
     | Basis.Vbasic -> ()   (* patched below from the basic set *)
-    | Basis.Vlower ->
-      if l > neg_infinity then begin loc.(j) <- At_lower; xn.(j) <- l end
-      else if u < infinity then begin loc.(j) <- At_upper; xn.(j) <- u end
-      else begin loc.(j) <- Free_zero; xn.(j) <- 0. end
-    | Basis.Vupper ->
-      if u < infinity then begin loc.(j) <- At_upper; xn.(j) <- u end
-      else if l > neg_infinity then begin loc.(j) <- At_lower; xn.(j) <- l end
-      else begin loc.(j) <- Free_zero; xn.(j) <- 0. end
-    | Basis.Vfree ->
-      (* a bound may have appeared since the parent (presolve tightening):
-         snap to it; the primal cleanup absorbs any dual-sign mismatch *)
-      if l > neg_infinity then begin loc.(j) <- At_lower; xn.(j) <- l end
-      else if u < infinity then begin loc.(j) <- At_upper; xn.(j) <- u end
-      else begin loc.(j) <- Free_zero; xn.(j) <- 0. end
+    | Basis.Vupper -> rest_upper st j
+    | Basis.Vlower | Basis.Vfree ->
+      (* a bound may have appeared under a free column since the parent
+         (presolve tightening): it snaps to it; the primal cleanup absorbs
+         any dual-sign mismatch *)
+      rest_lower st j
   done;
-  let basis = st.basis in
+  let loc = st.loc and basis = st.basis in
   Array.blit wb.Basis.basic 0 basis 0 m;
   let seen = ws.wflag in
   Array.fill seen 0 ntot false;
@@ -1066,7 +1046,6 @@ let warm_attempt s ~max_iterations ~deadline (wb : Basis.t) =
   for j = 0 to ntot - 1 do
     if wb.Basis.vstat.(j) = Basis.Vbasic && not seen.(j) then raise Warm_reject
   done;
-  let phase2_cost = s.phase2_cost in
   (* a handful of dual pivots is the expected case; a warm solve that needs
      more than this is cheaper to restart cold than to let cycle *)
   let dual_cap = 200 + (2 * (m + ntot)) in
@@ -1094,28 +1073,12 @@ let warm_attempt s ~max_iterations ~deadline (wb : Basis.t) =
       end
     end;
     check_health st;
-    dual_optimize st phase2_cost ws ~cap:dual_cap deadline;
-    let dual_iters = st.iterations in
-    (* primal cleanup: absorbs any reduced-cost drift; from an already
-       optimal warm basis this terminates without pivoting *)
-    st.bland <- false;
-    st.degenerate_streak <- 0;
-    optimize st phase2_cost ws max_iterations deadline;
-    canonicalize st phase2_cost s.weights ws deadline;
-    rebase st ws s.memo;
-    finalize st ws;
-    Telemetry.Metrics.add m_phase2 (st.iterations - dual_iters);
-    let x = extract_x st in
-    let obj = objective_value p x in
-    if not (Float.is_finite obj) then raise Warm_reject
-    else
-      Ok { status = Optimal; obj; x;
-           iterations = st.iterations; warm = true;
-           basis = Some (basis_of_state st) }
+    dual_optimize st s.phase2_cost ws ~cap:dual_cap deadline;
+    (* phase 2 is the primal cleanup: it absorbs any reduced-cost drift;
+       from an already optimal warm basis it terminates without pivoting *)
+    Ok (phase2 s ~max_iterations ~deadline ~warm:true)
   with
-  | Dual_infeasible ->
-    Ok { status = Infeasible; obj = infinity; x = extract_x st;
-         iterations = st.iterations; warm = true; basis = None }
+  | Dual_infeasible -> Ok (no_basis st Infeasible infinity ~warm:true)
   | Dual_giveup | Lp_unbounded | Lp_iteration_limit
   | Lp_abort Robust.Failure.Singular_basis
   | Lp_abort Robust.Failure.Numerical_instability ->
@@ -1129,36 +1092,14 @@ let warm_attempt s ~max_iterations ~deadline (wb : Basis.t) =
 let cold_solve s ~max_iterations ~deadline =
   let st = s.st and ws = s.ws in
   let p = st.p and m = st.m and ntot = st.ntot in
-  reset st;
-  let acols = st.acols and alb = st.alb and aub = st.aub in
+  reset st ~logical_ub:infinity;
+  let acols = st.acols and aub = st.aub in
   let xn = st.xn and loc = st.loc and basis = st.basis and xb = st.xb in
-  Array.blit p.lb 0 alb 0 p.ncols;
-  Array.fill alb p.ncols m 0.;
-  Array.blit p.ub 0 aub 0 p.ncols;
-  Array.fill aub p.ncols m infinity;
-  Array.fill xn 0 ntot 0.;
-  Array.fill loc 0 ntot At_lower;
-  Array.fill xb 0 m 0.;
   for j = 0 to p.ncols - 1 do
-    let v = nonbasic_rest_value p.lb.(j) p.ub.(j) in
-    xn.(j) <- v;
-    loc.(j) <-
-      (if p.lb.(j) > neg_infinity then At_lower
-       else if p.ub.(j) < infinity then At_upper
-       else Free_zero)
+    rest_lower st j
   done;
   (* residuals decide the sign of each artificial column *)
-  let resid = ws.wres in
-  Array.blit p.rhs 0 resid 0 m;
-  for j = 0 to p.ncols - 1 do
-    if xn.(j) <> 0. then begin
-      let rows, coeffs = p.cols.(j) in
-      for k = 0 to Array.length rows - 1 do
-        let row = rows.(k) in
-        resid.(row) <- resid.(row) -. (coeffs.(k) *. xn.(j))
-      done
-    end
-  done;
+  let resid = residual st ws ~with_basic:false in
   (* Crash basis: prefer a singleton (slack-like) column per row when the
      residual fits its bounds; fall back to an artificial otherwise. This
      usually makes phase 1 trivial for inequality-heavy models. The crash
@@ -1202,11 +1143,9 @@ let cold_solve s ~max_iterations ~deadline =
   done;
   st.canon_ok <- false;
   Lu.load st.fac binv;
-  let phase1_cost = s.phase1_cost and phase2_cost = s.phase2_cost in
   try
-    optimize st phase1_cost ws max_iterations deadline;
+    optimize st s.phase1_cost ws max_iterations deadline;
     Telemetry.Metrics.add m_phase1 st.iterations;
-    let p1_iters = st.iterations in
     let infeas = ref 0. in
     for i = 0 to m - 1 do
       if st.basis.(i) >= p.ncols then infeas := !infeas +. st.xb.(i)
@@ -1216,9 +1155,7 @@ let cold_solve s ~max_iterations ~deadline =
       | At_upper -> infeas := !infeas +. st.xn.(j)
       | At_lower | Free_zero | Basic _ -> ()
     done;
-    if !infeas > 1e-6 then
-      Ok { status = Infeasible; obj = infinity; x = extract_x st;
-           iterations = st.iterations; warm = false; basis = None }
+    if !infeas > 1e-6 then Ok (no_basis st Infeasible infinity ~warm:false)
     else begin
       (* lock artificials at zero for phase 2 *)
       for j = p.ncols to ntot - 1 do
@@ -1228,35 +1165,22 @@ let cold_solve s ~max_iterations ~deadline =
          | At_lower | Free_zero | Basic _ -> ());
         st.xn.(j) <- 0.
       done;
-      st.bland <- false;
-      st.degenerate_streak <- 0;
-      optimize st phase2_cost ws max_iterations deadline;
-      canonicalize st phase2_cost s.weights ws deadline;
-      rebase st ws s.memo;
-      finalize st ws;
-      Telemetry.Metrics.add m_phase2 (st.iterations - p1_iters);
-      let x = extract_x st in
-      let obj = objective_value p x in
-      if not (Float.is_finite obj) then Error Robust.Failure.Numerical_instability
-      else
-        Ok { status = Optimal; obj; x;
-             iterations = st.iterations; warm = false;
-             basis = Some (basis_of_state st) }
+      Ok (phase2 s ~max_iterations ~deadline ~warm:false)
     end
   with
-  | Lp_unbounded ->
-    Ok { status = Unbounded; obj = neg_infinity; x = extract_x st;
-         iterations = st.iterations; warm = false; basis = None }
-  | Lp_iteration_limit ->
-    Ok { status = Iteration_limit; obj = nan; x = extract_x st;
-         iterations = st.iterations; warm = false; basis = None }
+  | Lp_unbounded -> Ok (no_basis st Unbounded neg_infinity ~warm:false)
+  | Lp_iteration_limit -> Ok (no_basis st Iteration_limit nan ~warm:false)
   | Lp_abort f -> Error f
 
-(* Result-returning entry point: all abnormal terminations (singular basis,
-   blown deadline, NaN corruption, injected faults) come back as a typed
+(* Result-returning entry point, with one span (category "simplex") and
+   one solve-count tick per LP; phase iteration counters are recorded
+   inside the solve. All abnormal terminations (singular basis, blown
+   deadline, NaN corruption, injected faults) come back as a typed
    [Error]; [Unbounded]/[Infeasible]/[Iteration_limit] remain ordinary
    statuses because branch-and-bound treats them as prunable outcomes. *)
-let solve_r_impl ?session:s ?max_iterations ?(deadline = Robust.Deadline.none) ?warm p =
+let solve_r ?session:s ?max_iterations ?(deadline = Robust.Deadline.none) ?warm p =
+  Telemetry.Metrics.incr m_solves;
+  Telemetry.Trace.with_span ~cat:"simplex" "simplex.solve" @@ fun () ->
   let m = p.nrows in
   let max_iterations =
     match max_iterations with
@@ -1271,7 +1195,9 @@ let solve_r_impl ?session:s ?max_iterations ?(deadline = Robust.Deadline.none) ?
       let v =
         if p.cost.(j) > 0. then p.lb.(j)
         else if p.cost.(j) < 0. then p.ub.(j)
-        else nonbasic_rest_value p.lb.(j) p.ub.(j)
+        else if p.lb.(j) > neg_infinity then p.lb.(j)
+        else if p.ub.(j) < infinity then p.ub.(j)
+        else 0.
       in
       if Float.abs v = infinity then unbounded := true else x.(j) <- v
     done;
@@ -1293,38 +1219,21 @@ let solve_r_impl ?session:s ?max_iterations ?(deadline = Robust.Deadline.none) ?
         s
     in
     s.st.p <- p;
-    let warm_res =
-      match warm with
-      | None -> None
-      | Some wb ->
-        (match warm_attempt s ~max_iterations ~deadline wb with
-         | res ->
-           Telemetry.Metrics.incr m_warm;
-           Some res
-         | exception Warm_reject ->
-           Telemetry.Metrics.incr m_warm_fallback;
-           None)
-    in
-    match warm_res with
-    | Some res -> res
-    | None ->
+    let cold () =
       Telemetry.Metrics.incr m_cold;
       cold_solve s ~max_iterations ~deadline
+    in
+    match warm with
+    | None -> cold ()
+    | Some wb ->
+      (match warm_attempt s ~max_iterations ~deadline wb with
+       | res ->
+         Telemetry.Metrics.incr m_warm;
+         res
+       | exception Warm_reject ->
+         Telemetry.Metrics.incr m_warm_fallback;
+         cold ())
   end
-
-(* Public entry point: one span (category "simplex") and one solve-count
-   tick per LP; phase iteration counters are recorded inside the solve. *)
-let solve_r ?session ?max_iterations ?deadline ?warm p =
-  Telemetry.Metrics.incr m_solves;
-  Telemetry.Trace.with_span ~cat:"simplex" "simplex.solve" (fun () ->
-      solve_r_impl ?session ?max_iterations ?deadline ?warm p)
-
-(* Legacy exception-raising wrapper: raises [Robust.Failure.Error] where
-   [solve_r] would return [Error]. Prefer [solve_r] in new code. *)
-let solve ?max_iterations p =
-  match solve_r ?max_iterations p with
-  | Ok r -> r
-  | Error f -> raise (Robust.Failure.Error f)
 
 let feasible ?(tol = 1e-6) p x =
   let ok = ref true in

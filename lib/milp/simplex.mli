@@ -151,10 +151,6 @@ val solve_r :
     {!Robust.Fault}; infeasible, unbounded, and iteration-limited solves
     remain ordinary [Ok] statuses. *)
 
-val solve : ?max_iterations:int -> problem -> result
-(** Legacy wrapper around {!solve_r} without a deadline; raises
-    [Robust.Failure.Error] where [solve_r] would return [Error]. *)
-
 val feasible : ?tol:float -> problem -> float array -> bool
 (** [feasible p x] checks bounds and row equalities within [tol] (default
     [1e-6]); used by tests to validate solver output independently. *)

@@ -30,12 +30,10 @@ type config = {
   time_limit : float;  (* per-layer budget, as in [Cosa.schedule] *)
   deadline : Robust.Deadline.t;  (* batch-wide absolute deadline *)
   jobs : int;
-  warm_start : bool;  (* LP warm starting inside B&B (parent-basis reuse) *)
 }
 
 let config ?weights ?(strategy = Cosa.Auto) ?(certify = Cosa.Warn) ?(node_limit = 50_000)
-    ?(time_limit = 4.) ?(deadline = Robust.Deadline.none) ?(jobs = 1)
-    ?(warm_start = true) arch =
+    ?(time_limit = 4.) ?(deadline = Robust.Deadline.none) ?(jobs = 1) arch =
   {
     arch;
     weights = (match weights with Some w -> w | None -> Cosa.calibrate arch);
@@ -45,7 +43,6 @@ let config ?weights ?(strategy = Cosa.Auto) ?(certify = Cosa.Warn) ?(node_limit 
     time_limit;
     deadline;
     jobs = max 1 jobs;
-    warm_start;
   }
 
 type origin = Cache_memory | Cache_disk | Cache_peer | Solved of Cosa.source
@@ -97,18 +94,13 @@ type report = {
   fusion : Fuse.Plan.network_plan option;  (* [None] unless fusion was asked for *)
 }
 
-let verdict_token = function
-  | Cosa.Cert_skipped -> "skipped"
-  | Cosa.Cert_ok -> "ok"
-  | Cosa.Cert_failed _ -> "failed"
-
 let meta_of_result cfg (r : Cosa.result) =
   {
     Mapping_io.weights =
       Some (cfg.weights.Cosa.w_util, cfg.weights.Cosa.w_comp, cfg.weights.Cosa.w_traf);
     strategy = Cosa.strategy_to_string cfg.strategy;
     source = Cosa.source_to_string r.Cosa.source;
-    verdict = verdict_token r.Cosa.certification;
+    verdict = Cosa.verdict_token r.Cosa.certification;
     objective =
       Some
         ( r.Cosa.objective.Cosa.util, r.Cosa.objective.Cosa.comp,
@@ -212,7 +204,7 @@ let schedule_network_impl ?tier ?remote ?(count_miss = true) ?rung cfg
     let r =
       Cosa.schedule ~weights:cfg.weights ~strategy:strategy_eff
         ~node_limit:cfg.node_limit ~time_limit:cfg.time_limit ~deadline:cfg.deadline
-        ~certify:cfg.certify ~warm_start:cfg.warm_start cfg.arch e.Network.layer
+        ~certify:cfg.certify cfg.arch e.Network.layer
     in
     let dt = Robust.Deadline.now () -. t in
     Telemetry.Metrics.incr m_solves;
@@ -267,7 +259,7 @@ let schedule_network_impl ?tier ?remote ?(count_miss = true) ?rung cfg
                    mapping = r.Cosa.mapping;
                    objective = r.Cosa.objective;
                    origin = Solved r.Cosa.source;
-                   verdict = verdict_token r.Cosa.certification;
+                   verdict = Cosa.verdict_token r.Cosa.certification;
                    solve_time = dt;
                    fallback_chain = r.Cosa.fallback_chain;
                    meta = meta_of_result cfg r;

@@ -19,9 +19,6 @@ type config = {
   time_limit : float;  (** per-layer budget (seconds) *)
   deadline : Robust.Deadline.t;  (** batch-wide absolute deadline *)
   jobs : int;  (** domain-pool width; 1 = inline *)
-  warm_start : bool;
-      (** LP warm starting inside branch-and-bound (parent-basis dual
-          simplex); on by default, off is an escape hatch for bisection *)
 }
 
 val config :
@@ -32,7 +29,6 @@ val config :
   ?time_limit:float ->
   ?deadline:Robust.Deadline.t ->
   ?jobs:int ->
-  ?warm_start:bool ->
   Spec.t ->
   config
 (** Defaults mirror {!Cosa.schedule} ([strategy Auto], [certify Warn],

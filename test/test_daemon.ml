@@ -641,6 +641,29 @@ let test_stats_frame () =
       in
       check_bool "prometheus exposition typed" true (contains prom "# TYPE");
       check_bool "prometheus metrics prefixed" true (contains prom "cosa_daemon_");
+      (* every request outcome is counted once: each stats-record field is
+         one sample carrying the record's value, and no family repeats *)
+      let lines = String.split_on_char '\n' prom in
+      let s = Daemon.Server.stats server in
+      List.iter
+        (fun (name, v) ->
+          let name = "cosa_daemon_" ^ name in
+          Alcotest.(check (list string))
+            (name ^ " once, from the record")
+            [ Printf.sprintf "%s %d" name v ]
+            (List.filter (String.starts_with ~prefix:(name ^ " ")) lines))
+        Daemon.Server.
+          [ ("received", s.received); ("admitted", s.admitted); ("served", s.served);
+            ("failed", s.failed); ("rejected_queue_full", s.rejected_queue_full);
+            ("rejected_quota", s.rejected_quota);
+            ("rejected_shedding", s.rejected_shedding);
+            ("rejected_deadline", s.rejected_deadline);
+            ("max_queue_depth", s.max_queue_depth);
+            ("fastpath_served", s.fastpath_served); ("conns_reaped", s.reaped);
+            ("persisted", s.persisted) ];
+      let types = List.filter (String.starts_with ~prefix:"# TYPE ") lines in
+      Alcotest.(check int) "TYPE lines unique" (List.length types)
+        (List.length (List.sort_uniq compare types));
       (* the queries above must not have moved a single counter *)
       check_bool "stats queries perturb nothing" true (counters () = before);
       check_bool "stats queries not counted as requests" true

@@ -367,10 +367,10 @@ let prop_lp_solution_feasible =
         rows;
       Lp.set_objective m `Maximize (List.map2 (fun c v -> (float_of_int c, v)) obj vars);
       let p = Bb.relax m in
-      let r = Simplex.solve p in
-      match r.Simplex.status with
-      | Simplex.Optimal -> Simplex.feasible p r.Simplex.x
-      | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iteration_limit -> true)
+      match Simplex.solve_r p with
+      | Ok { Simplex.status = Simplex.Optimal; x; _ } -> Simplex.feasible p x
+      | Ok _ -> true
+      | Error _ -> false)
 
 let suite =
   let qc = QCheck_alcotest.to_alcotest in

@@ -117,12 +117,7 @@ let test_simplex_injected () =
       match Milp.Simplex.solve_r (tiny_lp ()) with
       | Error f ->
         Alcotest.check failure "injected" (Robust.Failure.Injected "simplex.pivot") f
-      | Ok _ -> Alcotest.fail "expected injected fault");
-  (* the legacy wrapper surfaces the same failure as a typed exception *)
-  Robust.Fault.with_faults ~rate:1. ~only:[ "simplex.pivot" ] 1 (fun () ->
-      Alcotest.check_raises "legacy raises"
-        (Robust.Failure.Error (Robust.Failure.Injected "simplex.pivot"))
-        (fun () -> ignore (Milp.Simplex.solve (tiny_lp ()))))
+      | Ok _ -> Alcotest.fail "expected injected fault")
 
 let test_simplex_clean_solve_matches () =
   match Milp.Simplex.solve_r (tiny_lp ()) with

@@ -21,6 +21,11 @@ let problem ~rows ~cost ~lb ~ub ~rhs =
   in
   { Simplex.nrows; ncols; cols; cost; lb; ub; rhs }
 
+let solve_ok ?max_iterations ?warm p =
+  match Simplex.solve_r ?max_iterations ?warm p with
+  | Ok r -> r
+  | Error f -> Alcotest.failf "solve_r failed: %s" (Robust.Failure.to_string f)
+
 let test_simple_equality () =
   (* min x1 + x2 st x1 + x2 = 2, 0 <= xi <= 2 -> obj 2 *)
   let p =
@@ -31,7 +36,7 @@ let test_simple_equality () =
       ~ub:[| 2.; 2. |]
       ~rhs:[| 2. |]
   in
-  let r = Simplex.solve p in
+  let r = solve_ok p in
   check_bool "optimal" true (r.Simplex.status = Simplex.Optimal);
   check_float "obj" 2. r.Simplex.obj;
   check_bool "feasible" true (Simplex.feasible p r.Simplex.x)
@@ -47,7 +52,7 @@ let test_bound_flip () =
       ~ub:[| 3.; infinity |]
       ~rhs:[| 10. |]
   in
-  let r = Simplex.solve p in
+  let r = solve_ok p in
   check_float "x at upper bound" 3. r.Simplex.x.(0);
   check_float "slack fills" 7. r.Simplex.x.(1)
 
@@ -61,7 +66,7 @@ let test_negative_rhs () =
       ~ub:[| 10.; 10. |]
       ~rhs:[| -3. |]
   in
-  let r = Simplex.solve p in
+  let r = solve_ok p in
   check_bool "optimal" true (r.Simplex.status = Simplex.Optimal);
   check_float "obj = 3 (x2 = 3)" 3. r.Simplex.obj
 
@@ -76,7 +81,7 @@ let test_degenerate () =
       ~ub:[| infinity; infinity; infinity |]
       ~rhs:[| 1.; 1.; 1. |]
   in
-  let r = Simplex.solve p in
+  let r = solve_ok p in
   check_bool "terminates optimally" true (r.Simplex.status = Simplex.Optimal);
   check_float "obj" (-1.) r.Simplex.obj
 
@@ -89,7 +94,7 @@ let test_infeasible_equalities () =
       ~ub:[| 10. |]
       ~rhs:[| 1.; 2. |]
   in
-  check_bool "infeasible" true ((Simplex.solve p).Simplex.status = Simplex.Infeasible)
+  check_bool "infeasible" true ((solve_ok p).Simplex.status = Simplex.Infeasible)
 
 let test_free_variable () =
   (* a variable with no finite bounds, pinned only by an equality *)
@@ -101,7 +106,7 @@ let test_free_variable () =
       ~ub:[| infinity; 5. |]
       ~rhs:[| 2. |]
   in
-  let r = Simplex.solve p in
+  let r = solve_ok p in
   (* min x1 with x1 = 2 - x2, x2 <= 5 -> x1 = -3 *)
   check_float "obj" (-3.) r.Simplex.obj
 
@@ -124,7 +129,7 @@ let test_larger_random_consistency () =
       ~ub:(Array.make ncols 10.)
       ~rhs
   in
-  let r1 = Simplex.solve p and r2 = Simplex.solve p in
+  let r1 = solve_ok p and r2 = solve_ok p in
   check_bool "optimal" true (r1.Simplex.status = Simplex.Optimal);
   check_bool "feasible" true (Simplex.feasible p r1.Simplex.x);
   check_float "deterministic" r1.Simplex.obj r2.Simplex.obj;
@@ -141,15 +146,10 @@ let test_iteration_limit () =
       ~ub:[| 5.; 5. |]
       ~rhs:[| 4. |]
   in
-  let r = Simplex.solve ~max_iterations:0 p in
+  let r = solve_ok ~max_iterations:0 p in
   check_bool "reports limit" true (r.Simplex.status = Simplex.Iteration_limit)
 
 (* ---- warm-start (dual simplex) unit tests ------------------------------ *)
-
-let solve_ok ?warm p =
-  match Simplex.solve_r ?warm p with
-  | Ok r -> r
-  | Error f -> Alcotest.failf "solve_r failed: %s" (Robust.Failure.to_string f)
 
 let test_warm_basis_returned () =
   let p =
