@@ -10,10 +10,11 @@
      never fails the gate.
 
    - The warm-start sweep is node-bound, so its telemetry counters are
-     deterministic: any counter drift against the baseline is a real
-     behavioural change (different pivots, different tree) and FAILS the
-     gate (exit 1), as does a sweep that lost warm/cold identity or stopped
-     warm-solving nodes.
+     deterministic: any counter drift against the baseline, in either of
+     its two legs (two-stage and joint), is a real behavioural change
+     (different pivots, different tree) and FAILS the gate (exit 1), as
+     does a leg that lost warm/cold identity or stopped warm-solving
+     nodes.
 
    Stdlib only (hand-rolled JSON reader for the subset bench/main.ml
    emits: objects, arrays, strings, numbers, booleans). *)
@@ -193,28 +194,60 @@ let check_experiments fresh base =
       | None -> warn "experiment %s missing from baseline" id)
     (exps fresh)
 
-(* The node-bound warm sweep: identity booleans must hold in the fresh run,
-   and every telemetry counter must match the baseline exactly. *)
+(* One leg of the node-bound warm sweep: identity booleans must hold in the
+   fresh run, and every telemetry counter must match the baseline exactly. *)
+let check_leg label f b =
+  List.iter
+    (fun key ->
+      match bool_opt f [ key ] with
+      | Some true -> ()
+      | Some false -> fail "%s.%s is false (warm/cold runs diverged)" label key
+      | None -> fail "%s.%s missing" label key)
+    [ "schedules_identical"; "objectives_identical"; "nodes_identical" ];
+  (match num_opt f [ "warm"; "telemetry"; "counters"; "simplex.warm_solves" ] with
+   | Some w when w > 0. -> ()
+   | Some _ -> fail "%s: warm run performed no warm solves" label
+   | None -> fail "%s warm_solves counter missing" label);
+  check_wall (label ^ "(warm)") (num_opt f [ "warm"; "wall_s" ]) (num_opt b [ "warm"; "wall_s" ]);
+  check_wall (label ^ "(cold)") (num_opt f [ "cold"; "wall_s" ]) (num_opt b [ "cold"; "wall_s" ]);
+  List.iter
+    (fun side ->
+      match
+        (path_opt f [ side; "telemetry"; "counters" ],
+         path_opt b [ side; "telemetry"; "counters" ])
+      with
+      | Some (Obj fc), Some (Obj bc) ->
+        List.iter
+          (fun (name, v) ->
+            match (v, List.assoc_opt name bc) with
+            | Num fv, Some (Num bv) ->
+              if fv <> bv then
+                fail "%s %s counter %s drifted: %.0f vs baseline %.0f" label side name fv bv
+            | _, None -> fail "%s %s counter %s absent from baseline" label side name
+            | _ -> fail "%s %s counter %s is not a number" label side name)
+          fc;
+        List.iter
+          (fun (name, _) ->
+            if not (List.mem_assoc name fc) then
+              fail "%s %s counter %s vanished from fresh results" label side name)
+          bc
+      | _ -> fail "%s %s telemetry counters missing" label side)
+    [ "warm"; "cold" ]
+
+(* The warm sweep's two legs: the two-stage one at the top level of
+   [warm_sweep], the joint one under [warm_sweep.joint]. *)
 let check_sweep fresh base =
   match (member "warm_sweep" fresh, member "warm_sweep" base) with
   | None, _ -> fail "warm_sweep section missing from fresh results"
   | _, None -> warn "warm_sweep section missing from baseline (gate skipped)"
   | Some f, Some b ->
-    List.iter
-      (fun key ->
-        match bool_opt f [ key ] with
-        | Some true -> ()
-        | Some false -> fail "warm_sweep.%s is false (warm/cold runs diverged)" key
-        | None -> fail "warm_sweep.%s missing" key)
-      [ "schedules_identical"; "objectives_identical"; "nodes_identical" ];
-    (match num_opt f [ "warm"; "telemetry"; "counters"; "simplex.warm_solves" ] with
-     | Some w when w > 0. -> ()
-     | Some _ -> fail "warm sweep performed no warm solves"
-     | None -> fail "warm_sweep warm_solves counter missing");
-    (* The incremental LU engine's reason to exist: the warm sweep must
+    check_leg "warm_sweep" f b;
+    (* The incremental LU engine's reason to exist: the two-stage leg must
        stay at or below 0.2 full refactorizations per simplex solve (the
-       pre-engine code performed ~2 per solve). A missing refactorization
-       counter means zero refactorizations, which trivially passes. *)
+       pre-engine code performed ~2 per solve). It is a property of the
+       prefix chain, so the joint leg, above the chain's cutoff, is exempt.
+       A missing refactorization counter means zero refactorizations,
+       which trivially passes. *)
     (match num_opt f [ "warm"; "telemetry"; "counters"; "simplex.solves" ] with
      | Some solves when solves > 0. ->
        let refac =
@@ -228,35 +261,10 @@ let check_sweep fresh base =
             (%.0f refactorizations / %.0f solves)"
            per_solve refac solves
      | Some _ | None -> fail "warm_sweep simplex.solves counter missing or zero");
-    check_wall "warm_sweep(warm)" (num_opt f [ "warm"; "wall_s" ])
-      (num_opt b [ "warm"; "wall_s" ]);
-    check_wall "warm_sweep(cold)" (num_opt f [ "cold"; "wall_s" ])
-      (num_opt b [ "cold"; "wall_s" ]);
-    List.iter
-      (fun side ->
-        match
-          (path_opt f [ side; "telemetry"; "counters" ],
-           path_opt b [ side; "telemetry"; "counters" ])
-        with
-        | Some (Obj fc), Some (Obj bc) ->
-          List.iter
-            (fun (name, v) ->
-              match (v, List.assoc_opt name bc) with
-              | Num fv, Some (Num bv) ->
-                if fv <> bv then
-                  fail "warm_sweep %s counter %s drifted: %.0f vs baseline %.0f" side
-                    name fv bv
-              | _, None ->
-                fail "warm_sweep %s counter %s absent from baseline" side name
-              | _ -> fail "warm_sweep %s counter %s is not a number" side name)
-            fc;
-          List.iter
-            (fun (name, _) ->
-              if not (List.mem_assoc name fc) then
-                fail "warm_sweep %s counter %s vanished from fresh results" side name)
-            bc
-        | _ -> fail "warm_sweep %s telemetry counters missing" side)
-      [ "warm"; "cold" ]
+    match (member "joint" f, member "joint" b) with
+    | None, _ -> fail "warm_sweep.joint missing from fresh results"
+    | _, None -> warn "warm_sweep.joint missing from baseline (gate skipped)"
+    | Some fj, Some bj -> check_leg "warm_sweep.joint" fj bj
 
 (* The fusion sweep is exact-integer and node-bound, so its word counts are
    deterministic: any drift against the baseline is a real change to the

@@ -1188,21 +1188,20 @@ let fuse_benchmarks () =
   end;
   flush stdout
 
-(* Warm-start sweep: the warm-started-dual-simplex acceptance gate. Every
-   distinct ResNet-50 shape is scheduled node-bound (deterministic) twice —
+(* Warm-start sweep: the warm-started-dual-simplex acceptance gate. Each
+   leg schedules its layers node-bound (deterministic) twice —
    [Cosa.schedule ~warm_start] true and false — under identical budgets.
    Warm starting must only change how fast each node LP solves, never the
    search itself, so the gate demands byte-identical schedules,
    objectives, and node counts, then reports the iteration economics
    (phase1+phase2+dual totals) and the fraction of non-root node LPs
-   served by dual reoptimization. *)
-let warm_sweep () =
-  print_newline ();
-  print_endline "Warm-start sweep: node-bound ResNet-50, warm vs cold node LPs";
-  print_endline "=============================================================";
-  Telemetry.Sink.set Telemetry.Sink.Memory;
+   served by dual reoptimization. The two-stage leg (every distinct
+   ResNet-50 shape, 3000 nodes) runs the small LPs of the prefix chain;
+   the joint leg (sched-joint's 33 distinct 1x1 convolutions and GEMMs, 10
+   nodes) runs 120-200-row LPs through the scratch elimination above the
+   chain's cutoff. Returns the leg's JSON fields, without braces. *)
+let sweep_leg ~strategy ~node_limit layers =
   let arch = Spec.baseline in
-  let shapes = Network.distinct Network.resnet50 in
   let iter_counters =
     [ "simplex.phase1_iterations"; "simplex.phase2_iterations";
       "simplex.dual_iterations" ]
@@ -1212,10 +1211,8 @@ let warm_sweep () =
     let t0 = Unix.gettimeofday () in
     let results =
       List.map
-        (fun ((e : Network.entry), _) ->
-          Cosa.schedule ~strategy:Cosa.Two_stage ~node_limit:3_000 ~time_limit:60.
-            ~warm_start arch e.Network.layer)
-        shapes
+        (fun l -> Cosa.schedule ~strategy ~node_limit ~time_limit:60. ~warm_start arch l)
+        layers
     in
     let wall = Unix.gettimeofday () -. t0 in
     let snap = Telemetry.Metrics.snapshot () in
@@ -1243,27 +1240,51 @@ let warm_sweep () =
   let schedules_identical = w_scheds = c_scheds in
   let objectives_identical = w_objs = c_objs in
   let nodes_identical = w_nodes = c_nodes in
-  Printf.printf "%d distinct shapes, node_limit=3000, strategy=two-stage\n"
-    (List.length shapes);
+  Printf.printf "%d distinct shapes, node_limit=%d, strategy=%s\n" (List.length layers)
+    node_limit (Cosa.strategy_to_string strategy);
   Printf.printf "warm: %.2f s, %d nodes, %d simplex iterations (%d warm-solved node LPs)\n"
     w_wall w_nodes w_iters (wcv "simplex.warm_solves");
   Printf.printf "cold: %.2f s, %d nodes, %d simplex iterations\n" c_wall c_nodes c_iters;
-  Printf.printf "iteration ratio cold/warm: %.2fx (acceptance: >= 2x)\n" iter_ratio;
-  Printf.printf "non-root node LPs warm-solved: %.1f%% (acceptance: >= 70%%)\n"
-    (100. *. warm_rate);
+  Printf.printf "iteration ratio cold/warm: %.2fx\n" iter_ratio;
+  Printf.printf "non-root node LPs warm-solved: %.1f%%\n" (100. *. warm_rate);
   Printf.printf "schedules byte-identical warm vs cold: %b\n" schedules_identical;
   Printf.printf "objectives identical: %b\nnode counts identical: %b\n"
     objectives_identical nodes_identical;
-  sweep_result :=
-    Some
-      (Printf.sprintf
-         "{\"shapes\":%d,\"node_limit\":3000,\"schedules_identical\":%b,\
-          \"objectives_identical\":%b,\"nodes_identical\":%b,\"iter_ratio\":%s,\
-          \"warm_start_rate\":%s,\"warm\":{\"wall_s\":%s,\"telemetry\":%s},\
-          \"cold\":{\"wall_s\":%s,\"telemetry\":%s}}"
-         (List.length shapes) schedules_identical objectives_identical nodes_identical
-         (json_float iter_ratio) (json_float warm_rate) (json_float w_wall)
-         (snapshot_json w_snap) (json_float c_wall) (snapshot_json c_snap));
+  Printf.sprintf
+    "\"shapes\":%d,\"node_limit\":%d,\"schedules_identical\":%b,\
+     \"objectives_identical\":%b,\"nodes_identical\":%b,\"iter_ratio\":%s,\
+     \"warm_start_rate\":%s,\"warm\":{\"wall_s\":%s,\"telemetry\":%s},\
+     \"cold\":{\"wall_s\":%s,\"telemetry\":%s}"
+    (List.length layers) node_limit schedules_identical objectives_identical
+    nodes_identical (json_float iter_ratio) (json_float warm_rate) (json_float w_wall)
+    (snapshot_json w_snap) (json_float c_wall) (snapshot_json c_snap)
+
+(* sched-joint's layers: the distinct 1x1 convolutions and GEMMs of the
+   four suites, in suite order. *)
+let joint_sweep_layers () =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun (l : Layer.t) ->
+      let k = Layer.key l in
+      l.Layer.r = 1 && l.Layer.s = 1
+      && (not (Hashtbl.mem seen k))
+      && (Hashtbl.add seen k (); true))
+    (List.concat_map snd Zoo.suites)
+
+let warm_sweep () =
+  print_newline ();
+  print_endline "Warm-start sweep: node-bound warm vs cold node LPs";
+  print_endline "==================================================";
+  Telemetry.Sink.set Telemetry.Sink.Memory;
+  let two_stage =
+    sweep_leg ~strategy:Cosa.Two_stage ~node_limit:3_000
+      (List.map
+         (fun ((e : Network.entry), _) -> e.Network.layer)
+         (Network.distinct Network.resnet50))
+  in
+  print_newline ();
+  let joint = sweep_leg ~strategy:Cosa.Joint ~node_limit:10 (joint_sweep_layers ()) in
+  sweep_result := Some (Printf.sprintf "{%s,\"joint\":{%s}}" two_stage joint);
   Telemetry.Metrics.reset ();
   Telemetry.Sink.set Telemetry.Sink.Null;
   flush stdout

@@ -22,7 +22,13 @@
     adds nothing) or tests zeros only by comparison ([<> 0.], magnitudes).
     That is the rule that keeps factorizations bit-compatible with the
     solver's canonical-vertex contract: a kernel that divided by an entry
-    of B⁻¹ or copied its sign would break it. *)
+    of B⁻¹ or copied its sign would break it. Blocked accumulation keeps
+    the rule too: [btran] adds four rows of B⁻¹ per sweep of y, each y_i
+    taking the additions of one row per sweep in the same row order,
+    never a sum of two rows' products first. The inner loops index
+    unchecked, so each kernel raises [Invalid_argument] on an array
+    shorter than the dimension, and [ftran] on a column with a row index
+    outside [\[0, m)] or a coefficient count other than its row count. *)
 
 exception Singular
 (** Raised by {!refactor} when elimination meets a pivot below the supplied

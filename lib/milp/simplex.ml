@@ -316,12 +316,14 @@ let note_step st ~degenerate =
   end
 
 (* Reduced cost of column j given the dual vector y. Inlined so the float
-   result stays unboxed in the pricing loops. *)
+   result stays unboxed in the pricing loops. Its loop, the dual ratio
+   test's row dot and [rebase]'s elimination index unchecked: [session]
+   validated every column, and the logical columns are unit vectors. *)
 let[@inline] reduced_cost st cost y j =
   let rows, coeffs = st.acols.(j) in
   let s = ref cost.(j) in
   for k = 0 to Array.length rows - 1 do
-    s := !s -. (y.(rows.(k)) *. coeffs.(k))
+    s := !s -. (Array.unsafe_get y (Array.unsafe_get rows k) *. Array.unsafe_get coeffs k)
   done;
   !s
 
@@ -533,7 +535,7 @@ let dual_optimize st cost ws ~cap deadline =
             let rows, coeffs = st.acols.(j) in
             let a = ref 0. in
             for k = 0 to Array.length rows - 1 do
-              a := !a +. (row.(rows.(k)) *. coeffs.(k))
+              a := !a +. (Array.unsafe_get row (Array.unsafe_get rows k) *. Array.unsafe_get coeffs k)
             done;
             let a = !a in
             let eligible =
@@ -698,14 +700,18 @@ let rebase st ws memo =
       for k = 0 to Array.length rows - 1 do
         w.(rows.(k)) <- coeffs.(k)
       done;
+      (* a zero at the pivot row gives a ±0 multiplier, skipped anyway *)
       for t = 0 to !count - 1 do
-        let lt = lcols.(t) in
-        let f = w.(pivrow.(t)) /. lt.(pivrow.(t)) in
-        if f <> 0. then
-          for q = nzs.(t) to nzs.(t + 1) - 1 do
-            let r = nz.(q) in
-            w.(r) <- w.(r) -. (f *. lt.(r))
-          done
+        let lt = Array.unsafe_get lcols t and pr = Array.unsafe_get pivrow t in
+        let wp = Array.unsafe_get w pr in
+        if wp <> 0. then begin
+          let f = wp /. Array.unsafe_get lt pr in
+          if f <> 0. then
+            for q = Array.unsafe_get nzs t to Array.unsafe_get nzs (t + 1) - 1 do
+              let r = Array.unsafe_get nz q in
+              Array.unsafe_set w r (Array.unsafe_get w r -. (f *. Array.unsafe_get lt r))
+            done
+        end
       done;
       let best = ref (-1) in
       for r = 0 to m - 1 do
@@ -949,7 +955,21 @@ type session = {
   memo : (Bytes.t, int array option) Hashtbl.t;  (* [rebase]'s accepted sets *)
 }
 
+(* The pricing loops read columns unchecked: a malformed problem is
+   refused here, once per session. *)
+let validate p =
+  let m = p.nrows and n = p.ncols in
+  let bad what = invalid_arg ("Simplex.session: " ^ what) in
+  if Array.length p.cols <> n || Array.exists (fun a -> Array.length a <> n) [| p.cost; p.lb; p.ub |]
+  then bad "cols, cost, lb or ub length is not ncols";
+  if Array.length p.rhs <> m then bad "rhs length is not nrows";
+  Array.iter (fun (rows, coeffs) ->
+      if Array.length coeffs <> Array.length rows then bad "column rows and coeffs differ in length";
+      if Array.exists (fun r -> r < 0 || r >= m) rows then bad "column row index out of range")
+    p.cols
+
 let session p =
+  validate p;
   let m = p.nrows and ncols = p.ncols in
   let ntot = ncols + m in
   let plus = Array.init m (fun i -> ([| i |], [| 1. |])) in

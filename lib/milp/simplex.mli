@@ -113,7 +113,11 @@ type session
 
 val session : problem -> session
 (** [session p] sizes a session for [p] and for every problem sharing
-    [p.cols] and [p.cost]. *)
+    [p.cols] and [p.cost]. The pricing loops read columns unchecked, so
+    it raises [Invalid_argument] on a malformed [p]: a column with a row
+    index outside [\[0, nrows)] or a coefficient count other than its row
+    count, or [cols], [cost], [lb], [ub] not of length [ncols] or [rhs]
+    not of length [nrows]. *)
 
 val solve_r :
   ?session:session ->
@@ -125,7 +129,9 @@ val solve_r :
 (** Result-returning entry point. Defaults to a generous iteration cap
     scaled with problem size and no deadline. The deadline is polled every
     few dozen pivots, so a solve never overruns its budget by more than a
-    handful of iterations.
+    handful of iterations. [max_iterations] has no production caller ([Bb]
+    runs the default); it stays as the only way to reach [Iteration_limit],
+    the status [Bb] drops without proof.
 
     [warm], when given, must come from an optimal solve of a problem with
     the same constraint matrix (only [lb]/[ub] may differ — exactly the
@@ -142,8 +148,9 @@ val solve_r :
     child on drifted numerics.
 
     [session] supplies the buffers (see {!session}); without one the
-    solve builds a throwaway session. Raises [Invalid_argument] when the
-    session was built for a problem with other [cols] or [cost] arrays.
+    solve builds a throwaway session, which validates [p]. Raises
+    [Invalid_argument] when the session was built for a problem with
+    other [cols] or [cost] arrays.
 
     [Error] covers abnormal terminations only — [Singular_basis] (cold
     path), [Deadline_exceeded], [Numerical_instability] (NaN/Inf detected

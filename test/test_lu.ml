@@ -383,8 +383,10 @@ end
 (* A random sparse basis pool of [m] rows: small-integer entries of mixed
    sign (so eliminations cancel exactly and -0.0 arises) with some
    fractional ones, about a fifth of the columns singletons, and
-   density 5-40% elsewhere. *)
-let random_sparse_pool rng m =
+   density 5-40% elsewhere. With [~own_row:true] each singleton sits on
+   its column's own row, like a slack: at 120-200 rows, singletons on
+   random rows collide and leave almost every basis singular. *)
+let random_sparse_pool ?(own_row = false) rng m =
   let entry () =
     let v = float_of_int (1 + Random.State.int rng 3) in
     let v =
@@ -396,7 +398,8 @@ let random_sparse_pool rng m =
   let dense =
     Array.init (m + 2 + Random.State.int rng (2 * m)) (fun j ->
         let col = Array.make m 0. in
-        if Random.State.int rng 5 = 0 then col.(Random.State.int rng m) <- entry ()
+        if Random.State.int rng 5 = 0 then
+          col.(if own_row then j mod m else Random.State.int rng m) <- entry ()
         else begin
           (* a strong entry on a rotating row keeps most bases nonsingular *)
           col.(j mod m) <- entry ();
@@ -434,7 +437,10 @@ let check_same_bits what a b =
         Alcotest.failf "%s: entry %d = %h, dense reference %h" what i x b.(i))
     a
 
-(* Every reader of B^-1 sums from +0, so its outputs agree bit for bit. *)
+(* Every reader of B^-1 sums from +0, so its outputs agree bit for bit.
+   btran runs on the solver's shapes of c: half zeros, every row nonzero
+   (the canonical weights priced through a dense c_B), and one to three
+   nonzeros (the remainder of its four-row blocking). *)
 let compare_kernels rng what lu (d : Dense.t) cols =
   let m = d.Dense.m in
   let a1 = Array.make m 0. and a2 = Array.make m 0. in
@@ -444,25 +450,33 @@ let compare_kernels rng what lu (d : Dense.t) cols =
       Dense.ftran d col a2;
       check_same_bits (what ^ " ftran") a1 a2)
     cols;
-  let c =
-    Array.init m (fun _ -> if Random.State.bool rng then 0. else Random.State.float rng 4. -. 2.)
-  in
-  Lu.btran lu c a1;
-  Dense.btran d c a2;
-  check_same_bits (what ^ " btran") a1 a2;
+  let coef () = Random.State.float rng 4. -. 2. in
+  let half = Array.init m (fun _ -> if Random.State.bool rng then 0. else coef ()) in
+  let dense = Array.init m (fun _ -> coef ()) in
+  let few = Array.make m 0. in
+  for _ = 0 to Random.State.int rng 3 do
+    few.(Random.State.int rng m) <- coef ()
+  done;
+  List.iter
+    (fun (shape, c) ->
+      Lu.btran lu c a1;
+      Dense.btran d c a2;
+      check_same_bits (Printf.sprintf "%s btran (%s)" what shape) a1 a2)
+    [ ("half zeros", half); ("all nonzero", dense); ("1-3 nonzeros", few) ];
   let v = Array.init m (fun _ -> float_of_int (Random.State.int rng 7 - 3)) in
   Lu.apply lu v a1;
   Dense.apply d v a2;
   check_same_bits (what ^ " apply") a1 a2
 
 (* Random sparse bases and pivot sequences through both engines, with
-   refactorizations of the current basis mixed in. *)
+   refactorizations of the current basis mixed in: 250 bases of up to 40
+   rows, then four at the joint formulations' 120-200 rows. *)
 let test_kernels_match_dense () =
   let rng = Random.State.make [| 1405 |] in
-  let negative_zeros = ref 0 and refactors = ref 0 and singular = ref 0 in
-  for case = 1 to 250 do
-    let m = 1 + Random.State.int rng 40 in
-    let cols = random_sparse_pool rng m in
+  let negative_zeros = ref 0 and refactors = ref 0 and singular = ref 0 and large = ref 0 in
+  for case = 1 to 254 do
+    let m = if case <= 250 then 1 + Random.State.int rng 40 else 120 + Random.State.int rng 81 in
+    let cols = random_sparse_pool ~own_row:(case > 250) rng m in
     let basis = Array.init m Fun.id in
     let lu = Lu.create m and d = Dense.create m in
     let scratch = Array.make_matrix m m 0. and dscratch = Array.make_matrix m m 0. in
@@ -483,10 +497,11 @@ let test_kernels_match_dense () =
       | Ok (), Error () | Error (), Ok () -> Alcotest.failf "%s: singularity differs" what
     in
     if refactor_both () then begin
+      if case > 250 then incr large;
       compare_kernels rng what lu d cols;
       let alpha = Array.make m 0. and dalpha = Array.make m 0. in
       let ok = ref true in
-      for _ = 1 to Random.State.int rng (2 * m + 2) do
+      for _ = 1 to Random.State.int rng (2 * min m 40 + 2) do
         if !ok then begin
           let j = Random.State.int rng (Array.length cols) in
           Lu.ftran lu cols.(j) alpha;
@@ -510,7 +525,56 @@ let test_kernels_match_dense () =
      exercise signed zeros and both factorization outcomes *)
   Alcotest.(check bool) "-0.0 arises in the inverses" true (!negative_zeros > 0);
   Alcotest.(check bool) "some basis is singular" true (!singular > 0);
-  Alcotest.(check bool) "refactorizations after pivots" true (!refactors > 300)
+  Alcotest.(check bool) "refactorizations after pivots" true (!refactors > 300);
+  Alcotest.(check bool) "bases of 120-200 rows factorize" true (!large >= 2)
+
+(* The kernels index their inner loops unchecked, so each refuses an array
+   shorter than the dimension, and ftran a malformed column, before
+   touching anything. *)
+let test_kernels_refuse_bad_shapes () =
+  let m = 3 in
+  let lu = Lu.create m in
+  let cols =
+    sparse_of_dense (Array.init m (fun j -> Array.init m (fun i -> if i = j then 2. else 0.)))
+  in
+  let basis = Array.init m Fun.id and scratch = Array.make_matrix m m 0. in
+  Lu.refactor lu ~scratch ~cols ~basis ~pivot_tol;
+  let short = Array.make (m - 1) 0. and full = Array.make m 0. in
+  let refuses ?msg what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument got ->
+      Option.iter (fun msg -> Alcotest.(check string) what msg got) msg
+  in
+  refuses ~msg:"Lu.btran" "btran: short c" (fun () -> Lu.btran lu short full);
+  refuses ~msg:"Lu.btran" "btran: short y" (fun () -> Lu.btran lu full short);
+  refuses ~msg:"Lu.apply" "apply: short v" (fun () -> Lu.apply lu short full);
+  refuses ~msg:"Lu.apply" "apply: short out" (fun () -> Lu.apply lu full short);
+  refuses ~msg:"Lu.ftran" "ftran: short alpha" (fun () -> Lu.ftran lu cols.(0) short);
+  refuses ~msg:"Lu.ftran: row out of range" "ftran: row = m" (fun () ->
+      Lu.ftran lu ([| 0; m |], [| 1.; 1. |]) full);
+  refuses ~msg:"Lu.ftran: row out of range" "ftran: negative row" (fun () ->
+      Lu.ftran lu ([| -1 |], [| 1. |]) full);
+  refuses ~msg:"Lu.ftran: rows and coeffs differ in length" "ftran: fewer coeffs" (fun () ->
+      Lu.ftran lu ([| 0; 1 |], [| 1. |]) full);
+  refuses ~msg:"Lu.ftran: rows and coeffs differ in length" "ftran: more coeffs" (fun () ->
+      Lu.ftran lu ([| 0 |], [| 1.; 1. |]) full);
+  refuses ~msg:"Lu.update" "update: short alpha" (fun () -> Lu.update lu ~pivot_tol 0 short);
+  refuses "update: row = m" (fun () -> Lu.update lu ~pivot_tol m [| 1.; 1.; 1. |]);
+  refuses "refactor: short basis" (fun () ->
+      Lu.refactor lu ~scratch ~cols ~basis:[| 0; 1 |] ~pivot_tol);
+  refuses "refactor: short scratch" (fun () ->
+      Lu.refactor lu ~scratch:(Array.make_matrix (m - 1) m 0.) ~cols ~basis ~pivot_tol);
+  refuses "refactor: short scratch row" (fun () ->
+      Lu.refactor lu
+        ~scratch:(Array.init m (fun i -> Array.make (if i = 1 then m - 1 else m) 0.))
+        ~cols ~basis ~pivot_tol);
+  refuses "refactor: column row = m" (fun () ->
+      Lu.refactor lu ~scratch ~cols:[| ([| m |], [| 1. |]); cols.(1); cols.(2) |] ~basis
+        ~pivot_tol);
+  (* the engine still holds the inverse of 2I *)
+  Lu.btran lu [| 1.; 1.; 1. |] full;
+  Alcotest.(check (array (float 0.))) "inverse intact" [| 0.5; 0.5; 0.5 |] full
 
 let suite =
   let qc = QCheck_alcotest.to_alcotest in
@@ -518,6 +582,8 @@ let suite =
     [ qc prop_eta_matches_scratch;
       Alcotest.test_case "zero-skipping kernels = dense reference, bit for bit" `Quick
         test_kernels_match_dense;
+      Alcotest.test_case "kernels refuse arrays and columns of the wrong shape" `Quick
+        test_kernels_refuse_bad_shapes;
       Alcotest.test_case "stability trigger fires on tiny pivot" `Quick
         test_stability_trigger;
       Alcotest.test_case "chain-length cap fires" `Quick test_chain_cap;

@@ -149,6 +149,43 @@ let test_iteration_limit () =
   let r = solve_ok ~max_iterations:0 p in
   check_bool "reports limit" true (r.Simplex.status = Simplex.Iteration_limit)
 
+(* The pricing loops read columns unchecked, so a session refuses every
+   malformed problem up front, and so does a solve without one. *)
+let test_session_refuses_malformed () =
+  let p =
+    problem
+      ~rows:[| [| 1.; 1. |]; [| 1.; -1. |] |]
+      ~cost:[| -1.; -1. |]
+      ~lb:[| 0.; 0. |]
+      ~ub:[| 5.; 5. |]
+      ~rhs:[| 4.; 1. |]
+  in
+  ignore (Simplex.session p);
+  let with_col j col =
+    { p with Simplex.cols = Array.mapi (fun k c -> if k = j then col else c) p.Simplex.cols }
+  in
+  List.iter
+    (fun (what, bad, msg) ->
+      let expected = Invalid_argument ("Simplex.session: " ^ msg) in
+      Alcotest.check_raises ("session: " ^ what) expected (fun () ->
+          ignore (Simplex.session bad));
+      Alcotest.check_raises ("solve_r: " ^ what) expected (fun () ->
+          ignore (Simplex.solve_r bad)))
+    [ ("row index = nrows", with_col 1 ([| 0; 2 |], [| 1.; 1. |]),
+       "column row index out of range");
+      ("negative row index", with_col 0 ([| -1 |], [| 1. |]), "column row index out of range");
+      ("fewer coeffs than rows", with_col 0 ([| 0; 1 |], [| 1. |]),
+       "column rows and coeffs differ in length");
+      ("more coeffs than rows", with_col 0 ([| 0 |], [| 1.; 1. |]),
+       "column rows and coeffs differ in length");
+      ("cols shorter than ncols", { p with Simplex.ncols = 3; cost = [| 0.; 0.; 0. |];
+                                           lb = [| 0.; 0.; 0. |]; ub = [| 1.; 1.; 1. |] },
+       "cols, cost, lb or ub length is not ncols");
+      ("cost length", { p with Simplex.cost = [| -1. |] }, "cols, cost, lb or ub length is not ncols");
+      ("lb length", { p with Simplex.lb = [| 0.; 0.; 0. |] }, "cols, cost, lb or ub length is not ncols");
+      ("ub length", { p with Simplex.ub = [| 5. |] }, "cols, cost, lb or ub length is not ncols");
+      ("rhs length", { p with Simplex.rhs = [| 4. |] }, "rhs length is not nrows") ]
+
 (* ---- warm-start (dual simplex) unit tests ------------------------------ *)
 
 let test_warm_basis_returned () =
@@ -243,6 +280,8 @@ let suite =
       Alcotest.test_case "free variable" `Quick test_free_variable;
       Alcotest.test_case "random LP consistency" `Quick test_larger_random_consistency;
       Alcotest.test_case "iteration limit" `Quick test_iteration_limit;
+      Alcotest.test_case "session refuses malformed problems" `Quick
+        test_session_refuses_malformed;
       Alcotest.test_case "warm basis returned" `Quick test_warm_basis_returned;
       Alcotest.test_case "warm agrees with cold" `Quick test_warm_agrees_with_cold;
       Alcotest.test_case "warm detects infeasible child" `Quick
