@@ -58,7 +58,7 @@ let num_pes t = t.levels.(t.noc_level).fanout
    display [aname] is deliberately excluded — two specs with equal keys
    produce identical schedules, so the key (not the name) is the
    architecture's contribution to schedule-cache fingerprints. *)
-let key t =
+let render_key t =
   let fl = Printf.sprintf "%h" in
   let level l =
     Printf.sprintf "%s,%d,%s,%d,%s,%s" l.lname l.capacity_bytes
@@ -80,6 +80,22 @@ let key t =
        (List.map
           (fun v -> Printf.sprintf "%s:%d" (Dims.tensor_name v) (t.precision_bits v))
           Dims.all_tensors))
+
+(* A spec is never mutated once built, so the first [key_memo_max] specs
+   keyed keep their key by physical identity, in an immutable list swapped
+   atomically (domain-safe); later specs are rendered on every call. *)
+let key_memo_max = 16
+let key_memo : (t * string) list Atomic.t = Atomic.make []
+
+let key t =
+  let memo = Atomic.get key_memo in
+  match List.assq_opt t memo with
+  | Some k -> k
+  | None ->
+    let k = render_key t in
+    if List.length memo < key_memo_max then
+      ignore (Atomic.compare_and_set key_memo memo ((t, k) :: memo));
+    k
 
 let simba_precision = function Dims.W | Dims.IA -> 8 | Dims.OA -> 24
 

@@ -37,6 +37,8 @@ type dram = {
   dram_bandwidth_words : float;  (** words/cycle toward the global buffer *)
 }
 
+(** A spec is never mutated after it is built, [levels] included ({!key}
+    is memoized by physical identity): derive a variant as a copy. *)
 type t = {
   aname : string;
   levels : level array;  (** index 0 = innermost *)
@@ -65,7 +67,8 @@ val key : t -> string
 (** Canonical single-line content key over every scheduling-relevant field
     (levels, NoC, DRAM, energies, precisions — floats in hex), with the
     display [aname] excluded. Equal keys mean interchangeable architectures;
-    used for schedule-cache fingerprints. *)
+    used for schedule-cache fingerprints. Rendered once per spec value for
+    the first 16 specs keyed; later ones are rendered on every call. *)
 
 val baseline : t
 (** Table V: 4x4 mesh of PEs; 64 MACs, 64 B registers, 3 KB accumulation

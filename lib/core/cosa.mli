@@ -22,7 +22,9 @@ type objective_breakdown = Cosa_objective.t = {
 }
 
 type strategy =
-  | Auto  (** joint MIP and two-stage decomposition, best Eq.-12 value wins *)
+  | Auto
+      (** joint MIP and two-stage decomposition; the candidate with the lower
+          {!Model.evaluate} latency wins (the joint one on a tie) *)
   | Joint  (** the paper's single joint MIP only *)
   | Two_stage  (** tiling/spatial MIP, then exact permutation sub-solve *)
   | Heuristic

@@ -335,16 +335,19 @@ let rec write_all fd b off len =
     write_all fd b (off + n) (len - n)
   end
 
-let write_frame fd payload =
+(* The 4-byte big-endian length header and the payload in one buffer, so a
+   frame leaves in one [write] and the reader wakes once for all of it. *)
+let frame payload =
   let n = Bytes.length payload in
   if n > max_frame then invalid_arg "Protocol.write_frame: frame too large";
-  let hdr = Bytes.create 4 in
-  Bytes.set hdr 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set hdr 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set hdr 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set hdr 3 (Char.chr (n land 0xff));
-  write_all fd hdr 0 4;
-  write_all fd payload 0 n
+  let b = Bytes.create (4 + n) in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.blit payload 0 b 4 n;
+  b
+
+let write_frame fd payload = write_all fd (frame payload) 0 (4 + Bytes.length payload)
+
+let header_length hdr = Int32.to_int (Bytes.get_int32_be hdr 0) land 0xffff_ffff
 
 let read_exact fd buf len =
   let rec go off =
@@ -363,12 +366,7 @@ let read_frame fd =
   | `Eof -> Ok None
   | `Truncated -> Error "truncated frame header"
   | `Ok ->
-    let n =
-      (Char.code (Bytes.get hdr 0) lsl 24)
-      lor (Char.code (Bytes.get hdr 1) lsl 16)
-      lor (Char.code (Bytes.get hdr 2) lsl 8)
-      lor Char.code (Bytes.get hdr 3)
-    in
+    let n = header_length hdr in
     if n > max_frame then Error (Printf.sprintf "frame of %d bytes exceeds limit" n)
     else begin
       let payload = Bytes.create n in
@@ -404,12 +402,7 @@ let read_frame_timeout fd =
   | `Timeout 0 -> `Idle
   | `Timeout _ -> `Error "read deadline exceeded mid-header"
   | `Ok _ ->
-    let n =
-      (Char.code (Bytes.get hdr 0) lsl 24)
-      lor (Char.code (Bytes.get hdr 1) lsl 16)
-      lor (Char.code (Bytes.get hdr 2) lsl 8)
-      lor Char.code (Bytes.get hdr 3)
-    in
+    let n = header_length hdr in
     if n > max_frame then `Error (Printf.sprintf "frame of %d bytes exceeds limit" n)
     else begin
       let payload = Bytes.create n in
@@ -425,11 +418,4 @@ let read_frame_timeout fd =
    error (mid-frame stall/EOF), never as a short valid frame. *)
 let write_torn_frame fd payload =
   let n = Bytes.length payload in
-  if n > max_frame then invalid_arg "Protocol.write_torn_frame: frame too large";
-  let hdr = Bytes.create 4 in
-  Bytes.set hdr 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set hdr 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set hdr 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set hdr 3 (Char.chr (n land 0xff));
-  write_all fd hdr 0 4;
-  write_all fd payload 0 (min n (max 1 (n / 2)))
+  write_all fd (frame payload) 0 (4 + min n (max 1 (n / 2)))

@@ -93,7 +93,8 @@ val encode_response : response -> bytes
 val decode_response : bytes -> (response, string) result
 
 val write_frame : Unix.file_descr -> bytes -> unit
-(** Write one length-prefixed frame, retrying short writes. Raises
+(** Write one length-prefixed frame: header and payload go out from one
+    buffer in a single [write] (retried on short writes). Raises
     [Unix.Unix_error] on a dead peer (callers handle/ignore EPIPE). *)
 
 val read_frame : Unix.file_descr -> (bytes option, string) result
@@ -111,6 +112,6 @@ val read_frame_timeout :
     poisoned. *)
 
 val write_torn_frame : Unix.file_descr -> bytes -> unit
-(** Fault-injection helper: write a frame header promising the full
-    payload, then only the first half of the bytes — the torn write a peer
-    crash mid-response produces. *)
+(** Fault-injection helper: write a prefix of {!write_frame}'s buffer — the
+    header promising the full payload, then only the first half of the
+    bytes — the torn write a peer crash mid-response produces. *)

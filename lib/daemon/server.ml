@@ -632,7 +632,9 @@ let process_request t (req : Protocol.request) =
       let resp = handle_request t admitted_rung req in
       let entry = flight_of_response req ~arrival ~admitted:!admitted_rung resp in
       record_flight t entry;
+      (* the fields are built only for an armed log *)
       (match resp with
+       | _ when not (Telemetry.Log.enabled ()) -> ()
        | Protocol.Scheduled _ ->
          Telemetry.Log.info "daemon.serve"
            [ ("target", entry.f_target); ("rung", entry.f_rung_served);

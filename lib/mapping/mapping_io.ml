@@ -8,30 +8,38 @@ let dim_of_name = function
   | "N" -> Some Dims.N
   | _ -> None
 
-let loops_to_string loops =
-  String.concat ","
-    (List.map
-       (fun (l : Mapping.loop) ->
-         Printf.sprintf "%s:%d" (Dims.dim_name l.Mapping.dim) l.Mapping.bound)
-       loops)
+(* One [Buffer] and [string_of_int]: the bytes of [Printf]'s %d at a
+   fraction of its cost on the daemon's per-layer records. *)
+let add_loops buf loops =
+  List.iteri
+    (fun i (l : Mapping.loop) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf (Dims.dim_name l.Mapping.dim);
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (string_of_int l.Mapping.bound))
+    loops
 
-let to_string (m : Mapping.t) =
-  let buf = Buffer.create 512 in
-  let l = m.Mapping.layer in
-  Buffer.add_string buf
-    (Printf.sprintf "layer %s r=%d s=%d p=%d q=%d c=%d k=%d n=%d stride=%d\n"
-       l.Layer.name l.Layer.r l.Layer.s l.Layer.p l.Layer.q l.Layer.c l.Layer.k l.Layer.n
-       l.Layer.stride);
+let add_mapping buf (m : Mapping.t) =
+  let l = m.Mapping.layer and i = string_of_int in
+  List.iter (Buffer.add_string buf)
+    [ "layer "; l.Layer.name; " r="; i l.Layer.r; " s="; i l.Layer.s; " p="; i l.Layer.p;
+      " q="; i l.Layer.q; " c="; i l.Layer.c; " k="; i l.Layer.k; " n="; i l.Layer.n;
+      " stride="; i l.Layer.stride; "\n" ];
   Array.iteri
-    (fun i lm ->
-      Buffer.add_string buf (Printf.sprintf "level %d" i);
-      if lm.Mapping.temporal <> [] then
-        Buffer.add_string buf (" temporal " ^ loops_to_string lm.Mapping.temporal);
-      if lm.Mapping.spatial <> [] then
-        Buffer.add_string buf (" spatial " ^ loops_to_string lm.Mapping.spatial);
+    (fun n lm ->
+      Buffer.add_string buf ("level " ^ i n);
+      let clause what loops = if loops <> [] then (Buffer.add_string buf what; add_loops buf loops) in
+      clause " temporal " lm.Mapping.temporal;
+      clause " spatial " lm.Mapping.spatial;
       Buffer.add_char buf '\n')
-    m.Mapping.levels;
+    m.Mapping.levels
+
+let render f =
+  let buf = Buffer.create 768 in
+  f buf;
   Buffer.contents buf
+
+let to_string m = render (fun buf -> add_mapping buf m)
 
 let parse_loops s =
   if String.trim s = "" then Ok []
@@ -166,25 +174,21 @@ let default_meta =
    them. *)
 let fl = Printf.sprintf "%h"
 
-let meta_to_string m =
-  let buf = Buffer.create 256 in
-  (match m.weights with
-   | Some (u, c, t) ->
-     Buffer.add_string buf (Printf.sprintf "@weights %s %s %s\n" (fl u) (fl c) (fl t))
-   | None -> ());
-  if m.strategy <> "" then Buffer.add_string buf ("@strategy " ^ m.strategy ^ "\n");
-  if m.source <> "" then Buffer.add_string buf ("@source " ^ m.source ^ "\n");
-  if m.verdict <> "" then Buffer.add_string buf ("@certification " ^ m.verdict ^ "\n");
-  (match m.objective with
-   | Some (u, c, t, total) ->
-     Buffer.add_string buf
-       (Printf.sprintf "@objective %s %s %s %s\n" (fl u) (fl c) (fl t) (fl total))
-   | None -> ());
-  if m.solve_time <> 0. then
-    Buffer.add_string buf ("@solve-time " ^ fl m.solve_time ^ "\n");
-  Buffer.contents buf
+let add_meta buf m =
+  let line key words =
+    Buffer.add_string buf key;
+    List.iter (fun w -> Buffer.add_char buf ' '; Buffer.add_string buf w) words;
+    Buffer.add_char buf '\n'
+  in
+  let text key v = if v <> "" then line key [ v ] in
+  Option.iter (fun (u, c, t) -> line "@weights" (List.map fl [ u; c; t ])) m.weights;
+  text "@strategy" m.strategy;
+  text "@source" m.source;
+  text "@certification" m.verdict;
+  Option.iter (fun (u, c, t, z) -> line "@objective" (List.map fl [ u; c; t; z ])) m.objective;
+  if m.solve_time <> 0. then line "@solve-time" [ fl m.solve_time ]
 
-let record_to_string meta m = meta_to_string meta ^ to_string m
+let record_to_string meta m = render (fun buf -> add_meta buf meta; add_mapping buf m)
 
 let parse_floats what s k =
   let parts = List.filter (( <> ) "") (String.split_on_char ' ' s) in

@@ -955,14 +955,21 @@ type session = {
   memo : (Bytes.t, int array option) Hashtbl.t;  (* [rebase]'s accepted sets *)
 }
 
+let bad what = invalid_arg ("Simplex.session: " ^ what)
+
+(* [lb], [ub], [rhs]: not shared by a session's problems, so checked per solve. *)
+let validate_bounds p =
+  if Array.length p.lb <> p.ncols || Array.length p.ub <> p.ncols then
+    bad "cols, cost, lb or ub length is not ncols";
+  if Array.length p.rhs <> p.nrows then bad "rhs length is not nrows"
+
 (* The pricing loops read columns unchecked: a malformed problem is
    refused here, once per session. *)
 let validate p =
   let m = p.nrows and n = p.ncols in
-  let bad what = invalid_arg ("Simplex.session: " ^ what) in
-  if Array.length p.cols <> n || Array.exists (fun a -> Array.length a <> n) [| p.cost; p.lb; p.ub |]
-  then bad "cols, cost, lb or ub length is not ncols";
-  if Array.length p.rhs <> m then bad "rhs length is not nrows";
+  if Array.length p.cols <> n || Array.length p.cost <> n then
+    bad "cols, cost, lb or ub length is not ncols";
+  validate_bounds p;
   Array.iter (fun (rows, coeffs) ->
       if Array.length coeffs <> Array.length rows then bad "column rows and coeffs differ in length";
       if Array.exists (fun r -> r < 0 || r >= m) rows then bad "column row index out of range")
@@ -1236,6 +1243,7 @@ let solve_r ?session:s ?max_iterations ?(deadline = Robust.Deadline.none) ?warm 
         if p.cols != s.st.p.cols || p.cost != s.st.p.cost || p.nrows <> s.st.m
            || p.ncols + p.nrows <> s.st.ntot
         then invalid_arg "Simplex.solve_r: session built for another problem";
+        validate_bounds p;
         s
     in
     s.st.p <- p;

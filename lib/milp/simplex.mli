@@ -150,7 +150,8 @@ val solve_r :
     [session] supplies the buffers (see {!session}); without one the
     solve builds a throwaway session, which validates [p]. Raises
     [Invalid_argument] when the session was built for a problem with
-    other [cols] or [cost] arrays.
+    other [cols] or [cost] arrays, or when [p]'s [lb], [ub] or [rhs] has
+    the wrong length (with {!session}'s message).
 
     [Error] covers abnormal terminations only — [Singular_basis] (cold
     path), [Deadline_exceeded], [Numerical_instability] (NaN/Inf detected

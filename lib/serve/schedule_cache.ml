@@ -30,6 +30,14 @@
 
 type entry = { meta : Mapping_io.meta; mapping : Mapping.t }
 
+type served = {
+  arch : Spec.t;
+  weights : Cosa.weights;
+  objective : Cosa.objective_breakdown;
+  latency : float;
+  energy_pj : float;
+}
+
 (* Telemetry mirrors of the per-shard [stats] records, aggregated across
    every cache instance in the process so `--metrics` sees one table. *)
 let m_hit_mem = Telemetry.Metrics.counter "serve.cache.hit_mem"
@@ -52,6 +60,8 @@ type node = {
   key : string;  (* Fingerprint.canon *)
   file_stem : string;  (* Fingerprint.hash *)
   mutable value : entry;
+  mutable served : served option;  (* [value]'s, from its first serve; never on disk *)
+  self : node option;  (* [Some] of this node, so relinking allocates nothing *)
   mutable prev : node option;  (* toward head (more recent) *)
   mutable next : node option;  (* toward tail (less recent) *)
 }
@@ -155,8 +165,8 @@ let unlink s n =
 
 let push_front s n =
   n.next <- s.head;
-  (match s.head with Some h -> h.prev <- Some n | None -> s.tail <- Some n);
-  s.head <- Some n
+  (match s.head with Some h -> h.prev <- n.self | None -> s.tail <- n.self);
+  s.head <- n.self
 
 let touch s n =
   match s.head with
@@ -180,11 +190,13 @@ let insert s fp entry =
   match Hashtbl.find_opt s.tbl key with
   | Some n ->
     n.value <- entry;
+    n.served <- None;
     touch s n
   | None ->
     if Hashtbl.length s.tbl >= s.capacity then evict_lru s;
-    let n =
-      { key; file_stem = Fingerprint.hash fp; value = entry; prev = None; next = None }
+    let rec n =
+      { key; file_stem = Fingerprint.hash fp; value = entry; served = None; self = Some n;
+        prev = None; next = None }
     in
     Hashtbl.add s.tbl key n;
     push_front s n
@@ -279,8 +291,9 @@ let disk_load s ~arch ~layer fp =
         | Certify.Certificate.Certified ->
           s.stats.disk_hits <- s.stats.disk_hits + 1;
           Telemetry.Metrics.incr m_hit_disk;
-          insert s fp { meta; mapping };
-          Some { meta; mapping }
+          let entry = { meta; mapping } in
+          insert s fp entry;
+          Some entry
         | Certify.Certificate.Violated _ | (exception Robust.Failure.Error _) ->
           reject ()
       end
@@ -327,6 +340,30 @@ let store t fp entry =
       Telemetry.Metrics.incr m_store;
       insert s fp entry;
       disk_write s ~stem:(Fingerprint.hash fp) ~canon:(Fingerprint.canon fp) entry)
+
+let same_weights (a : Cosa.weights) (b : Cosa.weights) =
+  let same x y = Int64.bits_of_float x = Int64.bits_of_float y in
+  same a.w_util b.w_util && same a.w_comp b.w_comp && same a.w_traf b.w_traf
+
+(* Read and filled under the shard lock, and only while the node holds
+   [entry] itself: a [store] racing a hit can never pair one entry's
+   numbers with another entry's mapping. *)
+let served t fp entry ~arch ~weights =
+  let fresh () =
+    let ev = Model.evaluate arch entry.mapping in
+    { arch; weights; objective = Cosa.breakdown_of_mapping ~weights arch entry.mapping;
+      latency = ev.Model.latency; energy_pj = ev.Model.energy_pj }
+  in
+  let s = t.(shard_index t fp) in
+  Mutex.protect s.lock (fun () ->
+      match Hashtbl.find_opt s.tbl (Fingerprint.canon fp) with
+      | Some { value; served = Some v; _ }
+        when value == entry && v.arch == arch && same_weights v.weights weights -> v
+      | Some n when n.value == entry ->
+        let v = fresh () in
+        n.served <- Some v;
+        v
+      | _ -> fresh ())
 
 (* Fold [f] over one shard's nodes, most recent first, under its lock. *)
 let fold_lru s f init =

@@ -20,6 +20,15 @@
 
 type entry = { meta : Mapping_io.meta; mapping : Mapping.t }
 
+type served = {
+  arch : Spec.t;
+  weights : Cosa.weights;
+  objective : Cosa.objective_breakdown;  (** {!Cosa.breakdown_of_mapping} *)
+  latency : float;  (** {!Model.evaluate}'s *)
+  energy_pj : float;
+}
+(** What serving an entry reports beside its mapping. *)
+
 type stats = {
   mutable hits : int;  (** memory hits *)
   mutable disk_hits : int;  (** verified disk records, promoted to memory *)
@@ -62,6 +71,13 @@ val find :
     accounting — for peek-style probes that will be re-probed on the
     authoritative path, so hit-rate windows see one miss per request, not
     one per probe. Hits and disk rejects always count. *)
+
+val served : t -> Fingerprint.t -> entry -> arch:Spec.t -> weights:Cosa.weights -> served
+(** [entry]'s objective breakdown, latency and energy, computed once per
+    memory entry: kept with [fp]'s node while it holds [entry] itself and
+    is asked with the same [arch] (physically) and [weights] (bit for bit),
+    under the shard lock; dropped on eviction or re-store, never written to
+    disk. *)
 
 val store : t -> Fingerprint.t -> entry -> unit
 (** Insert as most-recent, evicting the shard's LRU entry at capacity, and

@@ -119,18 +119,20 @@ let request_fingerprint cfg layer =
 (* One cache probe as the service sees it: the local cache first, then on
    a miss the warm-peer [remote], called with no shard lock held. A record
    the remote returns (re-certified by contract) is written through to the
-   local cache and served as [Cache_peer]. *)
+   local cache and served as [Cache_peer]. A hit comes with what serving
+   it reports, computed once per memory entry. *)
 let probe ~remote ~count_miss cache cfg layer fp =
+  let hit e origin =
+    Some (e, origin, Schedule_cache.served cache fp e ~arch:cfg.arch ~weights:cfg.weights)
+  in
   match Schedule_cache.find ~count_miss cache ~arch:cfg.arch ~layer fp with
-  | Some (e, Schedule_cache.Memory) -> Some (e, Cache_memory)
-  | Some (e, Schedule_cache.Disk) -> Some (e, Cache_disk)
+  | Some (e, Schedule_cache.Memory) -> hit e Cache_memory
+  | Some (e, Schedule_cache.Disk) -> hit e Cache_disk
   | None ->
     Option.bind remote (fun remote ->
-        Option.map
-          (fun e ->
+        Option.bind (remote ~arch:cfg.arch ~layer fp) (fun e ->
             Schedule_cache.store cache fp e;
-            (e, Cache_peer))
-          (remote ~arch:cfg.arch ~layer fp))
+            hit e Cache_peer))
 
 let schedule_network_impl ?tier ?remote ?(count_miss = true) ?rung cfg
     (net : Network.t) =
@@ -238,13 +240,11 @@ let schedule_network_impl ?tier ?remote ?(count_miss = true) ?rung cfg
       (fun ((e : Network.entry), reps, fp, hit) ->
         let served =
           match hit with
-          | Some ((entry : Schedule_cache.entry), origin) ->
+          | Some ((entry : Schedule_cache.entry), origin, (v : Schedule_cache.served)) ->
             Ok
               {
                 mapping = entry.Schedule_cache.mapping;
-                objective =
-                  Cosa.breakdown_of_mapping ~weights:cfg.weights cfg.arch
-                    entry.Schedule_cache.mapping;
+                objective = v.Schedule_cache.objective;
                 origin;
                 verdict = entry.Schedule_cache.meta.Mapping_io.verdict;
                 solve_time = 0.;
@@ -268,11 +268,12 @@ let schedule_network_impl ?tier ?remote ?(count_miss = true) ?rung cfg
              | None -> Error (Robust.Failure.Invalid_input "service: lost solve result"))
         in
         let latency, energy_pj =
-          match served with
-          | Ok s ->
+          match (hit, served) with
+          | Some (_, _, v), _ -> (v.Schedule_cache.latency, v.Schedule_cache.energy_pj)
+          | None, Ok s ->
             let ev = Model.evaluate cfg.arch s.mapping in
             (ev.Model.latency, ev.Model.energy_pj)
-          | Error _ -> (0., 0.)
+          | None, Error _ -> (0., 0.)
         in
         { layer = e.Network.layer; repeats = reps; served; latency; energy_pj })
       probed

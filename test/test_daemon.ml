@@ -671,6 +671,169 @@ let test_stats_frame () =
            (Daemon.Server.stats_payload server P.Stats_full)
            "\"received\":2"))
 
+(* ---- what a hit serves -------------------------------------------------- *)
+
+(* Every number a hit serves, recomputed from scratch, bit for bit: the
+   record as the server renders it and the two totals. Over every
+   architecture variant, with a capacity small enough to evict, the
+   requests run through memory hits (which reuse the node's evaluation),
+   disk hits (which refill it), re-promotions after eviction, and hits
+   after a re-store of a different mapping under the same key, which must
+   drop it. *)
+let test_served_values_from_scratch () =
+  let dir = Filename.temp_file "cosa_served" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  let tier = Serve.Schedule_cache.create ~dir ~capacity:3 () in
+  let base = Serve.Service.config ~strategy:Cosa.Two_stage Spec.baseline in
+  let server =
+    Daemon.Server.create
+      (Daemon.Server.config ~tier ~socket_path:(Filename.concat dir "unused.sock") base)
+  in
+  let rng = Prim.Rng.create 5 in
+  let meta_of version =
+    { Mapping_io.default_meta with
+      strategy = "two-stage";
+      source = (if version = 0 then "trivial fallback" else "heuristic sampler");
+      verdict = "ok";
+      solve_time = (if version = 0 then 0. else 0.25) }
+  in
+  (* (arch name, layer name, service as the server resolves it,
+     fingerprint, the two mappings a re-store toggles between) *)
+  let pairs =
+    Array.of_list
+      (List.concat_map
+         (fun (aname, arch) ->
+           let svc =
+             if arch.Spec.aname = Spec.baseline.Spec.aname then base
+             else { base with Serve.Service.arch; weights = Cosa.calibrate arch }
+           in
+           List.map
+             (fun name ->
+               let layer = Zoo.find name in
+               let alt =
+                 match Sampler.valid rng arch layer with
+                 | Some m -> m
+                 | None -> Alcotest.fail "no valid sample"
+               in
+               ( aname, name, svc, Serve.Service.request_fingerprint svc layer,
+                 [| Cosa.trivial_mapping arch layer; alt |] ))
+             [ "3_56_64_64_1"; "1_56_64_256_1"; "1_7_512_2048_1" ])
+         Spec.variants)
+  in
+  let latency (_, _, svc, _, maps) v =
+    (Model.evaluate svc.Serve.Service.arch maps.(v)).Model.latency
+  in
+  check_bool "a re-store changes what is served" true
+    (Array.for_all (fun p -> latency p 0 <> latency p 1) pairs);
+  let version = Array.make (Array.length pairs) 0 in
+  let store i =
+    let _, _, _, fp, maps = pairs.(i) in
+    Serve.Schedule_cache.store tier fp
+      { Serve.Schedule_cache.meta = meta_of version.(i); mapping = maps.(version.(i)) }
+  in
+  Array.iteri (fun i _ -> store i) pairs;
+  let bits = Int64.bits_of_float in
+  let served = Hashtbl.create 4 in
+  let ask i =
+    let aname, name, svc, _, maps = pairs.(i) in
+    let m = maps.(version.(i)) and meta = meta_of version.(i) in
+    let w = svc.Serve.Service.weights and arch = svc.Serve.Service.arch in
+    let o = Cosa.breakdown_of_mapping ~weights:w arch m in
+    let record =
+      Mapping_io.record_to_string
+        { meta with
+          Mapping_io.weights = Some (w.Cosa.w_util, w.Cosa.w_comp, w.Cosa.w_traf);
+          objective = Some (o.Cosa.util, o.Cosa.comp, o.Cosa.traf, o.Cosa.total) }
+        m
+    in
+    let ev = Model.evaluate arch m in
+    match
+      Daemon.Server.process_request server
+        { P.client = ""; budget_s = 10.; arch = aname; target = P.Layer name;
+          cache_only = true; req_id = 0L; hop = 0 }
+    with
+    | P.Scheduled { P.layers = [ l ]; total_latency; total_energy_pj; _ } ->
+      Hashtbl.replace served l.P.origin
+        (1 + Option.value (Hashtbl.find_opt served l.P.origin) ~default:0);
+      check_string (aname ^ "/" ^ name ^ " record") record l.P.record;
+      check_bool "total latency bits" true (bits total_latency = bits ev.Model.latency);
+      check_bool "total energy bits" true (bits total_energy_pj = bits ev.Model.energy_pj)
+    | _ -> Alcotest.failf "%s/%s: expected a cache hit" aname name
+  in
+  let n = Array.length pairs in
+  for step = 1 to 400 do
+    (* mostly a few hot pairs, so that memory hits and evictions mix *)
+    let i = if Prim.Rng.int rng 3 = 0 then Prim.Rng.int rng n else Prim.Rng.int rng 3 in
+    if step mod 10 = 0 then begin
+      (* served from memory, then re-stored with the other mapping *)
+      ask i;
+      ask i;
+      version.(i) <- 1 - version.(i);
+      store i
+    end;
+    ask i
+  done;
+  let count o = Option.value (Hashtbl.find_opt served o) ~default:0 in
+  let st = Serve.Schedule_cache.stats tier in
+  check_bool "memory hits" true (count "cache(mem)" > 100);
+  check_bool "disk hits" true (count "cache(disk)" > 50);
+  check_bool "evictions" true (st.Serve.Schedule_cache.evictions > 50);
+  check_int "every request a hit" (count "cache(mem)" + count "cache(disk)")
+    (Hashtbl.fold (fun _ c acc -> acc + c) served 0)
+
+(* One [write_frame] is exactly header ^ payload on the wire, and a torn
+   frame is a prefix of it that the reader refuses typed. *)
+let test_one_write_per_frame () =
+  let payload = P.encode_response (P.Failed "one write") in
+  let n = Bytes.length payload in
+  let header = Bytes.create 4 in
+  Bytes.set_int32_be header 0 (Int32.of_int n);
+  let frame = Bytes.cat header payload in
+  let with_pair f =
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.close a with Unix.Unix_error _ -> ());
+        try Unix.close b with Unix.Unix_error _ -> ())
+      (fun () -> f a b)
+  in
+  let drain fd =
+    let buf = Buffer.create 64 and chunk = Bytes.create 4096 in
+    let rec go () =
+      match Unix.read fd chunk 0 4096 with
+      | 0 -> Buffer.contents buf
+      | k ->
+        Buffer.add_subbytes buf chunk 0 k;
+        go ()
+    in
+    go ()
+  in
+  with_pair (fun a b ->
+      P.write_frame a payload;
+      Unix.shutdown a Unix.SHUTDOWN_SEND;
+      check_string "header ^ payload" (Bytes.to_string frame) (drain b));
+  with_pair (fun a b ->
+      P.write_frame a payload;
+      match P.read_frame b with
+      | Ok (Some p) -> check_string "read back" (Bytes.to_string payload) (Bytes.to_string p)
+      | _ -> Alcotest.fail "expected the frame back");
+  with_pair (fun a b ->
+      P.write_torn_frame a payload;
+      Unix.shutdown a Unix.SHUTDOWN_SEND;
+      check_string "torn frame: a prefix" (Bytes.sub_string frame 0 (4 + (n / 2))) (drain b));
+  with_pair (fun a b ->
+      P.write_torn_frame a payload;
+      Unix.shutdown a Unix.SHUTDOWN_SEND;
+      match P.read_frame b with
+      | Error msg -> check_string "torn frame fails typed" "truncated frame payload" msg
+      | Ok _ -> Alcotest.fail "a torn frame read as a frame")
+
 let suite =
   let qc = QCheck_alcotest.to_alcotest in
   ( "daemon",
@@ -700,4 +863,7 @@ let suite =
       Alcotest.test_case "daemon drain+restart" `Slow test_daemon_drain_and_restart;
       Alcotest.test_case "stats frame: live + read-only" `Slow test_stats_frame;
       Alcotest.test_case "hit keeps the solving rung" `Slow test_hit_keeps_provenance;
+      Alcotest.test_case "served values = from-scratch recomputation" `Quick
+        test_served_values_from_scratch;
+      Alcotest.test_case "one write per frame" `Quick test_one_write_per_frame;
     ] )

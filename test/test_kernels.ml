@@ -7,7 +7,9 @@
    mappings on every architecture variant; the raw ones exercise the
    violations. [Mapping_io.record_of_string] must give the reference's
    [Ok] value or, like it, an [Error], on those records, on truncations of
-   them and on random single-byte mutations. *)
+   them and on random single-byte mutations. [Spec.key] (memoized) and
+   the record renderer (one [Buffer], no [Printf] but for %h) must give
+   the bytes of their [Printf] originals, kept here verbatim. *)
 
 (* [Mapping.dim_product] and [Mapping.tile_words] as they were: one scan of
    every level's loop lists per dimension. *)
@@ -799,6 +801,158 @@ let test_layer_key () =
     Alcotest.(check bool) "equal_shape" (ref_key a = ref_key b) (Layer.equal_shape a b)
   done
 
+(* [Spec.key] as it was: one [Printf] rendering on every call. *)
+let ref_spec_key (t : Spec.t) =
+  let open Spec in
+  let fl = Printf.sprintf "%h" in
+  let level l =
+    Printf.sprintf "%s,%d,%s,%d,%s,%s" l.lname l.capacity_bytes
+      (String.concat "+" (List.map Dims.tensor_name l.stores))
+      l.fanout (fl l.bandwidth_words) (fl l.energy_pj)
+  in
+  let noc n =
+    Printf.sprintf "%dx%d,%d,%d,%d,%b,%d,%s" n.mesh_x n.mesh_y n.flit_bits
+      n.router_latency n.link_latency n.multicast n.queue_depth (fl n.hop_energy_pj)
+  in
+  let dram d =
+    Printf.sprintf "%d,%d,%d,%d,%d,%s" d.banks d.row_bytes d.t_row_hit d.t_row_miss
+      d.burst_bytes (fl d.dram_bandwidth_words)
+  in
+  Printf.sprintf "levels=%s;noc_level=%d;mac_level=%d;noc=%s;dram=%s;mac=%s;bits=%s"
+    (String.concat "/" (Array.to_list (Array.map level t.levels)))
+    t.noc_level t.mac_level (noc t.noc) (dram t.dram) (fl t.mac_energy_pj)
+    (String.concat ","
+       (List.map
+          (fun v -> Printf.sprintf "%s:%d" (Dims.tensor_name v) (t.precision_bits v))
+          Dims.all_tensors))
+
+(* The memoized key is the rendering for every spec value: the variants
+   (asked twice), physically distinct equal copies, [{ s with ... }]
+   copies that change one field, far more specs than the memo holds, and
+   specs keyed from two domains at once. *)
+let test_spec_key () =
+  let check s = Alcotest.(check string) s.Spec.aname (ref_spec_key s) (Spec.key s) in
+  let variants = List.map snd Spec.variants in
+  List.iter (fun s -> check s; check s) variants;
+  let rng = Prim.Rng.create 31 in
+  let perturb (s : Spec.t) =
+    match Prim.Rng.int rng 6 with
+    | 0 -> { s with Spec.aname = s.Spec.aname }
+    | 1 -> { s with Spec.mac_energy_pj = Prim.Rng.float rng 2. }
+    | 2 -> { s with Spec.noc = { s.Spec.noc with Spec.multicast = Prim.Rng.bool rng } }
+    | 3 ->
+      { s with
+        Spec.levels =
+          Array.map (fun l -> { l with Spec.fanout = 1 + Prim.Rng.int rng 64 }) s.Spec.levels }
+    | 4 ->
+      { s with
+        Spec.dram = { s.Spec.dram with Spec.dram_bandwidth_words = Prim.Rng.float rng 16. } }
+    | _ ->
+      let bits = 1 + Prim.Rng.int rng 32 in
+      { s with Spec.precision_bits = (fun _ -> bits) }
+  in
+  let copies =
+    List.init 200 (fun i -> perturb (List.nth variants (i mod List.length variants)))
+  in
+  List.iter (fun s -> check s; check s) copies;
+  List.iter check variants;
+  let keyed = Array.of_list copies in
+  let in_domain lo =
+    Domain.spawn (fun () ->
+        let ok = ref true in
+        for i = lo to lo + 99 do
+          if Spec.key keyed.(i) <> ref_spec_key keyed.(i) then ok := false
+        done;
+        !ok)
+  in
+  let a = in_domain 0 and b = in_domain 100 in
+  Alcotest.(check bool) "two domains" true (Domain.join a && Domain.join b)
+
+(* [Mapping_io]'s record renderer as it was: [Printf] per line and per
+   loop. *)
+module Ref_render = struct
+  open Mapping_io
+
+  let loops_to_string loops =
+    String.concat ","
+      (List.map
+         (fun (l : Mapping.loop) ->
+           Printf.sprintf "%s:%d" (Dims.dim_name l.Mapping.dim) l.Mapping.bound)
+         loops)
+
+  let to_string (m : Mapping.t) =
+    let buf = Buffer.create 512 in
+    let l = m.Mapping.layer in
+    Buffer.add_string buf
+      (Printf.sprintf "layer %s r=%d s=%d p=%d q=%d c=%d k=%d n=%d stride=%d\n"
+         l.Layer.name l.Layer.r l.Layer.s l.Layer.p l.Layer.q l.Layer.c l.Layer.k l.Layer.n
+         l.Layer.stride);
+    Array.iteri
+      (fun i lm ->
+        Buffer.add_string buf (Printf.sprintf "level %d" i);
+        if lm.Mapping.temporal <> [] then
+          Buffer.add_string buf (" temporal " ^ loops_to_string lm.Mapping.temporal);
+        if lm.Mapping.spatial <> [] then
+          Buffer.add_string buf (" spatial " ^ loops_to_string lm.Mapping.spatial);
+        Buffer.add_char buf '\n')
+      m.Mapping.levels;
+    Buffer.contents buf
+
+  let fl = Printf.sprintf "%h"
+
+  let meta_to_string m =
+    let buf = Buffer.create 256 in
+    (match m.weights with
+     | Some (u, c, t) ->
+       Buffer.add_string buf (Printf.sprintf "@weights %s %s %s\n" (fl u) (fl c) (fl t))
+     | None -> ());
+    if m.strategy <> "" then Buffer.add_string buf ("@strategy " ^ m.strategy ^ "\n");
+    if m.source <> "" then Buffer.add_string buf ("@source " ^ m.source ^ "\n");
+    if m.verdict <> "" then Buffer.add_string buf ("@certification " ^ m.verdict ^ "\n");
+    (match m.objective with
+     | Some (u, c, t, total) ->
+       Buffer.add_string buf
+         (Printf.sprintf "@objective %s %s %s %s\n" (fl u) (fl c) (fl t) (fl total))
+     | None -> ());
+    if m.solve_time <> 0. then
+      Buffer.add_string buf ("@solve-time " ^ fl m.solve_time ^ "\n");
+    Buffer.contents buf
+
+  let record_to_string meta m = meta_to_string meta ^ to_string m
+end
+
+(* The renderer gives the reference's bytes on every sampled mapping, with
+   metas whose floats include ±0, subnormals, ±inf and NaN, and whose
+   solve time is sometimes 0 (and so has no line). *)
+let test_renderer_matches_reference () =
+  let cases = Lazy.force cases in
+  let rng = Prim.Rng.create 37 in
+  let specials =
+    [| 0.; -0.; 5e-324; -2.2250738585072009e-308; infinity; neg_infinity; nan; 1.;
+       -3.75e10; Float.pi; max_float |]
+  in
+  let f () =
+    if Prim.Rng.int rng 3 = 0 then Prim.Rng.float rng 100.
+    else specials.(Prim.Rng.int rng (Array.length specials))
+  in
+  let word () = [| ""; "two-stage"; "joint MIP"; "ok" |].(Prim.Rng.int rng 4) in
+  let meta () =
+    { Mapping_io.weights = (if Prim.Rng.bool rng then Some (f (), f (), f ()) else None);
+      strategy = word ();
+      source = word ();
+      verdict = word ();
+      objective = (if Prim.Rng.bool rng then Some (f (), f (), f (), f ()) else None);
+      solve_time = (if Prim.Rng.bool rng then 0. else f ()) }
+  in
+  List.iter
+    (fun (_, m) ->
+      Alcotest.(check string) "to_string" (Ref_render.to_string m) (Mapping_io.to_string m);
+      let meta = meta () in
+      Alcotest.(check string) "record_to_string" (Ref_render.record_to_string meta m)
+        (Mapping_io.record_to_string meta m))
+    cases;
+  Alcotest.(check bool) "at least 2500 mappings" true (List.length cases >= 2500)
+
 let suite =
   ( "kernels",
     [
@@ -807,4 +961,7 @@ let suite =
       Alcotest.test_case "record parser = reference parser" `Quick
         test_parser_matches_reference;
       Alcotest.test_case "layer key = Printf rendering" `Quick test_layer_key;
+      Alcotest.test_case "spec key = Printf rendering" `Quick test_spec_key;
+      Alcotest.test_case "record renderer = Printf renderer" `Quick
+        test_renderer_matches_reference;
     ] )

@@ -184,7 +184,27 @@ let test_session_refuses_malformed () =
       ("cost length", { p with Simplex.cost = [| -1. |] }, "cols, cost, lb or ub length is not ncols");
       ("lb length", { p with Simplex.lb = [| 0.; 0.; 0. |] }, "cols, cost, lb or ub length is not ncols");
       ("ub length", { p with Simplex.ub = [| 5. |] }, "cols, cost, lb or ub length is not ncols");
-      ("rhs length", { p with Simplex.rhs = [| 4. |] }, "rhs length is not nrows") ]
+      ("rhs length", { p with Simplex.rhs = [| 4. |] }, "rhs length is not nrows") ];
+  (* a reused session checks the arrays its problems do not share *)
+  let s = Simplex.session p in
+  ignore (Simplex.solve_r ~session:s p);
+  List.iter
+    (fun (what, bad, msg) ->
+      Alcotest.check_raises ("reused session: " ^ what)
+        (Invalid_argument ("Simplex.session: " ^ msg))
+        (fun () -> ignore (Simplex.solve_r ~session:s bad)))
+    [ ("lb short", { p with Simplex.lb = [| 0. |] }, "cols, cost, lb or ub length is not ncols");
+      ("lb long", { p with Simplex.lb = [| 0.; 0.; 0. |] },
+       "cols, cost, lb or ub length is not ncols");
+      ("ub short", { p with Simplex.ub = [| 5. |] }, "cols, cost, lb or ub length is not ncols");
+      ("ub long", { p with Simplex.ub = [| 5.; 5.; 5. |] },
+       "cols, cost, lb or ub length is not ncols");
+      ("rhs short", { p with Simplex.rhs = [| 4. |] }, "rhs length is not nrows");
+      ("rhs long", { p with Simplex.rhs = [| 4.; 1.; 0. |] }, "rhs length is not nrows") ];
+  (* and still solves well-formed problems after refusing *)
+  match Simplex.solve_r ~session:s p with
+  | Ok r -> check_bool "reused session still optimal" true (r.Simplex.status = Simplex.Optimal)
+  | Error _ -> Alcotest.fail "reused session failed after refusals"
 
 (* ---- warm-start (dual simplex) unit tests ------------------------------ *)
 
