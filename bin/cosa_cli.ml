@@ -274,7 +274,7 @@ let batch_cmd =
       with_telemetry ?ring:trace_ring trace metrics profile (fun () ->
           Serve.Service.schedule_network ~tier ~fuse ~max_group:fuse_max_group cfg net)
     in
-    print_string (Serve.Service.report_to_string report);
+    print_string (Serve.Service.report_to_string ~tier report);
     if report.Serve.Service.failed > 0 then exit 1
   in
   Cmd.v

@@ -41,7 +41,9 @@ type t = {
 let level_count t = Array.length t.levels
 let dram_level t = Array.length t.levels - 1
 
-let stores t i v = List.mem v t.levels.(i).stores
+(* [memq]: tensors are constant constructors, so physical equality is
+   equality, without a polymorphic compare per element *)
+let stores t i v = List.memq v t.levels.(i).stores
 
 let capacity_words t i v =
   if i = dram_level t then infinity

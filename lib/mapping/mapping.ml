@@ -6,24 +6,32 @@ type t = { layer : Layer.t; levels : level_map array }
 
 let make layer levels = { layer; levels }
 
+let rec mul_into pre o = function
+  | [] -> ()
+  | l :: rest ->
+    let j = o + Dims.dim_index l.dim in
+    pre.(j) <- pre.(j) * l.bound;
+    mul_into pre o rest
+
 (* Every [dim_product] in one pass: entry [i * 7 + Dims.dim_index d] is the
    product of [d]'s bounds at levels [0, i), for i in [0, levels]. *)
 let dim_prefix t =
   let n = Array.length t.levels in
   let pre = Array.make ((n + 1) * 7) 1 in
   for i = 0 to n - 1 do
-    Array.blit pre (i * 7) pre ((i + 1) * 7) 7;
-    let mul l =
-      let j = ((i + 1) * 7) + Dims.dim_index l.dim in
-      pre.(j) <- pre.(j) * l.bound
-    in
-    List.iter mul t.levels.(i).temporal;
-    List.iter mul t.levels.(i).spatial
+    let o = (i + 1) * 7 in
+    Array.blit pre (i * 7) pre o 7;
+    mul_into pre o t.levels.(i).temporal;
+    mul_into pre o t.levels.(i).spatial
   done;
   pre
 
-let prefix_product t pre ~upto d =
-  pre.((7 * max 0 (min upto (Array.length t.levels))) + Dims.dim_index d)
+(* where the products of levels [0, upto) start in [dim_prefix t] *)
+let row t upto = 7 * max 0 (min upto (Array.length t.levels))
+
+let at pre o d = pre.(o + Dims.dim_index d)
+
+let prefix_product t pre ~upto d = at pre (row t upto) d
 
 let dim_product t ~upto d = prefix_product t (dim_prefix t) ~upto d
 
@@ -37,15 +45,14 @@ let temporal_product t i =
    relevant dimension tiles below [i]. IA gets the exact sliding-window
    extent ((p-1)*stride + r per axis). *)
 let tile_of_prefix t pre i v =
-  let d = prefix_product t pre ~upto:i in
-  let stride = t.layer.Layer.stride in
+  let o = row t i and stride = t.layer.Layer.stride in
   match v with
-  | Dims.W -> float_of_int (d Dims.R * d Dims.S * d Dims.C * d Dims.K)
-  | Dims.OA -> float_of_int (d Dims.P * d Dims.Q * d Dims.K * d Dims.N)
+  | Dims.W -> float_of_int (at pre o Dims.R * at pre o Dims.S * at pre o Dims.C * at pre o Dims.K)
+  | Dims.OA -> float_of_int (at pre o Dims.P * at pre o Dims.Q * at pre o Dims.K * at pre o Dims.N)
   | Dims.IA ->
-    let w = ((d Dims.P - 1) * stride) + d Dims.R in
-    let h = ((d Dims.Q - 1) * stride) + d Dims.S in
-    float_of_int (w * h * d Dims.C * d Dims.N)
+    let w = ((at pre o Dims.P - 1) * stride) + at pre o Dims.R in
+    let h = ((at pre o Dims.Q - 1) * stride) + at pre o Dims.S in
+    float_of_int (w * h * at pre o Dims.C * at pre o Dims.N)
 
 let tile_words _arch t i v = tile_of_prefix t (dim_prefix t) i v
 

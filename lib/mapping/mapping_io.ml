@@ -1,13 +1,3 @@
-let dim_of_name = function
-  | "R" -> Some Dims.R
-  | "S" -> Some Dims.S
-  | "P" -> Some Dims.P
-  | "Q" -> Some Dims.Q
-  | "C" -> Some Dims.C
-  | "K" -> Some Dims.K
-  | "N" -> Some Dims.N
-  | _ -> None
-
 (* One [Buffer] and [string_of_int]: the bytes of [Printf]'s %d at a
    fraction of its cost on the daemon's per-layer records. *)
 let add_loops buf loops =
@@ -41,103 +31,182 @@ let render f =
 
 let to_string m = render (fun buf -> add_mapping buf m)
 
-let parse_loops s =
-  if String.trim s = "" then Ok []
-  else
-    let parts = String.split_on_char ',' s in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | part :: rest ->
-        (match String.split_on_char ':' (String.trim part) with
-         | [ dname; bound ] ->
-           (match (dim_of_name dname, int_of_string_opt bound) with
-            | Some dim, Some b when b > 0 ->
-              go ({ Mapping.dim; bound = b } :: acc) rest
-            | Some _, Some b -> Error (Printf.sprintf "non-positive bound %d" b)
-            | None, _ -> Error (Printf.sprintf "unknown dimension %S" dname)
-            | Some _, None -> Error (Printf.sprintf "bad bound in %S" part))
-         | _ -> Error (Printf.sprintf "malformed loop %S" part))
-    in
-    go [] parts
+(* ---- the reader -------------------------------------------------------
 
-let parse_kv key s =
-  let prefix = key ^ "=" in
-  let n = String.length prefix in
-  if String.length s > n && String.starts_with ~prefix s then
-    int_of_string_opt (String.sub s n (String.length s - n))
-  else None
+   One pass over the text with an index cursor: no line list, no word
+   lists, no clause re-joined and re-split. It accepts what the
+   line-and-word reader before it accepted, and returns the same value
+   (that reader is kept as [Ref_io] in test/test_kernels.ml):
+   - lines are trimmed of [String.trim]'s whitespace; blank ones are skipped;
+   - words are split at single blanks, so a tab stays inside its word;
+   - numbers are read by [int_of_string_opt] and [float_of_string_opt] on
+     the bytes of their token;
+   - one kind of loops on a level line is that kind's words as if joined
+     by blanks and split at commas, each loop trimmed: so a loop may not
+     span two words, and a kind whose words are all blank has no loops. *)
 
-let ( let* ) r f = Result.bind r f
+exception Bad of string
 
-let parse_layer_line line =
-  match String.split_on_char ' ' line with
-  | "layer" :: name :: kvs ->
-    let find key =
-      match List.find_map (parse_kv key) kvs with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "missing %s= in layer line" key)
-    in
-    let* r = find "r" in
-    let* s = find "s" in
-    let* p = find "p" in
-    let* q = find "q" in
-    let* c = find "c" in
-    let* k = find "k" in
-    let* n = find "n" in
-    let* stride = find "stride" in
-    (try Ok (Layer.create ~name ~stride ~r ~s ~p ~q ~c ~k ~n ())
-     with Invalid_argument msg -> Error msg)
-  | _ -> Error "first line must start with 'layer <name> ...'"
+let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
 
-(* split "temporal A spatial B" into its two optional clauses *)
-let parse_level_clauses rest =
-  let words = List.filter (( <> ) "") (String.split_on_char ' ' rest) in
-  let rec go mode t sp = function
-    | [] -> Ok (String.concat " " (List.rev t), String.concat " " (List.rev sp))
-    | "temporal" :: more -> go `T t sp more
-    | "spatial" :: more -> go `S t sp more
-    | w :: more ->
-      (match mode with
-       | `T -> go mode (w :: t) sp more
-       | `S -> go mode t (w :: sp) more
-       | `None -> Error (Printf.sprintf "unexpected token %S in level line" w))
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let rec same_from s a lit i =
+  i = String.length lit || (s.[a + i] = lit.[i] && same_from s a lit (i + 1))
+
+(* [s.[a, b)] is [lit] *)
+let sub_is s a b lit = b - a = String.length lit && same_from s a lit 0
+
+(* the end of the word starting at [i]: its first blank, or [b] *)
+let rec word_end s i b = if i < b && s.[i] <> ' ' then word_end s (i + 1) b else i
+
+let int_at s a b = int_of_string_opt (String.sub s a (b - a))
+
+(* [a, b): the current line, trimmed; [pos]: where the next line starts *)
+type cursor = { s : string; mutable pos : int; mutable a : int; mutable b : int }
+
+(* Move to the next line that is not blank; [false] at the end. *)
+let rec next_line c =
+  let s = c.s and n = String.length c.s in
+  if c.pos > n then false
+  else begin
+    let e = ref c.pos in
+    while !e < n && s.[!e] <> '\n' do incr e done;
+    let a = ref c.pos and b = ref !e in
+    while !a < !b && is_space s.[!a] do incr a done;
+    while !b > !a && is_space s.[!b - 1] do decr b done;
+    c.pos <- !e + 1;
+    if !a = !b then next_line c
+    else begin
+      c.a <- !a;
+      c.b <- !b;
+      true
+    end
+  end
+
+(* The line is [word] and at least one more (maybe empty) word. *)
+let starts_with_word c word =
+  let k = String.length word in
+  c.b - c.a > k && c.s.[c.a + k] = ' ' && sub_is c.s c.a (c.a + k) word
+
+let layer_keys = [| "r"; "s"; "p"; "q"; "c"; "k"; "n"; "stride" |]
+
+(* The [layer_keys] slot of a "key=value" token [s.[i, e)] with a
+   non-empty value, or -1. *)
+let key_slot s i e =
+  if e - i > 7 && sub_is s i (i + 7) "stride=" then 7
+  else if e - i > 2 && s.[i + 1] = '=' then
+    match s.[i] with
+    | 'r' -> 0 | 's' -> 1 | 'p' -> 2 | 'q' -> 3 | 'c' -> 4 | 'k' -> 5 | 'n' -> 6 | _ -> -1
+  else -1
+
+(* "layer <name> r=.. s=.. ...": keys in any order; per key, the first
+   token whose value reads as an int wins, and other tokens are ignored. *)
+let layer_line c =
+  let s = c.s and b = c.b in
+  if not (starts_with_word c "layer") then bad "first line must start with 'layer <name> ...'";
+  let na = c.a + 6 in
+  let ne = word_end s na b in
+  let name = String.sub s na (ne - na) in
+  let v = Array.make (Array.length layer_keys) 0 and found = ref 0 in
+  let i = ref (ne + 1) in
+  while !i < b do
+    let e = word_end s !i b in
+    let k = key_slot s !i e in
+    (if k >= 0 && !found land (1 lsl k) = 0 then
+       match int_at s (!i + String.length layer_keys.(k) + 1) e with
+       | Some x ->
+         v.(k) <- x;
+         found := !found lor (1 lsl k)
+       | None -> ());
+    i := e + 1
+  done;
+  for k = 0 to Array.length layer_keys - 1 do
+    if !found land (1 lsl k) = 0 then bad "missing %s= in layer line" layer_keys.(k)
+  done;
+  try Layer.create ~name ~r:v.(0) ~s:v.(1) ~p:v.(2) ~q:v.(3) ~c:v.(4) ~k:v.(5) ~n:v.(6) ~stride:v.(7) ()
+  with Invalid_argument msg -> bad "%s" msg
+
+(* One "D:B" loop at [s.[a, b)]; [a < 0] is an empty one. A loop whose
+   bytes lie in two words has a blank inside, and fails here. *)
+let loop_at s a b =
+  if a < 0 || b - a < 2 || s.[a + 1] <> ':' then bad "malformed loop";
+  let dim =
+    match s.[a] with
+    | 'R' -> Dims.R | 'S' -> Dims.S | 'P' -> Dims.P | 'Q' -> Dims.Q
+    | 'C' -> Dims.C | 'K' -> Dims.K | 'N' -> Dims.N
+    | ch -> bad "unknown dimension %C" ch
   in
-  go `None [] [] words
+  match int_at s (a + 2) b with
+  | Some bound when bound > 0 -> { Mapping.dim; bound }
+  | Some bound -> bad "non-positive bound %d" bound
+  | None -> bad "bad bound in loop %S" (String.sub s a (b - a))
 
-(* The mapping body as lines; each is trimmed once and blank ones are
-   dropped. *)
-let of_lines lines =
-  match
-    List.filter_map (fun l -> match String.trim l with "" -> None | t -> Some t) lines
-  with
-  | [] -> Error "empty input"
-  | layer_line :: level_lines ->
-    let* layer = parse_layer_line layer_line in
-    let rec parse_levels idx acc = function
-      | [] -> Ok (List.rev acc)
-      | line :: rest ->
-        (match String.split_on_char ' ' line with
-         | "level" :: num :: _ ->
-           (match int_of_string_opt num with
-            | Some i when i = idx ->
-              let prefix = "level " ^ string_of_int i in
-              let clause =
-                String.sub line (String.length prefix)
-                  (String.length line - String.length prefix)
-              in
-              let* t_str, s_str = parse_level_clauses clause in
-              let* temporal = parse_loops t_str in
-              let* spatial = parse_loops s_str in
-              parse_levels (idx + 1) ({ Mapping.temporal; spatial } :: acc) rest
-            | Some i -> Error (Printf.sprintf "level %d out of order (expected %d)" i idx)
-            | None -> Error (Printf.sprintf "bad level number in %S" line))
-         | _ -> Error (Printf.sprintf "expected 'level <n> ...', got %S" line))
-    in
-    let* levels = parse_levels 0 [] level_lines in
-    if levels = [] then Error "no levels"
-    else Ok (Mapping.make layer (Array.of_list levels))
+(* The temporal (or spatial) loops of the level-line clauses [s.[i, b)]. *)
+let loops s i b ~temporal =
+  let acc = ref [] and mode = ref 0 (* 0: before a keyword, 1: temporal, 2: spatial *) in
+  (* the loop being read: its first and past-last non-blank bytes *)
+  let seen = ref false and la = ref (-1) and lb = ref 0 in
+  let w = ref i in
+  while !w < b do
+    let e = word_end s !w b in
+    if e > !w then begin
+      if sub_is s !w e "temporal" then mode := 1
+      else if sub_is s !w e "spatial" then mode := 2
+      else if !mode = 0 then bad "unexpected token %S in level line" (String.sub s !w (e - !w))
+      else if (!mode = 1) = temporal then
+        for j = !w to e - 1 do
+          match s.[j] with
+          | ',' ->
+            acc := loop_at s !la !lb :: !acc;
+            seen := true;
+            la := -1
+          | ch when is_space ch -> ()
+          | _ ->
+            seen := true;
+            if !la < 0 then la := j;
+            lb := j + 1
+        done
+    end;
+    w := e + 1
+  done;
+  if !seen then acc := loop_at s !la !lb :: !acc;
+  List.rev !acc
 
-let of_string text = of_lines (String.split_on_char '\n' text)
+let rec digits i = if i < 10 then 1 else 1 + digits (i / 10)
+
+(* "level <idx> [temporal ..] [spatial ..]" *)
+let level_line c idx =
+  let s = c.s and a = c.a and b = c.b in
+  if not (starts_with_word c "level") then
+    bad "expected 'level <n> ...', got %S" (String.sub s a (b - a));
+  (match int_at s (a + 6) (word_end s (a + 6) b) with
+   | Some i when i = idx -> ()
+   | Some i -> bad "level %d out of order (expected %d)" i idx
+   | None -> bad "bad level number in %S" (String.sub s a (b - a)));
+  (* the clauses start after "level <idx>" spelled in decimal, whatever
+     the number's spelling *)
+  let i = a + 6 + digits idx in
+  { Mapping.temporal = loops s i b ~temporal:true; spatial = loops s i b ~temporal:false }
+
+let rec level_lines c idx =
+  if next_line c then
+    let l = level_line c idx in
+    l :: level_lines c (idx + 1)
+  else []
+
+(* The mapping body from the current line on, if [has_line]. *)
+let body c has_line =
+  if not has_line then bad "empty input";
+  let layer = layer_line c in
+  match level_lines c 0 with
+  | [] -> bad "no levels"
+  | levels -> Mapping.make layer (Array.of_list levels)
+
+let parse f text pos =
+  try Ok (f { s = text; pos; a = 0; b = 0 }) with Bad msg -> Error msg
+
+let of_string text = parse (fun c -> body c (next_line c)) text 0
 
 let save path m =
   let oc = open_out path in
@@ -190,52 +259,52 @@ let add_meta buf m =
 
 let record_to_string meta m = render (fun buf -> add_meta buf meta; add_mapping buf m)
 
-let parse_floats what s k =
-  let parts = List.filter (( <> ) "") (String.split_on_char ' ' s) in
-  match List.map float_of_string_opt parts with
-  | fs when List.for_all Option.is_some fs -> k (List.map Option.get fs)
-  | _ -> Error (Printf.sprintf "bad float in @%s line" what)
+(* Exactly [n] blank-separated floats in [s.[a, b)], the value of [@key]. *)
+let floats s a b n key =
+  let x = Array.make n 0. and k = ref 0 and i = ref a in
+  while !i < b do
+    let e = word_end s !i b in
+    if e > !i then begin
+      if !k = n then bad "@%s needs %d values" key n;
+      (match float_of_string_opt (String.sub s !i (e - !i)) with
+       | Some f -> x.(!k) <- f
+       | None -> bad "bad float in @%s line" key);
+      incr k
+    end;
+    i := e + 1
+  done;
+  if !k < n then bad "@%s needs %d values" key n;
+  x
 
-let parse_meta_line meta line =
-  match String.index_opt line ' ' with
-  | None -> Error (Printf.sprintf "malformed metadata line %S" line)
-  | Some i ->
-    let key = String.sub line 1 (i - 1) in
-    let rest = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-    (match key with
-     | "weights" ->
-       parse_floats key rest (function
-         | [ u; c; t ] -> Ok { meta with weights = Some (u, c, t) }
-         | _ -> Error "@weights needs three values")
-     | "strategy" -> Ok { meta with strategy = rest }
-     | "source" -> Ok { meta with source = rest }
-     | "certification" -> Ok { meta with verdict = rest }
-     | "objective" ->
-       parse_floats key rest (function
-         | [ u; c; t; total ] -> Ok { meta with objective = Some (u, c, t, total) }
-         | _ -> Error "@objective needs four values")
-     | "solve-time" ->
-       parse_floats key rest (function
-         | [ t ] -> Ok { meta with solve_time = t }
-         | _ -> Error "@solve-time needs one value")
-     | k -> Error (Printf.sprintf "unknown metadata key @%s" k))
+(* "@key value": a later line overrides an earlier one with the same key. *)
+let meta_line c m =
+  let s = c.s and a = c.a and b = c.b in
+  let ka = a + 1 and kb = word_end s a b in
+  if kb = b then bad "malformed metadata line %S" (String.sub s a (b - a));
+  let v = ref (kb + 1) in
+  while !v < b && is_space s.[!v] do incr v done;
+  let v = !v in
+  if sub_is s ka kb "weights" then
+    let x = floats s v b 3 "weights" in
+    { m with weights = Some (x.(0), x.(1), x.(2)) }
+  else if sub_is s ka kb "strategy" then { m with strategy = String.sub s v (b - v) }
+  else if sub_is s ka kb "source" then { m with source = String.sub s v (b - v) }
+  else if sub_is s ka kb "certification" then { m with verdict = String.sub s v (b - v) }
+  else if sub_is s ka kb "objective" then
+    let x = floats s v b 4 "objective" in
+    { m with objective = Some (x.(0), x.(1), x.(2), x.(3)) }
+  else if sub_is s ka kb "solve-time" then
+    { m with solve_time = (floats s v b 1 "solve-time").(0) }
+  else bad "unknown metadata key @%s" (String.sub s ka (kb - ka))
 
-(* Metadata lines, then the mapping body, from one split of [text]. *)
-let record_of_string text =
-  let rec peel meta = function
-    | line :: rest ->
-      let t = String.trim line in
-      if t = "" then peel meta rest
-      else if t.[0] = '@' then
-        let* meta = parse_meta_line meta t in
-        peel meta rest
-      else body meta (t :: rest)
-    | [] -> body meta []
-  and body meta lines =
-    let* m = of_lines lines in
-    Ok (meta, m)
-  in
-  peel default_meta (String.split_on_char '\n' text)
+(* Metadata lines, then the mapping body. *)
+let rec record c m =
+  let has_line = next_line c in
+  if has_line && c.s.[c.a] = '@' then record c (meta_line c m) else (m, body c has_line)
+
+let record_of_string ?(pos = 0) text =
+  if pos < 0 || pos > String.length text then invalid_arg "Mapping_io.record_of_string: pos";
+  parse (fun c -> record c default_meta) text pos
 
 let save_record path meta m =
   let oc = open_out path in

@@ -60,10 +60,13 @@ val default_meta : meta
 
 val record_to_string : meta -> Mapping.t -> string
 
-val record_of_string : string -> (meta * Mapping.t, string) result
-(** Absent metadata lines leave the corresponding {!default_meta} field;
-    malformed or unknown [@] lines are an [Error] (corruption must be
-    detected, not silently dropped). *)
+val record_of_string : ?pos:int -> string -> (meta * Mapping.t, string) result
+(** Parses the bytes of the string from [pos] (default 0) on, as a
+    string holding only them. Absent metadata lines leave the
+    corresponding {!default_meta} field; malformed or unknown [@] lines
+    are an [Error] (corruption must be detected, not silently dropped).
+    No text makes it raise; it raises [Invalid_argument] only when [pos]
+    is outside [0, String.length text]. *)
 
 val save_record : string -> meta -> Mapping.t -> unit
 val load_record : string -> (meta * Mapping.t, string) result

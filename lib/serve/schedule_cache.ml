@@ -257,8 +257,22 @@ let read_file path =
         fill 0;
         Some (Bytes.unsafe_to_string buf))
 
+(* [s] holds [sub] at [i]; compared eight bytes at a time, since a
+   canonical fingerprint is some 700 bytes *)
+let holds_at s i sub =
+  let n = String.length sub in
+  i + n <= String.length s
+  &&
+  let k = ref 0 in
+  while !k + 8 <= n && String.get_int64_ne s (i + !k) = String.get_int64_ne sub !k do
+    k := !k + 8
+  done;
+  while !k < n && s.[i + !k] = sub.[!k] do incr k done;
+  !k = n
+
 (* A disk probe that verifies before serving; a missing file is a plain
-   miss, any other failure a reject. *)
+   miss, any other failure a reject. The frame line is compared and the
+   record parsed where they lie in the file's bytes. *)
 let disk_load s ~arch ~layer fp =
   match s.dir with
   | None -> None
@@ -268,35 +282,36 @@ let disk_load s ~arch ~layer fp =
       Telemetry.Metrics.incr m_disk_reject;
       None
     in
-    let kp = String.length key_prefix in
-    let frame text =
-      match String.index_opt text '\n' with
-      | Some i when String.length text > kp && String.sub text 0 kp = key_prefix ->
-        let rest = String.sub text (i + 1) (String.length text - i - 1) in
-        Some (String.sub text kp (i - kp), Mapping_io.record_of_string rest)
-      | _ -> None
+    let canon = Fingerprint.canon fp in
+    let body = String.length key_prefix + String.length canon + 1 in
+    let framed text =
+      holds_at text 0 key_prefix
+      && holds_at text (String.length key_prefix) canon
+      && String.length text >= body
+      && text.[body - 1] = '\n'
     in
-    let path = Filename.concat dir (Fingerprint.hash fp ^ ".cosa") in
-    match Option.map frame (read_file path) with
+    match read_file (Filename.concat dir (Fingerprint.hash fp ^ ".cosa")) with
     | None -> None
-    | exception _ -> reject () (* unreadable, truncated or unparsable: never crash *)
-    | Some (None | Some (_, Error _)) -> reject ()
-    | Some (Some (canon, Ok (meta, mapping))) ->
-      if canon <> Fingerprint.canon fp then reject () (* collision or stale *)
-      else if Layer.key mapping.Mapping.layer <> Layer.key layer then reject ()
-      else begin
-        (* trust-but-verify: re-certify against the *requested*
-           architecture in exact arithmetic before serving *)
-        match Certify.Mapping_cert.check arch mapping with
-        | Certify.Certificate.Certified ->
-          s.stats.disk_hits <- s.stats.disk_hits + 1;
-          Telemetry.Metrics.incr m_hit_disk;
-          let entry = { meta; mapping } in
-          insert s fp entry;
-          Some entry
-        | Certify.Certificate.Violated _ | (exception Robust.Failure.Error _) ->
-          reject ()
-      end
+    | exception _ -> reject () (* unreadable or truncated: never crash *)
+    | Some text when not (framed text) -> reject () (* unframed, collision or stale *)
+    | Some text ->
+      (match Mapping_io.record_of_string ~pos:body text with
+       | Error _ -> reject ()
+       | Ok (meta, mapping) ->
+         if Layer.key mapping.Mapping.layer <> Layer.key layer then reject ()
+         else begin
+           (* trust-but-verify: re-certify against the *requested*
+              architecture in exact arithmetic before serving *)
+           match Certify.Mapping_cert.check arch mapping with
+           | Certify.Certificate.Certified ->
+             s.stats.disk_hits <- s.stats.disk_hits + 1;
+             Telemetry.Metrics.incr m_hit_disk;
+             let entry = { meta; mapping } in
+             insert s fp entry;
+             Some entry
+           | Certify.Certificate.Violated _ | (exception Robust.Failure.Error _) ->
+             reject ()
+         end)
 
 (* ---- public API ------------------------------------------------------- *)
 

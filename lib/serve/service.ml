@@ -89,7 +89,6 @@ type report = {
   total_energy_pj : float;
   solve_p50 : float;
   solve_p95 : float;
-  cache_stats : Schedule_cache.stats option;
   wall_time : float;
   fusion : Fuse.Plan.network_plan option;  (* [None] unless fusion was asked for *)
 }
@@ -312,7 +311,6 @@ let schedule_network_impl ?tier ?remote ?(count_miss = true) ?rung cfg
     total_energy_pj = sum (fun lr -> float_of_int lr.repeats *. lr.energy_pj);
     solve_p50 = p50;
     solve_p95 = p95;
-    cache_stats = Option.map Schedule_cache.stats tier;
     wall_time = Robust.Deadline.now () -. t0;
     fusion = None;
   }
@@ -342,7 +340,7 @@ let schedule_network ?tier ?remote ?count_miss ?rung ?(fuse = Fuse_off) ?max_gro
           (Fuse.Plan.plan_network ~mode ?max_group ~node_limit:cfg.node_limit
              ~time_limit:cfg.time_limit ~deadline:cfg.deadline cfg.arch net) }
 
-let report_to_string r =
+let report_to_string ?tier r =
   let buf = Buffer.create 2048 in
   let tab =
     Prim.Texttab.create
@@ -370,14 +368,15 @@ let report_to_string r =
        r.total_latency r.total_energy_pj);
   Buffer.add_string buf
     (Printf.sprintf "solve time p50/p95: %.3f/%.3f s\n" r.solve_p50 r.solve_p95);
-  (match r.cache_stats with
-   | Some s ->
-     Buffer.add_string buf
-       (Printf.sprintf
-          "cache: hits=%d disk_hits=%d misses=%d disk_rejects=%d evictions=%d stores=%d\n"
-          s.Schedule_cache.hits s.Schedule_cache.disk_hits s.Schedule_cache.misses
-          s.Schedule_cache.disk_rejects s.Schedule_cache.evictions s.Schedule_cache.stores)
-   | None -> ());
+  Option.iter
+    (fun cache ->
+      let s = Schedule_cache.stats cache in
+      Buffer.add_string buf
+        (Printf.sprintf
+           "cache: hits=%d disk_hits=%d misses=%d disk_rejects=%d evictions=%d stores=%d\n"
+           s.Schedule_cache.hits s.Schedule_cache.disk_hits s.Schedule_cache.misses
+           s.Schedule_cache.disk_rejects s.Schedule_cache.evictions s.Schedule_cache.stores))
+    tier;
   Buffer.add_string buf (Printf.sprintf "wall time: %.3f s\n" r.wall_time);
   Option.iter
     (fun plan -> Buffer.add_string buf ("\n" ^ Fuse.Plan.network_plan_to_string plan))

@@ -86,7 +86,6 @@ type report = {
   total_energy_pj : float;
   solve_p50 : float;  (** per-shape serve-time percentiles (seconds) *)
   solve_p95 : float;
-  cache_stats : Schedule_cache.stats option;  (** [None] without a cache *)
   wall_time : float;  (** of the per-layer stage; fusion planning excluded *)
   fusion : Fuse.Plan.network_plan option;  (** [None] iff [Fuse_off] *)
 }
@@ -135,5 +134,8 @@ val schedule_network :
     fused — injected fault, MIP failure, or certification failure —
     degrades to the certified per-layer answer with typed provenance. *)
 
-val report_to_string : report -> string
-(** The per-layer table and totals, then the fusion plan when present. *)
+val report_to_string : ?tier:Schedule_cache.t -> report -> string
+(** The per-layer table and totals, then the fusion plan when present.
+    With [tier], a [cache:] line of its {!Schedule_cache.stats}, read
+    when the report is rendered: a request does not snapshot them, since
+    that takes every shard's lock. *)

@@ -13,10 +13,9 @@ type t = {
 let label_of ~r ~p ~c ~k ~stride = Printf.sprintf "%d_%d_%d_%d_%d" r p c k stride
 
 let create ?name ?(stride = 1) ~r ~s ~p ~q ~c ~k ~n () =
-  List.iter
-    (fun (v, what) ->
-      if v < 1 then invalid_arg (Printf.sprintf "Layer.create: %s = %d < 1" what v))
-    [ (r, "r"); (s, "s"); (p, "p"); (q, "q"); (c, "c"); (k, "k"); (n, "n"); (stride, "stride") ];
+  let check what v = if v < 1 then invalid_arg (Printf.sprintf "Layer.create: %s = %d < 1" what v) in
+  check "r" r; check "s" s; check "p" p; check "q" q;
+  check "c" c; check "k" k; check "n" n; check "stride" stride;
   let name = match name with Some n -> n | None -> label_of ~r ~p ~c ~k ~stride in
   { name; r; s; p; q; c; k; n; stride }
 

@@ -86,6 +86,8 @@ let suites =
     ("DeepBench-Face", deepbench_face);
   ]
 
-let find name =
-  let all = List.concat_map snd suites in
-  List.find (fun (l : Layer.t) -> l.Layer.name = name) all
+(* Built once at module initialisation, not on first use: the daemon's
+   connection threads call [find] concurrently. *)
+let all_layers = List.concat_map snd suites
+
+let find name = List.find (fun (l : Layer.t) -> l.Layer.name = name) all_layers

@@ -953,6 +953,108 @@ let test_renderer_matches_reference () =
     cases;
   Alcotest.(check bool) "at least 2500 mappings" true (List.length cases >= 2500)
 
+(* The reader's edge cases, one row each: a record must parse as [Ref_io]
+   parses it (the same [Ok] value, or an [Error] where it errs), and to
+   [Ok] exactly where the row says so. *)
+let base_record =
+  "@weights 0x1p-1 0x1p+2 0x1p+0\n\
+   @strategy two-stage\n\
+   @source two-stage MIP\n\
+   @certification ok\n\
+   @objective 0x1.1p+5 0x1.9p+2 0x1.ap+5 0x1.ep+5\n\
+   @solve-time 0x1.e089p-5\n\
+   layer g3_7_32_32_1 r=3 s=3 p=7 q=7 c=32 k=32 n=1 stride=1\n\
+   level 0 temporal Q:7,P:7 spatial C:4,K:16\n\
+   level 1 temporal C:4,S:3\n\
+   level 2\n\
+   level 3 spatial R:3,C:2,K:2\n\
+   level 4\n\
+   level 5\n"
+
+let rec index_of s sub i =
+  if String.sub s i (String.length sub) = sub then i else index_of s sub (i + 1)
+
+(* [base_record] with the first [a] replaced by [b] *)
+let edit a b =
+  let i = index_of base_record a 0 and n = String.length base_record in
+  String.sub base_record 0 i ^ b
+  ^ String.sub base_record (i + String.length a) (n - i - String.length a)
+
+let each_line f = String.concat "\n" (List.map f (String.split_on_char '\n' base_record))
+
+let reader_rows =
+  let body = index_of base_record "layer" 0 in
+  [
+    ("as written", base_record, true);
+    ("no final newline", String.sub base_record 0 (String.length base_record - 1), true);
+    ("CRLF line ends", each_line (fun l -> l ^ "\r"), true);
+    ("blanks, tabs and form feeds around lines", each_line (fun l -> " \t" ^ l ^ "\t \012"), true);
+    ("a tab between level and its number", edit "level 0 " "level\t0 ", false);
+    ("a tab before a clause", edit "level 0 temporal" "level 0\ttemporal", false);
+    ("a tab after layer", edit "layer g3" "layer\tg3", false);
+    ("a tab after an @ key", edit "@strategy two" "@strategy\ttwo", false);
+    ("blank lines between metadata and body", edit "layer " "\n \n\t\nlayer ", true);
+    ("blank lines between levels", edit "level 3" "\n\r\nlevel 3", true);
+    ("a duplicate @ key: the last wins", edit "@strategy two-stage" "@strategy joint\n@strategy two-stage", true);
+    ("a duplicate float key", edit "@solve-time" "@solve-time 0x1p+0\n@solve-time", true);
+    ("an unknown @ key", edit "@source" "@bogus 1\n@source", false);
+    ("an @ key with no value", edit "@certification ok" "@certification", false);
+    ("an @ line inside the body", edit "level 4" "@certification ok\nlevel 4", false);
+    ("@weights with two values", edit "0x1p-1 0x1p+2 0x1p+0" "0x1p-1 0x1p+2", false);
+    ("@weights with four values", edit "0x1p-1 0x1p+2 0x1p+0" "0x1p-1 0x1p+2 0x1p+0 0x1p+0", false);
+    ("floats between double blanks", edit "@weights 0x1p-1 0x1p+2" "@weights   0x1p-1  0x1p+2", true);
+    ("+, 0x and _ in a float", edit "@solve-time 0x1.e089p-5" "@solve-time +0x1.e0_89p-5", true);
+    ("decimal floats", edit "0x1p-1 0x1p+2 0x1p+0" "0.5 4e0 +1.", true);
+    ("a tab inside a float token", edit "0x1p+2 0x1p+0" "0x1p+2\t0x1p+0", false);
+    ("a tab before a float token", edit "0x1p+2 0x1p+0" "0x1p+2 \t0x1p+0", true);
+    ("+, 0x, 0b and _ in ints", edit "p=7 q=7 c=32 k=32" "p=+7 q=0x7 c=3_2 k=0b100000", true);
+    ("a leading _ in an int", edit "k=32" "k=_32", false);
+    ("layer keys reordered", edit "r=3 s=3 p=7 q=7 c=32 k=32 n=1 stride=1" "stride=1 n=1 k=32 c=32 q=7 p=7 s=3 r=3", true);
+    ("a repeated layer key: the first int wins", edit "r=3" "r=x r=3 r=5", true);
+    ("unknown layer tokens", edit "stride=1" "stride=1 foo=2 bar", true);
+    ("a missing layer key", edit " n=1" "", false);
+    ("a layer key below 1", edit "c=32" "c=0", false);
+    ("an empty layer name", edit "layer g3_7_32_32_1" "layer ", true);
+    ("level 01", edit "level 1 " "level 01 ", false);
+    ("level +1", edit "level 1 " "level +1 ", false);
+    ("levels out of order", edit "level 2\n" "level 3\n", false);
+    ("a double blank before a clause", edit "level 0 temporal" "level 0  temporal", true);
+    ("a double blank before the level number", edit "level 0 " "level  0 ", false);
+    ("temporal twice on one line", edit "temporal C:4,S:3" "temporal C:4, temporal S:3", true);
+    ("temporal twice without a comma", edit "temporal C:4,S:3" "temporal C:4 temporal S:3", false);
+    ("spatial before temporal", edit "temporal Q:7,P:7 spatial C:4,K:16" "spatial C:4,K:16 temporal Q:7,P:7", true);
+    ("blanks and tabs around a comma", edit "C:4,S:3" "C:4 ,\tS:3", true);
+    ("a blank inside a loop", edit "C:4,S:3" "C: 4,S:3", false);
+    ("empty clauses", edit "level 2\n" "level 2 temporal spatial\n", true);
+    ("a clause of blanks and tabs", edit "level 2\n" "level 2 temporal \t spatial\n", true);
+    ("an empty loop", edit "Q:7,P:7" "Q:7,,P:7", false);
+    ("a trailing comma", edit "Q:7,P:7" "Q:7,P:7,", false);
+    ("a comma-only clause", edit "level 2\n" "level 2 temporal ,\n", false);
+    ("a zero bound", edit "Q:7" "Q:0", false);
+    ("a negative bound", edit "Q:7" "Q:-7", false);
+    ("an unknown dimension", edit "Q:7" "X:7", false);
+    ("a loop before any clause keyword", edit "level 4" "level 4 P:2", false);
+    ("trailing garbage on a level line", edit "level 5" "level 5 xyz", false);
+    ("a trailing garbage line", base_record ^ "garbage\n", false);
+    ("a trailing blank tail", base_record ^ " \t\r\n\n", true);
+    ("empty input", "", false);
+    ("metadata only", String.sub base_record 0 body, false);
+    ("no levels", String.sub base_record 0 (index_of base_record "level 0" 0), false);
+    ("a bare mapping", String.sub base_record body (String.length base_record - body), true);
+  ]
+
+let test_reader_edge_cases () =
+  List.iter
+    (fun (what, text, ok) ->
+      if not (same_parse text) then Alcotest.failf "%s: differs from the reference" what;
+      let got = Mapping_io.record_of_string text in
+      Alcotest.(check bool) what ok (Result.is_ok got);
+      (* parsing in place after a frame line reads the same record *)
+      let framed = "key x\n" ^ text in
+      if bytes (Mapping_io.record_of_string ~pos:6 framed) <> bytes got then
+        Alcotest.failf "%s: differs when read from an offset" what)
+    reader_rows
+
 let suite =
   ( "kernels",
     [
@@ -964,4 +1066,5 @@ let suite =
       Alcotest.test_case "spec key = Printf rendering" `Quick test_spec_key;
       Alcotest.test_case "record renderer = Printf renderer" `Quick
         test_renderer_matches_reference;
+      Alcotest.test_case "reader edge cases = reference parser" `Quick test_reader_edge_cases;
     ] )

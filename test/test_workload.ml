@@ -160,6 +160,26 @@ let prop_factors_multiply_to_padded =
           prod = Layer.padded_bound l d)
         Dims.all_dims)
 
+(* [Zoo.find] scans a list built once; it must answer as the scan of a
+   freshly concatenated list did: the first layer of that name, or
+   [Not_found]. *)
+let test_zoo_find_matches_scan () =
+  let scan name =
+    List.find (fun (l : Layer.t) -> l.Layer.name = name) (List.concat_map snd Zoo.suites)
+  in
+  let answer f name = match f name with l -> Some l | exception Not_found -> None in
+  let names =
+    "no-such-layer"
+    :: List.concat_map (fun (_, ls) -> List.map (fun (l : Layer.t) -> l.Layer.name) ls) Zoo.suites
+  in
+  List.iter
+    (fun name ->
+      match (answer scan name, answer Zoo.find name) with
+      | Some a, Some b -> check_bool name true (a == b)
+      | None, None -> ()
+      | _ -> Alcotest.failf "%s: Zoo.find differs from the scan" name)
+    names
+
 let suite =
   let qc = QCheck_alcotest.to_alcotest in
   ( "workload",
@@ -176,4 +196,5 @@ let suite =
       Alcotest.test_case "resnet shapes" `Quick test_resnet_shapes;
       Alcotest.test_case "network distinct" `Quick test_network_distinct;
       qc prop_factors_multiply_to_padded;
+      Alcotest.test_case "zoo find = scan of the suites" `Quick test_zoo_find_matches_scan;
     ] )
