@@ -1,9 +1,9 @@
 (* Full benchmark harness: regenerates every table and figure of the
    paper's evaluation (Section V) plus the DESIGN.md ablations, then runs
-   the daemon soaks, the warm-vs-cold sweep and the fusion gate.
+   the daemon soak, the warm-vs-cold sweep and the fusion gate.
 
    Run with: dune exec bench/main.exe
-   One section: dune exec bench/main.exe -- exp|sweep|soak|soak-cluster|fuse
+   One section: dune exec bench/main.exe -- exp|sweep|soak|fuse
    A single experiment: dune exec bin/cosa_cli.exe -- exp fig6
 
    Besides the human-readable report on stdout, the harness accumulates a
@@ -69,7 +69,6 @@ let exp_ran = ref false
 let exp_results : string list ref = ref []
 let sweep_result : string option ref = ref None
 let soak_result : string option ref = ref None
-let soak_cluster_result : string option ref = ref None
 let fuse_result : string option ref = ref None
 
 (* Split the top level of an existing results file into (key, raw value)
@@ -141,7 +140,7 @@ let split_top_level text =
   List.rev !sections
 
 let section_order =
-  [ "experiments"; "warm_sweep"; "soak"; "soak_cluster"; "fuse" ]
+  [ "experiments"; "warm_sweep"; "soak"; "fuse" ]
 
 let write_results path =
   let fresh =
@@ -151,7 +150,6 @@ let write_results path =
      else [])
     @ (match !sweep_result with Some s -> [ ("warm_sweep", s) ] | None -> [])
     @ (match !soak_result with Some s -> [ ("soak", s) ] | None -> [])
-    @ (match !soak_cluster_result with Some s -> [ ("soak_cluster", s) ] | None -> [])
     @ (match !fuse_result with Some s -> [ ("fuse", s) ] | None -> [])
   in
   (* sections the current run did not produce survive from the existing file *)
@@ -465,528 +463,6 @@ let soak_benchmarks () =
   end;
   flush stdout
 
-(* ---- multi-process cluster soak --------------------------------------- *)
-(* Chaos soak of the fault-tolerant multi-host tier. Two parts:
-
-   [A] In-process: a daemon on the sharded, thread-safe cache tier must
-   answer cache hits inline on connection threads while the (single)
-   solver thread is pinned by a cold solve — cache throughput is no
-   longer serialized through the solver — and the hits must spread over
-   multiple shards.
-
-   [B] Multi-process, per fault seed: two [cosa_cli serve] processes are
-   spawned (exec'd, never forked — the bench parent has run threads) on
-   TCP with cross-wired --peer lists and network+solver fault injection;
-   one of them opts into crash-exit faults. After warming one server, the
-   other must serve via its warm peer ("cache(peer)"); a mixed-budget
-   threaded load using client failover then survives a SIGKILL of the
-   crashy server with zero terminal transport errors, typed rejections
-   from cache-only probes of a cold shape, and zero wrong-schedule serves
-   (every response re-certified in exact arithmetic here, in the
-   parent). The killed server restarts on its persisted cache and serves
-   everything all-cache; both survivors drain cleanly; shard files land
-   where the content-addressed placement says they must. *)
-
-let cluster_seeds = [ 101; 202; 303 ]
-let cluster_fault_rate = 0.02
-
-(* A and B keep the non-fatal network faults (plus solver faults); the
-   crash-exit site is exercised by a dedicated server C at a high rate so
-   the crash is (near-)certain rather than seed-luck, and the deliberate
-   peer-kill of B stays a SIGKILL. *)
-let cluster_fault_sites =
-  String.concat ","
-    [ "simplex.pivot"; "bb.node"; "sampler.valid"; "cosa.warm"; "net.conn_reset";
-      "net.partial_frame"; "net.slow_peer" ]
-
-let cluster_layers = soak_layers
-
-(* never warmed: a cache-only probe for it is a guaranteed typed rejection *)
-let cluster_cold_layer = "fc1000"
-let cluster_slow_layer = "ocr_3072_1500_1024"
-let cluster_shards = 4
-
-let cli_binary =
-  Filename.concat
-    (Filename.dirname Sys.executable_name)
-    (Filename.concat ".." (Filename.concat "bin" "cosa_cli.exe"))
-
-(* Requests at a generous budget run at the Joint rung, and fresh solves
-   are stored under the solving strategy's key — so placement predictions
-   use the Joint fingerprint. *)
-let cluster_joint_fp =
-  let service =
-    lazy (Serve.Service.config ~strategy:Cosa.Joint ~certify:Cosa.Strict Spec.baseline)
-  in
-  fun name -> Serve.Service.request_fingerprint (Lazy.force service) (Zoo.find name)
-
-(* mirrors Serve.Schedule_cache's content-addressed placement *)
-let cluster_shard_of fp =
-  int_of_string ("0x" ^ String.sub (Serve.Fingerprint.hash fp) 0 8) mod cluster_shards
-
-let rec find_sub s sub i =
-  if i + String.length sub > String.length s then None
-  else if String.sub s i (String.length sub) = sub then Some i
-  else find_sub s sub (i + 1)
-
-let contains s sub = find_sub s sub 0 <> None
-
-let read_file path =
-  try In_channel.with_open_bin path In_channel.input_all with Sys_error _ -> ""
-
-(* First integer after [name] in [text]; 0 when absent (the metrics report
-   omits zero counters). *)
-let counter_in_log text name =
-  match find_sub text name 0 with
-  | None -> 0
-  | Some i ->
-    let n = String.length text in
-    let j = ref (i + String.length name) in
-    while !j < n && not (text.[!j] >= '0' && text.[!j] <= '9') do incr j done;
-    let k = ref !j in
-    while !k < n && text.[!k] >= '0' && text.[!k] <= '9' do incr k done;
-    if !j < n then int_of_string (String.sub text !j (!k - !j)) else 0
-
-let alloc_port () =
-  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt s Unix.SO_REUSEADDR true;
-  Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  let port =
-    match Unix.getsockname s with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
-  in
-  Unix.close s;
-  port
-
-let spawn_server ~log args =
-  let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let pid =
-    Unix.create_process cli_binary (Array.of_list (cli_binary :: args)) Unix.stdin fd fd
-  in
-  Unix.close fd;
-  pid
-
-let wait_tcp port ~timeout_s =
-  let t0 = Unix.gettimeofday () in
-  let rec go () =
-    match
-      Daemon.Client.connect_ep ~timeout_s:0.5 (Daemon.Client.Tcp ("127.0.0.1", port))
-    with
-    | Ok c ->
-      Daemon.Client.close c;
-      true
-    | Error _ ->
-      if Unix.gettimeofday () -. t0 > timeout_s then false
-      else begin
-        Thread.delay 0.1;
-        go ()
-      end
-  in
-  go ()
-
-let term_and_wait pid =
-  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-  match Unix.waitpid [] pid with
-  | _, status -> status
-  | exception Unix.Unix_error _ -> Unix.WEXITED 127
-
-let serve_args ?(rate = cluster_fault_rate) ?(sites = cluster_fault_sites) ~sock
-    ~port ~peer_port ~cache_dir ~seed ~crash ~faults () =
-  [ "serve"; "--socket"; sock; "--tcp"; Printf.sprintf "127.0.0.1:%d" port;
-    "--cache-dir"; cache_dir; "--shards"; string_of_int cluster_shards;
-    "--cache-size"; "64"; "--peer"; Printf.sprintf "127.0.0.1:%d" peer_port;
-    "--certify"; "strict"; "--strategy"; "auto"; "--time-limit"; "0.6"; "--jobs"; "2";
-    "--queue-capacity"; "8"; "--default-budget"; "10"; "--node-limit"; "2000";
-    "--metrics" ]
-  @ (if faults then
-       [ "--fault-seed"; string_of_int seed; "--fault-rate"; string_of_float rate;
-         "--fault-sites"; sites ]
-     else [])
-  @ if crash then [ "--fault-crash" ] else []
-
-(* [A] sharded tier: cache hits bypass the busy solver thread. *)
-let cluster_fastpath_check () =
-  print_endline "  [A] sharded cache tier: hits answer while the solver is busy";
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "cosa_cluster_fp_%d.sock" (Unix.getpid ()))
-  in
-  let sharded = Serve.Schedule_cache.create ~capacity:64 ~shards:cluster_shards () in
-  let service =
-    Serve.Service.config ~strategy:Cosa.Auto ~certify:Cosa.Strict ~node_limit:2_000
-      ~time_limit:1.5 ~jobs:1 Spec.baseline
-  in
-  let admission =
-    Daemon.Admission.default_config ~queue_capacity:16 ~min_samples:4 ~time_limit:1.5 ()
-  in
-  let server =
-    Daemon.Server.create
-      (Daemon.Server.config ~admission ~default_budget_s:10.
-         ~tier:sharded ~socket_path:sock service)
-  in
-  let th = Daemon.Server.start server in
-  Daemon.Server.wait_ready server;
-  let req ?(cache_only = false) layer =
-    { Daemon.Protocol.client = ""; budget_s = 10.; arch = "baseline";
-      target = Daemon.Protocol.Layer layer; cache_only; req_id = 0L; hop = 0 }
-  in
-  List.iter
-    (fun l -> ignore (Daemon.Server.process_request server (req l)))
-    cluster_layers;
-  let slow_wall = ref 0. in
-  let slow =
-    Thread.create
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        ignore (Daemon.Server.process_request server (req cluster_slow_layer));
-        slow_wall := Unix.gettimeofday () -. t0)
-      ()
-  in
-  Thread.delay 0.1;
-  let wl = Mutex.create () in
-  let walls = ref [] and not_cached = ref 0 in
-  let threads =
-    List.init 12 (fun i ->
-        Thread.create
-          (fun () ->
-            let layer = List.nth cluster_layers (i mod List.length cluster_layers) in
-            let t0 = Unix.gettimeofday () in
-            let r = Daemon.Server.process_request server (req ~cache_only:true layer) in
-            let dt = Unix.gettimeofday () -. t0 in
-            Mutex.protect wl (fun () ->
-                walls := dt :: !walls;
-                match r with
-                | Daemon.Protocol.Scheduled _ -> ()
-                | _ -> incr not_cached))
-          ())
-  in
-  List.iter Thread.join threads;
-  Thread.join slow;
-  Daemon.Server.shutdown server;
-  Thread.join th;
-  let max_wall = List.fold_left Float.max 0. !walls in
-  let stats = Daemon.Server.stats server in
-  let shard_hits =
-    List.init cluster_shards (fun i ->
-        let st = Serve.Schedule_cache.shard_stats sharded i in
-        st.Serve.Schedule_cache.hits + st.Serve.Schedule_cache.disk_hits)
-  in
-  let shards_hit = List.length (List.filter (fun h -> h > 0) shard_hits) in
-  soak_check (!not_cached = 0) "[A] all 12 concurrent cache-only probes hit";
-  soak_check (!slow_wall > 0.3) "[A] cold solve pinned the solver thread meanwhile";
-  soak_check
-    (max_wall < 0.75 *. !slow_wall)
-    "[A] cache hits were not serialized behind the solver thread";
-  soak_check
-    (stats.Daemon.Server.fastpath_served >= 12)
-    "[A] hits were served on the connection fast path";
-  soak_check (shards_hit >= 2) "[A] hits spread across multiple shards";
-  Printf.sprintf
-    "{\"slow_wall_s\":%s,\"max_hit_wall_s\":%s,\"fastpath_served\":%d,\
-     \"shard_hits\":[%s]}"
-    (json_float !slow_wall) (json_float max_wall) stats.Daemon.Server.fastpath_served
-    (String.concat "," (List.map string_of_int shard_hits))
-
-(* [B] one two-process chaos round under one fault seed. *)
-let cluster_round seed =
-  Printf.printf "  [B] chaos round, seed %d\n%!" seed;
-  let tmp = Filename.get_temp_dir_name () in
-  let tag = Printf.sprintf "cosa_cluster_%d_%d" (Unix.getpid ()) seed in
-  let cache_a = Filename.concat tmp (tag ^ "_a") in
-  let cache_b = Filename.concat tmp (tag ^ "_b") in
-  rm_rf cache_a;
-  rm_rf cache_b;
-  let sock_a = Filename.concat tmp (tag ^ "_a.sock") in
-  let sock_b = Filename.concat tmp (tag ^ "_b.sock") in
-  let log_a = Filename.concat tmp (tag ^ "_a.log") in
-  let log_b = Filename.concat tmp (tag ^ "_b.log") in
-  let log_b2 = Filename.concat tmp (tag ^ "_b2.log") in
-  let port_a = alloc_port () and port_b = alloc_port () in
-  let ep_a = Daemon.Client.Tcp ("127.0.0.1", port_a) in
-  let ep_b = Daemon.Client.Tcp ("127.0.0.1", port_b) in
-  let pid_a =
-    spawn_server ~log:log_a
-      (serve_args ~sock:sock_a ~port:port_a ~peer_port:port_b ~cache_dir:cache_a ~seed
-         ~crash:false ~faults:true ())
-  in
-  let pid_b =
-    spawn_server ~log:log_b
-      (serve_args ~sock:sock_b ~port:port_b ~peer_port:port_a ~cache_dir:cache_b
-         ~seed:(seed + 1) ~crash:false ~faults:true ())
-  in
-  soak_check (wait_tcp port_a ~timeout_s:20.) "[B] server A listening on TCP";
-  soak_check (wait_tcp port_b ~timeout_s:20.) "[B] server B listening on TCP";
-  let resp_lock = Mutex.create () in
-  let transport_errors = ref 0
-  and failed = ref 0
-  and rejected = ref 0
-  and peer_served = ref 0 in
-  let scheduled : Daemon.Protocol.scheduled list ref = ref [] in
-  let send ?(cache_only = false) ~endpoints layer =
-    let r =
-      Daemon.Client.request_failover ~retries:4 ~backoff_s:0.05 ~timeout_s:10.
-        ~endpoints
-        { Daemon.Protocol.client = ""; budget_s = 10.; arch = "baseline";
-          target = Daemon.Protocol.Layer layer; cache_only; req_id = 0L; hop = 0 }
-    in
-    Mutex.protect resp_lock (fun () ->
-        match r with
-        | Error _ | Ok (Daemon.Protocol.Stats _) -> incr transport_errors
-        | Ok (Daemon.Protocol.Failed _) -> incr failed
-        | Ok (Daemon.Protocol.Rejected _) -> incr rejected
-        | Ok (Daemon.Protocol.Scheduled x) ->
-          scheduled := x :: !scheduled;
-          List.iter
-            (fun (l : Daemon.Protocol.served_layer) ->
-              if l.Daemon.Protocol.origin = "cache(peer)" then incr peer_served)
-            x.Daemon.Protocol.layers)
-  in
-  (* phase 1: warm A (generous budgets: Joint solves, write-through stores) *)
-  List.iter (fun l -> send ~endpoints:[ ep_a ] l) cluster_layers;
-  (* phase 2: B answers the same shapes via its warm peer *)
-  List.iter (fun l -> send ~endpoints:[ ep_b; ep_a ] l) cluster_layers;
-  let peer_after_warm = Mutex.protect resp_lock (fun () -> !peer_served) in
-  (* phase 3a: a crash-exit server C joins and dies by an injected
-     net.peer_crash mid-response (rate 0.9 makes the crash near-certain);
-     the client's failover absorbs the torn frame *)
-  let cache_c = Filename.concat tmp (tag ^ "_c") in
-  rm_rf cache_c;
-  let sock_c = Filename.concat tmp (tag ^ "_c.sock") in
-  let log_c = Filename.concat tmp (tag ^ "_c.log") in
-  let port_c = alloc_port () in
-  let ep_c = Daemon.Client.Tcp ("127.0.0.1", port_c) in
-  let pid_c =
-    spawn_server ~log:log_c
-      (serve_args ~sock:sock_c ~port:port_c ~peer_port:port_a ~cache_dir:cache_c
-         ~seed:(seed + 2) ~crash:true ~faults:true ~rate:0.9 ~sites:"net.peer_crash" ())
-  in
-  soak_check (wait_tcp port_c ~timeout_s:20.) "[B] crash-exit server C listening";
-  for _ = 1 to 6 do
-    send ~cache_only:true ~endpoints:[ ep_c; ep_a ] cluster_cold_layer
-  done;
-  let st_c =
-    let deadline = Unix.gettimeofday () +. 10. in
-    let rec reap () =
-      match Unix.waitpid [ Unix.WNOHANG ] pid_c with
-      | 0, _ ->
-        if Unix.gettimeofday () > deadline then begin
-          (try Unix.kill pid_c Sys.sigkill with Unix.Unix_error _ -> ());
-          snd (Unix.waitpid [] pid_c)
-        end
-        else begin
-          Thread.delay 0.05;
-          reap ()
-        end
-      | _, st -> st
-      | exception Unix.Unix_error _ -> Unix.WEXITED 127
-    in
-    reap ()
-  in
-  soak_check
-    (st_c = Unix.WEXITED 42)
-    "[B] injected peer-crash tore server C down mid-response (exit 42)";
-  (* phase 3b: mixed threaded load with failover; SIGKILL B mid-load *)
-  let killer =
-    Thread.create
-      (fun () ->
-        Thread.delay 0.4;
-        try Unix.kill pid_b Sys.sigkill with Unix.Unix_error _ -> ())
-      ()
-  in
-  let load =
-    List.init 6 (fun i ->
-        Thread.create
-          (fun () ->
-            let rng = Prim.Rng.create ((seed * 131) + i) in
-            for j = 1 to 6 do
-              let endpoints =
-                if (i + j) mod 2 = 0 then [ ep_a; ep_b ] else [ ep_b; ep_a ]
-              in
-              if j mod 3 = 0 then send ~cache_only:true ~endpoints cluster_cold_layer
-              else send ~endpoints (Prim.Rng.pick rng cluster_layers);
-              Thread.delay 0.05
-            done)
-          ())
-  in
-  List.iter Thread.join load;
-  Thread.join killer;
-  (try ignore (Unix.waitpid [] pid_b) with Unix.Unix_error _ -> ());
-  (* phase 4: restart B on its persisted cache, no faults *)
-  let pid_b2 =
-    spawn_server ~log:log_b2
-      (serve_args ~sock:sock_b ~port:port_b ~peer_port:port_a ~cache_dir:cache_b
-         ~seed:0 ~crash:false ~faults:false ())
-  in
-  soak_check
-    (wait_tcp port_b ~timeout_s:20.)
-    "[B] killed server restarted on its persisted cache";
-  let restart_cache = ref 0 and restart_bad = ref 0 in
-  List.iter
-    (fun l ->
-      match
-        Daemon.Client.request_failover ~retries:4 ~backoff_s:0.05 ~timeout_s:10.
-          ~endpoints:[ ep_b ]
-          { Daemon.Protocol.client = ""; budget_s = 10.; arch = "baseline";
-            target = Daemon.Protocol.Layer l; cache_only = false; req_id = 0L;
-            hop = 0 }
-      with
-      | Ok (Daemon.Protocol.Scheduled x) ->
-        Mutex.protect resp_lock (fun () -> scheduled := x :: !scheduled);
-        List.iter
-          (fun (sl : Daemon.Protocol.served_layer) ->
-            if
-              String.length sl.Daemon.Protocol.origin >= 5
-              && String.sub sl.Daemon.Protocol.origin 0 5 = "cache"
-            then incr restart_cache
-            else incr restart_bad;
-            if sl.Daemon.Protocol.verdict <> "ok" then incr restart_bad)
-          x.Daemon.Protocol.layers
-      | _ -> incr restart_bad)
-    cluster_layers;
-  (* live introspection over the wire before the drain: each surviving
-     daemon's final stats snapshot rides into BENCH_results.json *)
-  let live_snapshot ep =
-    match Daemon.Client.stats_ep ~timeout_s:5. ep Daemon.Protocol.Stats_full with
-    | Ok payload -> payload
-    | Error _ -> "null"
-  in
-  let snap_a = live_snapshot ep_a in
-  let snap_b2 = live_snapshot ep_b in
-  soak_check
-    (contains snap_a "\"snapshot_version\"" && contains snap_a "\"shards\"")
-    "[B] server A answered a live stats snapshot (with shard sections)";
-  soak_check
-    (contains snap_b2 "\"snapshot_version\"")
-    "[B] restarted server B answered a live stats snapshot";
-  (* drains *)
-  let st_a = term_and_wait pid_a in
-  let st_b2 = term_and_wait pid_b2 in
-  let text_a = read_file log_a in
-  let text_b2 = read_file log_b2 in
-  (* re-certify every scheduled record: zero wrong serves, ever *)
-  let wrong = ref 0 in
-  List.iter
-    (fun (x : Daemon.Protocol.scheduled) ->
-      List.iter
-        (fun (l : Daemon.Protocol.served_layer) ->
-          if l.Daemon.Protocol.verdict <> "ok" then incr wrong
-          else
-            match Mapping_io.record_of_string l.Daemon.Protocol.record with
-            | Error _ -> incr wrong
-            | Ok (_, mapping) ->
-              (match Certify.Mapping_cert.check Spec.baseline mapping with
-               | Certify.Certificate.Certified -> ()
-               | Certify.Certificate.Violated _ -> incr wrong))
-        x.Daemon.Protocol.layers)
-    !scheduled;
-  (* content-addressed placement: every warmed layer's record must sit in
-     its owning shard directory on A *)
-  let shards_used = Hashtbl.create 8 in
-  let missing =
-    List.filter
-      (fun name ->
-        let fp = cluster_joint_fp name in
-        let sh = cluster_shard_of fp in
-        Hashtbl.replace shards_used sh ();
-        not
-          (Sys.file_exists
-             (Filename.concat cache_a
-                (Filename.concat
-                   (Printf.sprintf "shard-%02d" sh)
-                   (Serve.Fingerprint.hash fp ^ ".cosa")))))
-      cluster_layers
-  in
-  let b_files =
-    List.init cluster_shards (fun i ->
-        let d = Filename.concat cache_b (Printf.sprintf "shard-%02d" i) in
-        match Sys.readdir d with
-        | entries ->
-          Array.fold_left
-            (fun acc e -> if Filename.check_suffix e ".cosa" then acc + 1 else acc)
-            0 entries
-        | exception Sys_error _ -> 0)
-    |> List.fold_left ( + ) 0
-  in
-  soak_check (!transport_errors = 0)
-    "[B] zero terminal transport errors (failover absorbed the kill)";
-  soak_check (!failed = 0) "[B] no Failed responses";
-  soak_check (!rejected > 0) "[B] cache-only probes of a cold shape typed-rejected";
-  soak_check (peer_after_warm > 0) "[B] warm peer served cache(peer) hits";
-  soak_check (!wrong = 0) "[B] zero wrong-schedule serves (all re-certified)";
-  soak_check
-    (!restart_cache = List.length cluster_layers && !restart_bad = 0)
-    "[B] restarted server answered every shape all-cache";
-  soak_check (st_a = Unix.WEXITED 0) "[B] server A drained with exit 0";
-  soak_check (st_b2 = Unix.WEXITED 0) "[B] restarted server B drained with exit 0";
-  soak_check (contains text_a "drained:") "[B] A printed its drain summary";
-  soak_check (contains text_b2 "drained:") "[B] restarted B printed its drain summary";
-  soak_check (counter_in_log text_a "faults fired:" > 0) "[B] faults fired on A";
-  soak_check (missing = []) "[B] every warmed layer persisted in its owning shard";
-  soak_check (Hashtbl.length shards_used >= 2) "[B] warmed layers span multiple shards";
-  soak_check (b_files > 0) "[B] SIGKILLed B left write-through shard files behind";
-  let peer_probes_b2 = counter_in_log text_b2 "cluster.peer_probes" in
-  let frag =
-    Printf.sprintf
-      "{\"seed\":%d,\"scheduled\":%d,\"rejected\":%d,\"failed\":%d,\
-       \"transport_errors\":%d,\"peer_served\":%d,\"wrong\":%d,\
-       \"restart_all_cache\":%b,\"a_faults_fired\":%d,\"b_shard_files\":%d,\
-       \"b2_peer_probes\":%d,\"a_snapshot\":%s,\"b2_snapshot\":%s}"
-      seed
-      (List.length !scheduled)
-      !rejected !failed !transport_errors !peer_served !wrong
-      (!restart_cache = List.length cluster_layers && !restart_bad = 0)
-      (counter_in_log text_a "faults fired:")
-      b_files peer_probes_b2 snap_a snap_b2
-  in
-  List.iter (fun f -> try Sys.remove f with Sys_error _ -> ())
-    [ sock_a; sock_b; sock_c; log_a; log_b; log_b2; log_c ];
-  rm_rf cache_a;
-  rm_rf cache_b;
-  rm_rf cache_c;
-  frag
-
-let soak_cluster_benchmarks ?only_seed () =
-  print_newline ();
-  print_endline
-    "Cluster soak: sharded cache, TCP failover, warm peers, network faults";
-  print_endline
-    "=====================================================================";
-  if not (Sys.file_exists cli_binary) then begin
-    Printf.printf
-      "  SKIP cluster soak: %s not built (run `dune build bin/cosa_cli.exe`)\n"
-      cli_binary;
-    soak_cluster_result := Some "{\"skipped\":true}"
-  end
-  else begin
-    (* the parent's own telemetry captures the client-side counters *)
-    Telemetry.Sink.set Telemetry.Sink.Memory;
-    Telemetry.Metrics.reset ();
-    let fastpath = cluster_fastpath_check () in
-    let seeds =
-      match only_seed with Some s -> [ s ] | None -> cluster_seeds
-    in
-    let rounds = List.map cluster_round seeds in
-    let snap = Telemetry.Metrics.snapshot () in
-    let failovers = Telemetry.Metrics.counter_value snap "cluster.failovers" in
-    soak_check (failovers > 0) "[B] client failed over after the peer kill";
-    soak_cluster_result :=
-      Some
-        (Printf.sprintf
-           "{\"fault_rate\":%s,\"fastpath\":%s,\"rounds\":[%s],\
-            \"client_telemetry\":%s}"
-           (json_float cluster_fault_rate) fastpath (String.concat "," rounds)
-           (snapshot_json snap));
-    Telemetry.Metrics.reset ();
-    Telemetry.Sink.set Telemetry.Sink.Null;
-    if !soak_failures > 0 then begin
-      Printf.printf "cluster soak: %d acceptance checks FAILED\n" !soak_failures;
-      write_results "BENCH_results.json";
-      exit 1
-    end
-  end;
-  flush stdout
-
 (* Cross-layer fusion sweep: the lib/fuse acceptance gate.
 
    Plans every derived chain of the fusion-candidate networks and of full
@@ -1296,15 +772,10 @@ let () =
    | Some "exp" -> run_experiments ()
    | Some "sweep" -> warm_sweep ()
    | Some "soak" -> soak_benchmarks ()
-   | Some "soak-cluster" ->
-     let only_seed =
-       if Array.length Sys.argv > 2 then Some (int_of_string Sys.argv.(2)) else None
-     in
-     soak_cluster_benchmarks ?only_seed ()
    | Some "fuse" -> fuse_benchmarks ()
    | Some other ->
      Printf.eprintf
-       "unknown section %S (expected exp, sweep, soak, soak-cluster, or fuse)\n"
+       "unknown section %S (expected exp, sweep, soak, or fuse)\n"
        other;
      exit 2
    | None ->
@@ -1312,7 +783,6 @@ let () =
      print_endline "==========================================";
      run_experiments ();
      soak_benchmarks ();
-     soak_cluster_benchmarks ();
      warm_sweep ();
      fuse_benchmarks ());
   Printf.printf "\nTotal harness time: %.1f s\n" (Unix.gettimeofday () -. t0);

@@ -331,14 +331,7 @@ let serve_cmd =
   in
   let tcp_arg =
     Arg.(value & opt (some string) None & info [ "tcp" ] ~docv:"HOST:PORT"
-           ~doc:"Also listen on TCP at $(docv) (same wire protocol) — the \
-                 multi-host transport.")
-  in
-  let peer_arg =
-    Arg.(value & opt_all string [] & info [ "peer" ] ~docv:"ENDPOINT"
-           ~doc:"Warm peer to probe on local cache misses ($(i,host:port) or a \
-                 Unix socket path); repeatable. Peer records are re-certified in \
-                 exact arithmetic before being served or cached.")
+           ~doc:"Also listen on TCP at $(docv) (same wire protocol).")
   in
   let shards_arg =
     Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N"
@@ -366,19 +359,14 @@ let serve_cmd =
            ~doc:"With --fault-seed, restrict injection to these comma-separated \
                  sites (e.g. $(b,net.conn_reset,net.partial_frame)).")
   in
-  let fault_crash_arg =
-    Arg.(value & flag & info [ "fault-crash" ]
-           ~doc:"Honor the net.peer_crash fault site with a process exit(42) \
-                 mid-response. Chaos harnesses only.")
-  in
   let flight_arg =
     Arg.(value & opt int 256 & info [ "flight" ] ~docv:"N"
            ~doc:"Flight-recorder ring size: the last $(docv) per-request records \
                  readable live through `cosa_cli trace-dump` (min 16; always on).")
   in
   let run arch_name socket jobs cache_dir cache_size queue_capacity quota_rate
-      quota_burst shed_delay default_budget tcp peers shards tmp_sweep_age
-      read_deadline idle_timeout fault_seed fault_rate fault_sites fault_crash flight
+      quota_burst shed_delay default_budget tcp shards tmp_sweep_age
+      read_deadline idle_timeout fault_seed fault_rate fault_sites flight
       node_limit strategy time_limit certify trace metrics profile
       trace_ring log_file log_level =
     arm_event_log log_file log_level;
@@ -407,27 +395,10 @@ let serve_cmd =
       Serve.Schedule_cache.create ?dir:cache_dir ~tmp_sweep_age_s:tmp_sweep_age
         ~capacity:(max cache_size shards) ~shards ()
     in
-    let peer_tier =
-      match peers with
-      | [] -> None
-      | eps -> Some (Cluster.Peers.create (List.map Daemon.Client.endpoint_of_string eps))
-    in
-    (* Live-introspection sections for the Stats frame: per-shard cache
-       counters always, per-peer health when the warm tier is armed. *)
-    let stats_extra =
-      ("shards", fun () -> Serve.Schedule_cache.stats_json cache)
-      ::
-      (match peer_tier with
-       | None -> []
-       | Some p -> [ ("peers", fun () -> Cluster.Peers.stats_json p) ])
-    in
     let cfg =
       Daemon.Server.config ~admission ~default_budget_s:default_budget ?tcp
-        ?remote_probe:(Option.map Cluster.Peers.probe peer_tier)
-        ?housekeeping:(Option.map (fun p () -> Cluster.Peers.tick p) peer_tier)
         ~read_deadline_s:read_deadline ~idle_timeout_s:idle_timeout
-        ~fault_crash_exit:fault_crash ~flight_capacity:flight ~stats_extra ~tier:cache
-        ~socket_path:socket service
+        ~flight_capacity:flight ~tier:cache ~socket_path:socket service
     in
     let server = Daemon.Server.create cfg in
     (* SIGTERM/SIGINT request a graceful drain: finish in-flight work,
@@ -436,17 +407,14 @@ let serve_cmd =
     let graceful = Sys.Signal_handle (fun _ -> Daemon.Server.shutdown server) in
     Sys.set_signal Sys.sigterm graceful;
     Sys.set_signal Sys.sigint graceful;
-    Printf.printf "daemon listening on %s%s (arch %s, cache %s, %d shards%s)\n%!"
+    Printf.printf "daemon listening on %s%s (arch %s, cache %s, %d shards)\n%!"
       socket
       (match tcp with
        | Some (h, p) -> Printf.sprintf " and tcp %s:%d" h p
        | None -> "")
       arch.Spec.aname
       (Option.value cache_dir ~default:"memory-only")
-      shards
-      (match peers with
-       | [] -> ""
-       | l -> Printf.sprintf ", %d peers" (List.length l));
+      shards;
     let serve () =
       with_telemetry trace metrics profile (fun () -> Daemon.Server.run server)
     in
@@ -482,13 +450,12 @@ let serve_cmd =
        ~doc:"Run the persistent scheduling daemon: bounded queue, SLO-aware \
              admission over the degradation ladder, typed backpressure, graceful \
              drain on SIGTERM. Cache hits answer inline on connection threads, \
-             over a cache sharded by --shards; --tcp adds a multi-host \
-             listener and --peer arms the health-checked warm-peer tier.")
+             over a cache sharded by --shards; --tcp adds a TCP listener.")
     Term.(const run $ arch_arg $ socket_arg $ jobs_arg $ cache_dir_arg $ cache_size_arg
           $ queue_arg $ quota_rate_arg $ quota_burst_arg $ shed_arg $ default_budget_arg
-          $ tcp_arg $ peer_arg $ shards_arg $ tmp_sweep_age_arg $ read_deadline_arg
+          $ tcp_arg $ shards_arg $ tmp_sweep_age_arg $ read_deadline_arg
           $ idle_timeout_arg $ fault_seed_arg $ fault_rate_arg $ fault_sites_arg
-          $ fault_crash_arg $ flight_arg
+          $ flight_arg
           $ node_limit_arg $ strategy_arg $ time_limit_arg $ certify_arg
           $ trace_arg $ metrics_arg $ profile_arg
           $ trace_ring_arg $ log_arg $ log_level_arg)
@@ -535,13 +502,12 @@ let request_cmd =
   let cache_only_flag =
     Arg.(value & flag & info [ "cache-only" ]
            ~doc:"Only serve from the daemon's cache tier; a miss is a typed \
-                 rejection, never a solve. This is the peer-probe mode.")
+                 rejection, never a solve.")
   in
   let run arch socket target network budget client timeout endpoints retries
       retry_backoff cache_only =
     (* Mint the request id client-side (hop 0 = origin) so the operator can
-       grep this id in the daemon's flight recorder, event log, and trace —
-       the same id the daemon propagates to any warm-peer probe. *)
+       grep this id in the daemon's flight recorder, event log, and trace. *)
     let req_id = Daemon.Server.mint_req_id () in
     let req =
       {
@@ -661,8 +627,8 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:"Query a live daemon's introspection snapshot: counters, admission \
-             p95 windows and rung costs, per-shard cache hit rates, peer health, \
-             and the flight recorder — as one JSON object (or --prometheus \
+             p95 windows and rung costs, per-shard cache hit rates, and the \
+             flight recorder — as one JSON object (or --prometheus \
              text). Answered inline by the daemon; never queued, counted, or \
              admission-priced, and books no cache miss.")
     Term.(const run $ socket_arg $ stats_endpoint_arg $ stats_timeout_arg $ watch_arg
@@ -678,7 +644,7 @@ let trace_dump_cmd =
        ~doc:"Dump a live daemon's flight recorder: the last N requests (id, \
              hop, client, target, rung, origin, verdict, queue wait, serve \
              time) as a JSON array, oldest first. Grep a request id printed \
-             by `cosa_cli request` to follow one request across hops.")
+             by `cosa_cli request` to follow that request.")
     Term.(const run $ socket_arg $ stats_endpoint_arg $ stats_timeout_arg)
 
 (* cosa_cli exp <id> *)

@@ -2,7 +2,7 @@
    request, close. Blocking, with an optional receive timeout so a hung
    server surfaces as a typed error rather than a wedged client.
 
-   [request_failover] is the cluster-aware entry point: bounded retries
+   [request_failover] is the multi-endpoint entry point: bounded retries
    with exponential backoff + deterministic jitter across a list of
    endpoints. The retry discipline is strict about what a "failure" is —
    any decoded response (Scheduled, Rejected, Failed) is a *terminal*
@@ -47,13 +47,12 @@ let addr_of_endpoint = function
         | he -> Ok (Unix.ADDR_INET (he.Unix.h_addr_list.(0), port))))
 
 (* Bounded connect. [Unix.connect] on a blocking socket is bounded only
-   by the kernel's own timeout (~minutes for a black-holed TCP peer),
-   which would let one dead peer stall whatever thread is probing it —
-   the daemon's accept loop for health ticks, the solver thread for
-   cache probes. So under a timeout the socket goes non-blocking for the
-   connect itself (EINPROGRESS, then select bounded by the remaining
-   budget, then the pending SO_ERROR), and back to blocking for the
-   exchange. *)
+   by the kernel's own timeout (~minutes for a black-holed TCP endpoint),
+   which would stall a failover walk on one dead endpoint for that long
+   before it tried the next. So under a timeout the socket goes
+   non-blocking for the connect itself (EINPROGRESS, then select bounded
+   by the remaining budget, then the pending SO_ERROR), and back to
+   blocking for the exchange. *)
 let connect_bounded fd addr timeout_s =
   Unix.set_nonblock fd;
   let connected () =
@@ -120,7 +119,7 @@ let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
    timeout) may be a transient network event and is worth a retry or a
    failover. A [Protocol_error] — a complete, well-framed payload that
    does not decode, which is how a version/magic mismatch between
-   deployments surfaces — is a permanent property of the peer: every
+   deployments surfaces — is a permanent property of the server: every
    retry against every endpoint of that deployment would fail the same
    way, so it must be returned immediately as terminal. *)
 type wire_error = Transport of string | Protocol_error of string
@@ -203,7 +202,7 @@ let request_failover ?(retries = 2) ?(backoff_s = 0.05) ?(backoff_max_s = 2.)
           (match one_shot_wire ?timeout_s ep req with
            | Ok resp -> `Done resp
            | Error (Protocol_error msg) ->
-             (* a well-framed response that does not decode: the peer
+             (* a well-framed response that does not decode: the server
                 speaks a different protocol (version/magic mismatch) or
                 is corrupting frames deterministically. Retrying cannot
                 help — surface it now instead of burning every retry and

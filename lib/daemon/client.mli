@@ -1,5 +1,5 @@
 (** Blocking client for the daemon's wire protocol, with bounded-retry
-    multi-endpoint failover for cluster deployments. *)
+    failover across a list of daemon endpoints. *)
 
 type t
 
@@ -16,7 +16,7 @@ val endpoint_to_string : endpoint -> string
 val connect : ?timeout_s:float -> string -> (t, string) result
 (** Connect to the daemon's Unix-domain socket. [timeout_s > 0] bounds
     the connect itself (non-blocking connect + select, so a black-holed
-    peer costs at most the budget, not the kernel's ~minutes timeout)
+    endpoint costs at most the budget, not the kernel's ~minutes timeout)
     and arms send/receive timeouts so a wedged server yields [Error],
     not a hang. *)
 
@@ -66,7 +66,7 @@ val request_failover :
     retrying a typed rejection would defeat the server's calibrated
     backpressure. A response frame that fails to decode (protocol
     version/magic mismatch, deterministic corruption) is equally
-    terminal — it is a permanent property of the peer, so it is returned
+    terminal — it is a permanent property of the server, so it is returned
     as [Error] immediately instead of burning retries and backoff. Only
     transport failures (refused/reset/timed-out connections, torn
     frames, read timeouts) are retried. [Error] carries the concatenated

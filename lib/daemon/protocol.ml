@@ -15,7 +15,7 @@
 
 let magic = 0xC5
 
-(* v2 (the cluster tier) added a request flags byte carrying [cache_only].
+(* v2 added a request flags byte carrying [cache_only].
    v3 (the observability tier) appends a 64-bit request id and an origin
    hop count to requests, and adds the stats-query/stats frame pair for
    live introspection. Version mismatches are answered with a typed
@@ -35,13 +35,10 @@ type request = {
   arch : string;  (* architecture name, e.g. "baseline" *)
   target : target;
   cache_only : bool;
-      (* peer cache probe: serve from the local cache or answer a typed
-         rejection — never solve, never cascade to further peers *)
-  req_id : int64;
-      (* request-scoped trace id; 0 = unassigned, the server mints one.
-         A peer probe forwards the originating request's id so one id
-         stitches the whole causal chain across hosts. *)
-  hop : int;  (* 0 at the originating client; +1 per daemon-to-peer hop *)
+      (* cache probe: serve from the daemon's cache or answer a typed
+         rejection — never solve *)
+  req_id : int64;  (* request-scoped trace id; 0 = unassigned, the server mints one *)
+  hop : int;  (* origin hop count, 0 from a client *)
 }
 
 type reject_reason = Queue_full | Quota_exceeded | Shedding | Deadline_unmeetable
@@ -413,8 +410,8 @@ let read_frame_timeout fd =
     end
 
 (* Fault-injection helper: a frame header promising [length payload] bytes
-   followed by only the first half of them — the torn write a peer crash
-   or a cut connection produces. Receivers must treat it as a transport
+   followed by only the first half of them — the torn write a crash or a
+   cut connection produces. Receivers must treat it as a transport
    error (mid-frame stall/EOF), never as a short valid frame. *)
 let write_torn_frame fd payload =
   let n = Bytes.length payload in

@@ -23,17 +23,18 @@ type request = {
   arch : string;  (** architecture name (e.g. ["baseline"]) *)
   target : target;
   cache_only : bool;
-      (** peer cache probe: serve from the local cache or answer a typed
-          rejection — never solve, never cascade to further peers *)
+      (** cache probe: serve from the daemon's cache or answer a typed
+          rejection — never solve *)
   req_id : int64;
       (** request-scoped trace id, rendered as 16 hex digits everywhere
           ([Telemetry.Trace.request_id_hex]). [0L] = unassigned: the
-          server mints one on arrival. Peer probes forward the
-          originating id, so one id stitches client → daemon → peer into
-          a single causal chain across trace, log and flight recorder. *)
+          server mints one on arrival. A client that mints its own can
+          follow the request through the daemon's trace, event log and
+          flight recorder. *)
   hop : int;
-      (** origin hop count: 0 at the client, +1 per daemon-to-peer hop
-          (wire range 0..255) *)
+      (** origin hop count, 0 from a client (wire range 0..255). The
+          daemon records it with the request id and tags trace events
+          with it when it is positive. *)
 }
 
 (** Why a request was refused. Every overload path answers with one of
@@ -78,7 +79,7 @@ type response =
 (** What a stats query asks the daemon for. *)
 type stats_scope =
   | Stats_full  (** the versioned JSON snapshot (metrics, admission,
-                    shards, peers, flight recorder) *)
+                    shards, flight recorder) *)
   | Stats_flight  (** just the flight-recorder ring, as JSON *)
   | Stats_prometheus  (** metrics-only Prometheus text exposition *)
 
@@ -114,4 +115,4 @@ val read_frame_timeout :
 val write_torn_frame : Unix.file_descr -> bytes -> unit
 (** Fault-injection helper: write a prefix of {!write_frame}'s buffer — the
     header promising the full payload, then only the first half of the
-    bytes — the torn write a peer crash mid-response produces. *)
+    bytes — the torn write a crash mid-response produces. *)

@@ -1,12 +1,11 @@
 (* The persistent scheduling daemon.
 
    One process, listening sockets (a Unix-domain socket, plus an optional
-   TCP listener for multi-host deployments speaking the same protocol),
-   and three kinds of thread sharing a single OCaml domain:
+   TCP listener speaking the same protocol), and three kinds of thread
+   sharing a single OCaml domain:
 
-   - the accept loop ([run]'s own thread), which also ticks housekeeping
-     (drain detection, idle-connection reaping, injected cluster chores
-     such as peer health probes) on a short select timeout;
+   - the accept loop ([run]'s own thread), which selects on its sockets
+     with a short timeout so that it notices a drain request promptly;
    - one connection thread per client, reading length-prefixed request
      frames, running admission, and writing responses — connections are
      cheap because they spend their lives blocked in [read];
@@ -17,10 +16,7 @@
    The cache: the caller injects the [Serve.Schedule_cache] and keeps it
    (`cosa_cli serve` owns its directory, shards and capacity). Every
    connection thread probes it inline, so hits never serialize through
-   the solver thread, which only ever sees misses. An injected
-   [remote_probe] is handed to [Serve.Service.schedule_network ?remote]
-   on the solver path; the prober owns re-certification, so a peer can
-   cost a counted miss but never a wrong serve.
+   the solver thread, which only ever sees misses.
 
    All shared state (queue, admission, stats, connection registry) lives
    under one mutex. Overload never goes silent: every path out of
@@ -63,28 +59,13 @@ type config = {
   admission : Admission.config;
   default_budget_s : float;  (* for requests that carry no budget *)
   tier : Serve.Schedule_cache.t;  (* injected cache, probed inline by conn threads *)
-  remote_probe :
-    (arch:Spec.t -> layer:Layer.t -> Serve.Fingerprint.t -> Serve.Schedule_cache.entry option)
-      option;
-      (* warm-peer lookup behind local misses on the solver path; the
-         prober must re-certify before returning an entry *)
-  housekeeping : (unit -> unit) option;  (* ticked by the accept loop *)
   read_deadline_s : float;  (* per-connection receive deadline; <= 0 = none *)
   idle_timeout_s : float;  (* reap connections idle this long; <= 0 = never *)
-  fault_crash_exit : bool;
-      (* honor the net.peer_crash fault site with a process exit — only
-         ever set by chaos harnesses, so an ordinary --fault-seed run
-         cannot kill the daemon *)
   flight_capacity : int;  (* flight-recorder ring: last N request records *)
-  stats_extra : (string * (unit -> string)) list;
-      (* extra named JSON sections for the Stats frame (cluster wiring
-         injects "shards" / "peers" here); each thunk must return valid
-         JSON and be safe to call from a connection thread *)
 }
 
 let config ?(admission = Admission.default_config ()) ?(default_budget_s = 30.) ?tcp
-    ?remote_probe ?housekeeping ?(read_deadline_s = 30.) ?(idle_timeout_s = 300.)
-    ?(fault_crash_exit = false) ?(flight_capacity = 256) ?(stats_extra = []) ~tier
+    ?(read_deadline_s = 30.) ?(idle_timeout_s = 300.) ?(flight_capacity = 256) ~tier
     ~socket_path service =
   {
     socket_path;
@@ -93,13 +74,9 @@ let config ?(admission = Admission.default_config ()) ?(default_budget_s = 30.) 
     admission;
     default_budget_s;
     tier;
-    remote_probe;
-    housekeeping;
     read_deadline_s;
     idle_timeout_s;
-    fault_crash_exit;
     flight_capacity = max 16 flight_capacity;
-    stats_extra;
   }
 
 (* Per-connection send deadline (SO_SNDTIMEO). A client that stops
@@ -147,7 +124,7 @@ type job = {
   arrival : float;
   est_cost : float;  (* admission estimate, for queue-delay accounting *)
   req_id : int64;  (* rebound on the solver thread: the request context is
-                      per-systhread, and the peer probe runs over there *)
+                      per-systhread, and the solve's spans are emitted there *)
   hop : int;
   reply : reply;
 }
@@ -364,8 +341,7 @@ let serve_job t (job : job) =
         time_limit = Float.min job.service.Serve.Service.time_limit remaining }
     in
     let report =
-      Serve.Service.schedule_network ~tier:t.cfg.tier ?remote:t.cfg.remote_probe ~rung
-        service job.net
+      Serve.Service.schedule_network ~tier:t.cfg.tier ~rung service job.net
     in
     let dt = Robust.Deadline.now () -. start in
     (* Feed the estimator the cost of what actually ran: a live solve is
@@ -416,7 +392,7 @@ let solver_loop t =
       let resp =
         (* re-bind the request context here: the connection thread's
            binding does not follow the job across threads, and the solver
-           path is where spans, log lines and outbound peer probes live *)
+           path is where the solve's spans and log lines live *)
         try
           Telemetry.Trace.with_request ~id:job.req_id ~hop:job.hop (fun () ->
               serve_job t job)
@@ -436,17 +412,14 @@ let solver_loop t =
 
 (* ---- connection handling ---------------------------------------------- *)
 
-(* Cache fast path: a pure local cache probe on the calling (connection)
-   thread. Never consults peers (a [cache_only] request from a peer must
-   not cascade) and never solves. Probes book no miss
-   ([count_miss:false]): a fast-path miss on an ordinary request is
-   re-probed by the solver path, so booking it here too would count two
-   (or, across the rung-key walk, more) misses per request and deflate
-   the hit rate admission prices against. A missed [cache_only] peer
-   probe books no miss at all — it is answered with a typed rejection
-   without reaching the solver path, and peer traffic should not skew
-   the window that prices *local* admission. Fast-path hits always
-   count. *)
+(* Cache fast path: a pure cache probe on the calling (connection)
+   thread that never solves. Probes book no miss ([count_miss:false]): a
+   fast-path miss on an ordinary request is re-probed by the solver path,
+   so booking it here too would count two (or, across the rung-key walk,
+   more) misses per request and deflate the hit rate admission prices
+   against. A missed [cache_only] request books no miss at all: it is
+   answered with a typed rejection and never reaches the solver path.
+   Fast-path hits always count. *)
 let try_fast_path t (service : Serve.Service.config) net ~arrival ~budget =
   let scfg =
     { service with Serve.Service.deadline = Robust.Deadline.at (arrival +. budget) }
@@ -491,7 +464,7 @@ let handle_request t (admitted_rung : string ref) (req : Protocol.request) =
        admitted_rung := Robust.Ladder.to_string Robust.Ladder.Cache_probe;
        resp
      | None when req.Protocol.cache_only ->
-       (* peer probe missed the cache: typed miss, no queueing *)
+       (* cache-only request missed: typed miss, no queueing *)
        Mutex.protect t.lock (fun () -> reject_stat t Protocol.Deadline_unmeetable)
      | None ->
        let admitted =
@@ -617,9 +590,9 @@ let record_flight t entry =
       t.flight_pos <- t.flight_pos + 1)
 
 (* The full per-request path: mint an id if the client did not, bind it
-   to this thread for the duration (so every span, counter instant, log
-   line and outbound peer probe below carries it), serve, then write the
-   flight-recorder record and the structured serve/reject/fail event. *)
+   to this thread for the duration (so every span, counter instant and log
+   line below carries it), serve, then write the flight-recorder record
+   and the structured serve/reject/fail event. *)
 let process_request t (req : Protocol.request) =
   let req =
     if req.Protocol.req_id = 0L then { req with Protocol.req_id = mint_req_id () }
@@ -766,15 +739,10 @@ let stats_payload t scope =
       admission;
     Buffer.add_char buf ']';
     Buffer.add_string buf
-      (Printf.sprintf ",\"cache\":{\"hit_rate\":%.6f,%s}"
+      (Printf.sprintf ",\"cache\":{\"hit_rate\":%.6f,%s},\"shards\":%s"
          (Serve.Schedule_cache.hit_rate t.cfg.tier)
-         (Serve.Schedule_cache.counters_json (Serve.Schedule_cache.stats t.cfg.tier)));
-    List.iter
-      (fun (name, thunk) ->
-        let payload = try thunk () with _ -> "null" in
-        Buffer.add_string buf
-          (Printf.sprintf ",\"%s\":%s" (Telemetry.Trace.json_escape name) payload))
-      t.cfg.stats_extra;
+         (Serve.Schedule_cache.counters_json (Serve.Schedule_cache.stats t.cfg.tier))
+         (Serve.Schedule_cache.stats_json t.cfg.tier));
     Buffer.add_string buf
       (Printf.sprintf ",\"metrics\":%s"
          (Telemetry.Export.metrics_json (Telemetry.Metrics.snapshot ())));
@@ -784,21 +752,15 @@ let stats_payload t scope =
     Buffer.add_char buf '}';
     Buffer.contents buf
 
-(* Response write with the network fault plane. Sites fire only when a
-   chaos harness armed them (and [net.peer_crash] additionally requires
-   the config opt-in), so production writes cost four disarmed checks. *)
-let write_response t fd resp =
+(* Response write with the two network fault sites, [net.conn_reset] and
+   [net.partial_frame]. They fire only under an armed fault plan, so a
+   production write costs two disarmed checks. *)
+let write_response fd resp =
   let payload = Protocol.encode_response resp in
-  if Robust.Fault.fire "net.slow_peer" then Thread.delay 0.25;
   if Robust.Fault.fire "net.conn_reset" then begin
     (* cut the connection instead of answering: the client sees EOF/reset *)
     (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
     false
-  end
-  else if t.cfg.fault_crash_exit && Robust.Fault.fire "net.peer_crash" then begin
-    (* torn frame, then the whole process dies mid-response *)
-    (try Protocol.write_torn_frame fd payload with Unix.Unix_error _ -> ());
-    Stdlib.exit 42
   end
   else if Robust.Fault.fire "net.partial_frame" then begin
     (* header promises the full frame; half the payload arrives, then the
@@ -838,7 +800,7 @@ let conn_loop t id conn =
         | Error msg -> `Error msg
     in
     match event with
-    | `Eof | `Error _ -> ()  (* clean close or dead/hostile/stalled peer *)
+    | `Eof | `Error _ -> ()  (* clean close or dead/hostile/stalled client *)
     | `Idle ->
       if
         t.cfg.idle_timeout_s > 0.
@@ -863,7 +825,7 @@ let conn_loop t id conn =
           Protocol.Stats (stats_payload t scope)
         | Ok (Protocol.Req req) -> process_request t req
       in
-      let alive = write_response t conn.fd resp in
+      let alive = write_response conn.fd resp in
       conn.busy <- false;
       if alive then loop ()
   in
@@ -932,10 +894,7 @@ let run t =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   in
   while not (Atomic.get t.stop) do
-    (try accept_one () with Unix.Unix_error _ -> ());
-    match t.cfg.housekeeping with
-    | Some tick -> ( try tick () with _ -> ())
-    | None -> ()
+    try accept_one () with Unix.Unix_error _ -> ()
   done;
   (* Drain: no new connections; existing connections get [Shedding] for
      new requests (admission checks the flag); queued and in-flight work

@@ -3,8 +3,7 @@
     ({!Admission}), typed backpressure, graceful drain, and crash-safe
     cache persistence.
 
-    Threading: systhreads on one OCaml domain — an accept loop (which also
-    ticks injected housekeeping such as peer health probes), one thread
+    Threading: systhreads on one OCaml domain — an accept loop, one thread
     per connection, and a single solver thread. Connection threads probe
     the injected {!Serve.Schedule_cache} inline and answer hits without
     queueing; only misses reach the solver thread. Parallelism inside a
@@ -15,7 +14,7 @@ type config = {
   socket_path : string;
   tcp : (string * int) option;
       (** additional TCP listener (bind host, port) speaking the same
-          protocol — the multi-host transport *)
+          protocol *)
   service : Serve.Service.config;
       (** base architecture/strategy/budgets; per-request deadlines and
           rung overrides are applied on top *)
@@ -25,61 +24,30 @@ type config = {
       (** the schedule cache, owned by the caller: probed inline by
           connection threads, stored into by the solver thread, persisted
           by the drain *)
-  remote_probe :
-    (arch:Spec.t ->
-    layer:Layer.t ->
-    Serve.Fingerprint.t ->
-    Serve.Schedule_cache.entry option)
-      option;
-      (** warm-peer lookup behind local misses on the solver path
-          ({!Serve.Service.schedule_network}'s [?remote]). Contract:
-          implementations re-certify every record in exact arithmetic
-          before returning it; verified entries are stored back into the
-          local cache and served as [Cache_peer]. *)
-  housekeeping : (unit -> unit) option;
-      (** ticked by the accept loop every select round (~50ms); cluster
-          deployments drive peer health checks from here *)
   read_deadline_s : float;
-      (** per-connection receive deadline; a peer stalling mid-frame this
-          long poisons the connection. [<= 0] disables. *)
+      (** per-connection receive deadline; a client stalling mid-frame
+          this long poisons the connection. [<= 0] disables. *)
   idle_timeout_s : float;
       (** reap connections idle (no frame) this long; [<= 0] disables *)
-  fault_crash_exit : bool;
-      (** honor the [net.peer_crash] fault site with a process exit(42)
-          mid-response — chaos harnesses only *)
   flight_capacity : int;
       (** flight-recorder ring size: the last N per-request records
           readable through the Stats frame (min 16; always on, not gated
           on the telemetry sink) *)
-  stats_extra : (string * (unit -> string)) list;
-      (** extra named JSON sections appended to the [Stats_full]
-          snapshot; cluster wiring injects ["shards"] and ["peers"]
-          here. Thunks must return valid JSON and be safe to call from a
-          connection thread. *)
 }
 
 val config :
   ?admission:Admission.config ->
   ?default_budget_s:float ->
   ?tcp:string * int ->
-  ?remote_probe:
-    (arch:Spec.t ->
-    layer:Layer.t ->
-    Serve.Fingerprint.t ->
-    Serve.Schedule_cache.entry option) ->
-  ?housekeeping:(unit -> unit) ->
   ?read_deadline_s:float ->
   ?idle_timeout_s:float ->
-  ?fault_crash_exit:bool ->
   ?flight_capacity:int ->
-  ?stats_extra:(string * (unit -> string)) list ->
   tier:Serve.Schedule_cache.t ->
   socket_path:string ->
   Serve.Service.config ->
   config
-(** Defaults: no TCP listener, no peers/housekeeping,
-    [read_deadline_s 30.], [idle_timeout_s 300.], [fault_crash_exit false],
-    [flight_capacity 256], no extra stats sections. Two bounds are fixed
+(** Defaults: no TCP listener, [read_deadline_s 30.],
+    [idle_timeout_s 300.], [flight_capacity 256]. Two bounds are fixed
     at 30 s: the per-connection send deadline (SO_SNDTIMEO: a client that
     stops reading fails its response write and is treated as dead,
     instead of pinning its thread and the drain in a blocked write), and
@@ -153,9 +121,11 @@ val mint_req_id : unit -> int64
 
 val stats_payload : t -> Protocol.stats_scope -> string
 (** The Stats frame payload: the versioned JSON snapshot
-    ([Stats_full]), the flight-recorder ring as a JSON array
+    ([Stats_full], with the cache's per-shard counters under
+    ["shards"]), the flight-recorder ring as a JSON array
     ([Stats_flight]), or Prometheus text ([Stats_prometheus]).
     Strictly read-only — reads the cache's stats and hit rates only
-    (never [find], so no miss is booked), copies the stats mirrors under the lock, and never touches
-    the solver thread; answering a stats query cannot perturb admission
-    pricing or hit-rate accounting. *)
+    (never [find], so no miss is booked), copies the stats mirrors
+    under the lock, and never touches the solver thread; answering a
+    stats query cannot perturb admission pricing or hit-rate
+    accounting. *)

@@ -70,18 +70,6 @@ let fire site =
 
 let check site = if fire site then Error (Failure.Injected site) else Ok ()
 
-(* Network fault sites consulted by the daemon's response-write path and
-   the cluster soak. Listed here so harnesses can arm exactly the network
-   plane (or exclude it) without stringly-typed drift:
-   - net.conn_reset: abruptly shut the connection down instead of replying
-   - net.partial_frame: write the frame header plus a truncated payload,
-     stall, then close (the classic torn-write / half-open failure)
-   - net.slow_peer: delay the response past a peer's probe timeout
-   - net.peer_crash: tear the frame and exit the whole server process
-     mid-response (only honored by servers opted into crash exits) *)
-let net_sites =
-  [ "net.conn_reset"; "net.partial_frame"; "net.slow_peer"; "net.peer_crash" ]
-
 (* Chronological (site, visit index) list of faults fired since arming. *)
 let fired () =
   match !state with

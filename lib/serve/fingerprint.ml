@@ -51,23 +51,3 @@ let hash t = t.hash
 let canon t = t.canon
 let equal a b = String.equal a.canon b.canon
 let to_string t = t.hash
-
-(* Does this fingerprint's canonical form carry exactly these objective
-   weights and this strategy token? The check renders the
-   "weights=…|strategy=…" segment exactly as [make] renders it (C99 hex
-   floats, bit-exact) and matches it as a substring, anchored by the
-   trailing "|certify=" field. Used by the warm-peer tier: a remote
-   record's provenance meta must name the weights/strategy of the cache
-   key it is about to be served from and stored under — a peer running a
-   different objective config must not poison the local tier with
-   schedules whose meta contradicts their key. *)
-let covers t ~weights:(wu, wc, wt) ~strategy =
-  let fl = Printf.sprintf "%h" in
-  let needle =
-    Printf.sprintf "|weights=%s,%s,%s|strategy=%s|certify=" (fl wu) (fl wc) (fl wt)
-      strategy
-  in
-  let n = String.length t.canon and m = String.length needle in
-  let rec from i j = j = m || (t.canon.[i + j] = needle.[j] && from i (j + 1)) in
-  let rec at i = i + m <= n && (from i 0 || at (i + 1)) in
-  at 0

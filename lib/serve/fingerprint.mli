@@ -37,12 +37,4 @@ val canon : t -> string
 val equal : t -> t -> bool
 (** Full structural equality on {!canon}. *)
 
-val covers : t -> weights:float * float * float -> strategy:string -> bool
-(** Does this fingerprint's canonical form carry exactly these objective
-    weights ([w_util, w_comp, w_traf], matched bit-exactly) and this
-    strategy token (as {!Cosa.strategy_to_string} renders it)? Used to
-    check a record's provenance meta against the cache key it would be
-    served from: a record solved under a different objective config must
-    not be stored under this key. *)
-
 val to_string : t -> string

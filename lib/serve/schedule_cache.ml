@@ -20,10 +20,10 @@
    may probe and store, and probes of different shards never contend.
    Placement is content-addressed and deterministic: the first 8 hex
    characters of the fingerprint's FNV-1a hash, mod the shard count. The
-   same fingerprint lands on the same shard on every host for the life of
-   the deployment, which lets tests and peers predict placement and lets
-   per-shard hit rates feed admission with the rate of the partition a
-   request will actually hit. With one shard (the default) records live in
+   same fingerprint lands on the same shard in every process and across
+   restarts, which lets tests predict placement and lets per-shard hit
+   rates feed admission with the rate of the partition a request will
+   actually hit. With one shard (the default) records live in
    [dir] itself; with N they live in [dir/shard-NN], each shard recovering
    on its own, so a corrupted shard directory costs re-solves for that
    shard's keys only. *)
@@ -298,7 +298,7 @@ let disk_load s ~arch ~layer fp =
       (match Mapping_io.record_of_string ~pos:body text with
        | Error _ -> reject ()
        | Ok (meta, mapping) ->
-         if Layer.key mapping.Mapping.layer <> Layer.key layer then reject ()
+         if not (Layer.equal_shape mapping.Mapping.layer layer) then reject ()
          else begin
            (* trust-but-verify: re-certify against the *requested*
               architecture in exact arithmetic before serving *)

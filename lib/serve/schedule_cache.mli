@@ -3,7 +3,7 @@
 
     Fingerprints are placed on one of [shards] partitions by content
     (high 32 bits of the fingerprint hash mod the shard count), so the same
-    request lands on the same shard on every host. Each shard is an exact
+    request lands on the same shard in every process. Each shard is an exact
     least-recently-used cache behind its own mutex; probes of different
     shards never contend. Each shard publishes its hit rate as the
     [cluster.shard.NN.hit_rate] gauge.

@@ -45,12 +45,11 @@ let config ?weights ?(strategy = Cosa.Auto) ?(certify = Cosa.Warn) ?(node_limit 
     jobs = max 1 jobs;
   }
 
-type origin = Cache_memory | Cache_disk | Cache_peer | Solved of Cosa.source
+type origin = Cache_memory | Cache_disk | Solved of Cosa.source
 
 let origin_to_string = function
   | Cache_memory -> "cache(mem)"
   | Cache_disk -> "cache(disk)"
-  | Cache_peer -> "cache(peer)"
   | Solved s -> Cosa.source_to_string s
 
 type fuse_mode = Fuse_off | Fuse_chains | Fuse_auto
@@ -115,25 +114,18 @@ let request_fingerprint cfg layer =
   Fingerprint.make ~weights:cfg.weights ~strategy:cfg.strategy ~certify:cfg.certify
     cfg.arch layer
 
-(* One cache probe as the service sees it: the local cache first, then on
-   a miss the warm-peer [remote], called with no shard lock held. A record
-   the remote returns (re-certified by contract) is written through to the
-   local cache and served as [Cache_peer]. A hit comes with what serving
+(* One cache probe as the service sees it. A hit comes with what serving
    it reports, computed once per memory entry. *)
-let probe ~remote ~count_miss cache cfg layer fp =
+let probe ~count_miss cache cfg layer fp =
   let hit e origin =
     Some (e, origin, Schedule_cache.served cache fp e ~arch:cfg.arch ~weights:cfg.weights)
   in
   match Schedule_cache.find ~count_miss cache ~arch:cfg.arch ~layer fp with
   | Some (e, Schedule_cache.Memory) -> hit e Cache_memory
   | Some (e, Schedule_cache.Disk) -> hit e Cache_disk
-  | None ->
-    Option.bind remote (fun remote ->
-        Option.bind (remote ~arch:cfg.arch ~layer fp) (fun e ->
-            Schedule_cache.store cache fp e;
-            hit e Cache_peer))
+  | None -> None
 
-let schedule_network_impl ?tier ?remote ?(count_miss = true) ?rung cfg
+let schedule_network_impl ?tier ?(count_miss = true) ?rung cfg
     (net : Network.t) =
   let t0 = Robust.Deadline.now () in
   (* Per-request rung override (the daemon's admission controller): the
@@ -172,7 +164,7 @@ let schedule_network_impl ?tier ?remote ?(count_miss = true) ?rung cfg
         let fp = if strategy_eff = cfg.strategy then fp_base else fp_of strategy_eff in
         let hit =
           Option.bind tier (fun cache ->
-              let find fp = probe ~remote ~count_miss cache cfg e.Network.layer fp in
+              let find fp = probe ~count_miss cache cfg e.Network.layer fp in
               match find fp_base with
               | Some h -> Some h
               | None when cache_only ->
@@ -315,10 +307,10 @@ let schedule_network_impl ?tier ?remote ?(count_miss = true) ?rung cfg
     fusion = None;
   }
 
-let schedule_network ?tier ?remote ?count_miss ?rung ?(fuse = Fuse_off) ?max_group cfg
+let schedule_network ?tier ?count_miss ?rung ?(fuse = Fuse_off) ?max_group cfg
     (net : Network.t) =
   let sp = Telemetry.Trace.begin_span ~cat:"serve" "serve.batch" in
-  let r = schedule_network_impl ?tier ?remote ?count_miss ?rung cfg net in
+  let r = schedule_network_impl ?tier ?count_miss ?rung cfg net in
   Telemetry.Trace.end_span
     ~args:
       ([ ("network", net.Network.nname); ("distinct", string_of_int r.distinct);

@@ -2,13 +2,13 @@
 
     [schedule_network] serves a whole network in one call: entries are
     deduplicated by content fingerprint (shape-equal layers share one
-    solve), the {!Schedule_cache} is probed per distinct shape (falling
-    through to a warm peer when one is given), misses are solved
-    concurrently on a {!Pool} of OCaml 5 domains, and results are expanded
-    by each shape's summed repeat count into repetition-weighted network
-    totals. An optional fusion stage adds a certified cross-layer plan on
-    top. Per-layer failures are typed and isolated: one layer blowing its
-    budget degrades that layer (or marks it failed), never the batch. *)
+    solve), the {!Schedule_cache} is probed per distinct shape, misses are
+    solved concurrently on a {!Pool} of OCaml 5 domains, and results are
+    expanded by each shape's summed repeat count into repetition-weighted
+    network totals. An optional fusion stage adds a certified cross-layer
+    plan on top. Per-layer failures are typed and isolated: one layer
+    blowing its budget degrades that layer (or marks it failed), never the
+    batch. *)
 
 type config = {
   arch : Spec.t;
@@ -41,7 +41,7 @@ val config :
     as the binding budget and keep [time_limit]/[deadline] as safety nets
     when reproducibility matters. *)
 
-type origin = Cache_memory | Cache_disk | Cache_peer | Solved of Cosa.source
+type origin = Cache_memory | Cache_disk | Solved of Cosa.source
 
 val origin_to_string : origin -> string
 
@@ -92,8 +92,6 @@ type report = {
 
 val schedule_network :
   ?tier:Schedule_cache.t ->
-  ?remote:
-    (arch:Spec.t -> layer:Layer.t -> Fingerprint.t -> Schedule_cache.entry option) ->
   ?count_miss:bool ->
   ?rung:Robust.Ladder.rung ->
   ?fuse:fuse_mode ->
@@ -104,12 +102,6 @@ val schedule_network :
 (** Never raises. Without [tier] nothing is cached. Cache traffic runs on
     the calling domain; the pool runs nothing but [Cosa.schedule]. Freshly
     solved schedules are stored back unless their certificate failed.
-
-    [remote] is a warm-peer lookup consulted behind every local miss, for
-    each key probed, with no shard lock held. Contract: it returns only
-    records it has re-certified in exact arithmetic. A record it returns is
-    stored into [tier] (write-through) and served as [Cache_peer]. It is
-    consulted only when [tier] is given.
 
     [count_miss:false] (default [true]) books no cache miss — for the
     daemon's connection-thread fast path, whose misses the solver path

@@ -1,12 +1,11 @@
 (** Structured, leveled, rate-limited JSONL event log.
 
-    The daemon tier's operational narrative — accepts, drains, peer
-    ejections, cache recoveries, shed requests — as one JSON object per
-    line:
+    The daemon's operational narrative — starts, serves, rejections,
+    reaped connections, drains — as one JSON object per line:
 
     {v
-    {"ts":1754700000.123456,"level":"info","event":"daemon.accept",
-     "req":"00a3f2...","peer":"127.0.0.1:7401"}
+    {"ts":1754700000.123456,"level":"info","event":"daemon.serve",
+     "req":"00a3f2...","target":"layer:3_56_64_64_1"}
     v}
 
     Disabled ([Null], the default) is the steady state: each entry point
@@ -44,7 +43,7 @@ val warn : ?req:int64 -> string -> (string * string) list -> unit
 
 val error : ?req:int64 -> string -> (string * string) list -> unit
 (** [info event fields] emits one line. [event] is a dotted name
-    (["daemon.accept"], ["cluster.peer_eject"]) that doubles as the
+    (["daemon.serve"], ["daemon.reap"]) that doubles as the
     rate-limit key; [fields] become string-valued JSON members. [req]
     overrides the ambient [Trace.current_request] binding. *)
 

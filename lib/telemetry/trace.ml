@@ -76,9 +76,9 @@ let reset () =
 (* Per-systhread request binding. The daemon runs every connection on its
    own thread inside one domain, so Domain-local storage cannot tell two
    in-flight requests apart; the context is keyed by [Thread.id] instead.
-   The binding is independent of the sink — wire propagation (peer probes
-   reading [current_request]) must work even with tracing off — but only
-   [record] pays the lookup, and only when a sink is armed. *)
+   The binding is independent of the sink — the event log reads
+   [current_request] and must tag its lines even with tracing off — but
+   only [record] pays the lookup, and only when a sink is armed. *)
 
 let req_mu = Mutex.create ()
 let req_tbl : (int, int64 * int) Hashtbl.t = Hashtbl.create 16

@@ -42,9 +42,9 @@ val with_request : id:int64 -> hop:int -> (unit -> 'a) -> 'a
     tagged with [("req", "%016Lx")] (and [("hop", n)] when [hop > 0]),
     and {!current_request} returns the binding — that is how the daemon
     threads one wire request id through solver spans, cache instants and
-    outbound peer probes. Nests: the previous binding is restored when
-    [f] returns or raises. Works with the sink disabled (propagation is
-    not a telemetry feature); only event tagging depends on the sink. *)
+    event-log lines. Nests: the previous binding is restored when [f]
+    returns or raises. Works with the sink disabled (the event log reads
+    it too); only event tagging depends on the sink. *)
 
 val current_request : unit -> (int64 * int) option
 (** The calling thread's [(request id, hop)] binding, if inside

@@ -69,7 +69,9 @@ let key t =
   field ".c" t.c; field ".k" t.k; field ".n" t.n; field ".st" t.stride;
   Buffer.contents b
 
-let equal_shape a b = key a = key b
+let equal_shape a b =
+  a.r = b.r && a.s = b.s && a.p = b.p && a.q = b.q && a.c = b.c && a.k = b.k && a.n = b.n
+  && a.stride = b.stride
 
 let label t = label_of ~r:t.r ~p:t.p ~c:t.c ~k:t.k ~stride:t.stride
 

@@ -60,7 +60,8 @@ val key : t -> string
     contribution to schedule-cache fingerprints and shape deduplication. *)
 
 val equal_shape : t -> t -> bool
-(** Structural equality on {!key} (name-blind). *)
+(** Name-blind shape equality: the eight fields {!key} renders, compared
+    directly, so it holds exactly when the keys are equal. *)
 
 val label : t -> string
 (** The paper's x-axis label: [R_P_C_K_Stride]. *)

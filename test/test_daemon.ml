@@ -1,7 +1,8 @@
 (* Tests for the scheduling daemon: wire protocol totality and roundtrips,
    SLO-aware admission (budget-band rung selection, quotas, shedding,
-   queue bounds — table-driven and property-based), and a live
-   socket-level end-to-end exchange with graceful drain. *)
+   queue bounds — table-driven and property-based), a live socket-level
+   end-to-end exchange with graceful drain, the TCP listener and client
+   failover, request-id propagation, and the network fault sites. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -554,6 +555,132 @@ let test_daemon_tcp_failover () =
       let after = (Daemon.Server.stats server).Daemon.Server.received in
       check_int "typed rejection not retried" 1 (after - before))
 
+(* ---- client: bounded connect, terminal protocol errors ---------------- *)
+
+(* A black-holed endpoint must cost at most the connect budget, not the
+   kernel's ~minutes TCP timeout — this is what keeps one dead endpoint
+   from stalling a failover walk. Simulate the black hole locally: a
+   listener whose accept queue is saturated drops further SYNs, so an
+   unbounded connect hangs in retransmission. Only boundedness is
+   asserted — some network fabrics complete the handshake anyway, which
+   is also a fast return. *)
+let test_connect_timeout_bounded () =
+  let srv = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt srv Unix.SO_REUSEADDR true;
+  Unix.bind srv (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen srv 1;
+  let port =
+    match Unix.getsockname srv with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  (* saturate the accept queue with connections nobody will accept *)
+  let stuffers =
+    List.init 8 (fun _ ->
+        let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.set_nonblock s;
+        (try Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+         with
+         | Unix.Unix_error
+             ( ( Unix.EINPROGRESS | Unix.EWOULDBLOCK | Unix.EAGAIN
+               | Unix.ECONNREFUSED ),
+               _, _ ) -> ());
+        s)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun s -> try Unix.close s with Unix.Unix_error _ -> ())
+        stuffers;
+      Unix.close srv)
+    (fun () ->
+      Thread.delay 0.05;
+      let t0 = Unix.gettimeofday () in
+      (match
+         Daemon.Client.connect_ep ~timeout_s:0.3
+           (Daemon.Client.Tcp ("127.0.0.1", port))
+       with
+       | Ok c -> Daemon.Client.close c
+       | Error _ -> ());
+      check_bool "connect bounded by the budget" true
+        (Unix.gettimeofday () -. t0 < 5.));
+  (* the non-blocking path still completes a legitimate connect *)
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen fd 8;
+  let port =
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  Fun.protect ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      match
+        Daemon.Client.connect_ep ~timeout_s:1. (Daemon.Client.Tcp ("127.0.0.1", port))
+      with
+      | Ok c -> Daemon.Client.close c
+      | Error msg -> Alcotest.fail ("bounded connect to live listener: " ^ msg))
+
+(* A server speaking the wrong protocol version answers every exchange
+   with an undecodable (but well-framed) response. That is a permanent
+   property of the server: failover must surface it immediately instead
+   of burning every retry and backoff against it. *)
+let test_failover_protocol_error_terminal () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "cosa_badver_%d_%d.sock" (Unix.getpid ()) (Random.bits ()))
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.listen fd 8;
+  let conns = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        try
+          while not (Atomic.get stop) do
+            let c, _ = Unix.accept fd in
+            if not (Atomic.get stop) then Atomic.incr conns;
+            (try
+               match P.read_frame c with
+               | Ok (Some _) ->
+                 (* right magic, wrong version: decodes to a typed
+                    expected-vs-got protocol error on the client *)
+                 P.write_frame c (Bytes.of_string "\xC5\x63junk")
+               | _ -> ()
+             with _ -> ());
+            try Unix.close c with Unix.Unix_error _ -> ()
+          done
+        with _ -> ())
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      (try
+         let c = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+         Unix.connect c (Unix.ADDR_UNIX path);
+         Unix.close c
+       with Unix.Unix_error _ -> ());
+      Thread.join th;
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      match
+        Daemon.Client.request_failover ~retries:3 ~backoff_s:0.001 ~timeout_s:2.
+          ~endpoints:[ Daemon.Client.Unix_path path ]
+          { P.client = ""; budget_s = 1.; arch = "baseline";
+            target = P.Layer "cl_a"; cache_only = false; req_id = 0L; hop = 0 }
+      with
+      | Ok _ -> Alcotest.fail "undecodable response must not yield Ok"
+      | Error msg ->
+        check_bool "error names the version mismatch" true
+          (contains msg "version mismatch");
+        check_bool "error marked terminal" true (contains msg "not retried");
+        check_int "exactly one exchange: no retries burned" 1 (Atomic.get conns))
+
 (* Drain persists the cache; a warm restart serves from disk after
    re-verification. *)
 let test_daemon_drain_and_restart () =
@@ -670,6 +797,71 @@ let test_stats_frame () =
         (contains
            (Daemon.Server.stats_payload server P.Stats_full)
            "\"received\":2"))
+
+(* ---- request-id propagation ------------------------------------------ *)
+
+(* One wire request id threads client -> daemon: the daemon serves under
+   the client's id, and the same 16-hex-digit rendering shows up in the
+   trace export, the structured event log, and the daemon's flight
+   recorder. *)
+let test_request_id_propagation () =
+  Telemetry.Sink.set Telemetry.Sink.Memory;
+  Telemetry.Trace.reset ();
+  Telemetry.Log.set ~level:Telemetry.Log.Debug Telemetry.Log.Memory;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.Log.set Telemetry.Log.Null;
+      Telemetry.Sink.set Telemetry.Sink.Null)
+    (fun () ->
+      let id = 0x00ab_cdef_0123_4567L in
+      let hex = Telemetry.Trace.request_id_hex id in
+      with_temp_daemon (fun server sock ->
+          (match request ~req_id:id sock "3_56_64_64_1" with
+           | Ok (P.Scheduled _) -> ()
+           | _ -> Alcotest.fail "expected a Scheduled response");
+          (* flight recorder: the daemon's record of this request *)
+          let flight = Daemon.Server.stats_payload server P.Stats_flight in
+          check_bool "flight recorder carries the id" true (contains flight hex);
+          (* trace export: at least one event tagged with the id *)
+          check_bool "trace events tagged with the id" true
+            (List.exists
+               (fun (e : Telemetry.Trace.event) ->
+                 List.assoc_opt "req" e.Telemetry.Trace.args = Some hex)
+               (Telemetry.Trace.events ()));
+          (* structured event log: the serve line carries the id *)
+          check_bool "event log carries the id" true
+            (List.exists
+               (fun line -> contains line hex && contains line "daemon.serve")
+               (Telemetry.Log.captured ()))))
+
+(* ---- network fault sites ---------------------------------------------- *)
+
+(* The response write's two fault sites, net.conn_reset and
+   net.partial_frame. Armed, a served cache hit reaches the client as a
+   transport error, never as a decoded answer; disarmed, the same daemon
+   serves on. *)
+let test_net_fault_sites () =
+  with_temp_daemon (fun server sock ->
+      (match request sock "3_56_64_64_1" with
+       | Ok (P.Scheduled _) -> ()
+       | _ -> Alcotest.fail "seed solve failed");
+      let served () = (Daemon.Server.stats server).Daemon.Server.served in
+      List.iter
+        (fun site ->
+          let before = served () in
+          (match
+             Robust.Fault.with_faults ~rate:1. ~only:[ site ] 1 (fun () ->
+                 request sock "3_56_64_64_1")
+           with
+           | Error _ -> ()
+           | Ok _ -> Alcotest.fail (site ^ ": a decoded answer got through"));
+          check_int (site ^ ": the hit was served") (before + 1) (served ());
+          match request sock "3_56_64_64_1" with
+          | Ok (P.Scheduled { P.layers = [ l ]; _ }) ->
+            check_string (site ^ ": disarmed, the daemon serves on") "cache(mem)"
+              l.P.origin
+          | _ -> Alcotest.fail (site ^ ": no answer after disarming"))
+        [ "net.conn_reset"; "net.partial_frame" ])
 
 (* ---- what a hit serves -------------------------------------------------- *)
 
@@ -860,9 +1052,16 @@ let suite =
       Alcotest.test_case "daemon rejects version mismatch" `Slow
         test_daemon_rejects_version_mismatch;
       Alcotest.test_case "daemon tcp + failover" `Slow test_daemon_tcp_failover;
+      Alcotest.test_case "connect bounded by timeout" `Quick
+        test_connect_timeout_bounded;
+      Alcotest.test_case "protocol errors terminal in failover" `Quick
+        test_failover_protocol_error_terminal;
       Alcotest.test_case "daemon drain+restart" `Slow test_daemon_drain_and_restart;
       Alcotest.test_case "stats frame: live + read-only" `Slow test_stats_frame;
       Alcotest.test_case "hit keeps the solving rung" `Slow test_hit_keeps_provenance;
+      Alcotest.test_case "request id threads client -> daemon" `Slow
+        test_request_id_propagation;
+      Alcotest.test_case "net fault sites tear the reply" `Slow test_net_fault_sites;
       Alcotest.test_case "served values = from-scratch recomputation" `Quick
         test_served_values_from_scratch;
       Alcotest.test_case "one write per frame" `Quick test_one_write_per_frame;

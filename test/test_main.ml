@@ -30,7 +30,6 @@ let () =
       Test_exp_common.suite;
       Test_serve.suite;
       Test_daemon.suite;
-      Test_cluster.suite;
       Test_telemetry.suite;
       Test_fuse.suite;
       Test_integration.suite;

@@ -1,6 +1,6 @@
 (* Tests for the batch scheduling service: fingerprints, the certified
    LRU schedule cache (memory + trust-but-verify disk tier, domain-safe at
-   any shard count), the domain pool, the warm-peer fall-through, and the
+   any shard count), the sharded tier, the domain pool, and the
    end-to-end service counters. *)
 
 let check_int = Alcotest.(check int)
@@ -376,8 +376,7 @@ let test_rung_override () =
    | [ { Serve.Service.served = Ok s; _ } ] ->
      check_bool "served from cache" true
        (match s.Serve.Service.origin with
-        | Serve.Service.Cache_memory | Serve.Service.Cache_disk
-        | Serve.Service.Cache_peer -> true
+        | Serve.Service.Cache_memory | Serve.Service.Cache_disk -> true
         | Serve.Service.Solved _ -> false)
    | _ -> Alcotest.fail "expected a cache hit")
 
@@ -430,42 +429,11 @@ let test_cache_domain_safety () =
         + st.Serve.Schedule_cache.misses))
     [ 1; 4 ]
 
-(* ---- warm-peer fall-through ------------------------------------------- *)
-
-(* A miss the remote answers is served as [Cache_peer] and written
-   through; the next request hits memory, and a local hit never consults
-   the remote. *)
-let test_remote_fallthrough () =
-  let cfg = fast_config () in
-  let net = net_of ~name:"peer" [ (layer_a, 1) ] in
-  let key = Serve.Service.request_fingerprint cfg layer_a in
-  let calls = ref 0 in
-  let remote ~arch:_ ~layer:_ f =
-    incr calls;
-    if Serve.Fingerprint.equal f key then Some (entry_of layer_a) else None
-  in
-  let cache = Serve.Schedule_cache.create ~capacity:8 () in
-  let origin (r : Serve.Service.report) =
-    match r.Serve.Service.layers with
-    | [ { Serve.Service.served = Ok s; _ } ] ->
-      Serve.Service.origin_to_string s.Serve.Service.origin
-    | _ -> Alcotest.fail "expected one served layer"
-  in
-  let first = Serve.Service.schedule_network ~tier:cache ~remote cfg net in
-  Alcotest.(check string) "remote answer served as peer" "cache(peer)" (origin first);
-  check_int "remote consulted once" 1 !calls;
-  check_int "written through" 1
-    (Serve.Schedule_cache.stats cache).Serve.Schedule_cache.stores;
-  let second = Serve.Service.schedule_network ~tier:cache ~remote cfg net in
-  Alcotest.(check string) "next request hits memory" "cache(mem)" (origin second);
-  check_int "local hit never consults the remote" 1 !calls
-
 (* ---- the on-disk key format ------------------------------------------- *)
 
-(* Cache directories outlive the binary and peers run mixed versions, so
-   the canonical request string and its FNV-1a hash are pinned as the
-   format was first written, and so is one record a previous version
-   wrote. *)
+(* Cache directories outlive the binary, so the canonical request string
+   and its FNV-1a hash are pinned as the format was first written, and so
+   is one record a previous version wrote. *)
 let pinned_canon =
   String.concat ""
     [
@@ -540,6 +508,218 @@ let test_key_format_pinned () =
         check_bool "meta" true (e.Serve.Schedule_cache.meta = pinned_meta)
       | _ -> Alcotest.fail "expected the pinned record as a verified disk hit")
 
+(* ---- the sharded tier ------------------------------------------------ *)
+
+(* [Schedule_cache ~shards]: content-addressed placement, per-shard
+   crash-safe persistence and independent recovery, the configurable
+   stale-temp sweep, solve determinism through the sharded tier, and miss
+   accounting under peek probes. These cases keep their own helpers:
+   eight small distinct layers, and [fp]/[entry_of] over them. *)
+module Sharded = struct
+  let check_string = Alcotest.(check string)
+
+  (* Small distinct layers: fingerprints differ, solves are fast. *)
+  let layers =
+    List.map
+      (fun (name, p, q, c, k) ->
+        Layer.create ~name ~r:1 ~s:1 ~p ~q ~c ~k ~n:1 ())
+      [ ("cl_a", 4, 4, 8, 8); ("cl_b", 4, 4, 4, 8); ("cl_c", 8, 8, 4, 4);
+        ("cl_d", 8, 4, 8, 4); ("cl_e", 4, 8, 8, 4); ("cl_f", 8, 8, 8, 8);
+        ("cl_g", 4, 4, 8, 4); ("cl_h", 8, 4, 4, 8) ]
+
+  let fp layer =
+    Serve.Fingerprint.make ~weights ~strategy:Cosa.Two_stage ~certify:Cosa.Warn
+      arch layer
+
+  let entry_of layer =
+    { Serve.Schedule_cache.meta = Mapping_io.default_meta;
+      mapping = Cosa.trivial_mapping arch layer }
+
+  let temp_dir prefix =
+    let d = Filename.temp_file prefix "" in
+    Sys.remove d;
+    Unix.mkdir d 0o755;
+    d
+
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+
+  (* ---- shard placement and aggregate stats ------------------------------ *)
+
+  let test_shard_placement () =
+    let c1 = Serve.Schedule_cache.create ~capacity:64 ~shards:4 () in
+    let c2 = Serve.Schedule_cache.create ~capacity:64 ~shards:4 () in
+    check_int "shard count" 4 (Serve.Schedule_cache.shard_count c1);
+    let idxs = List.map (fun l -> Serve.Schedule_cache.shard_index c1 (fp l)) layers in
+    (* content-addressed: every instance (every host) agrees on the owner *)
+    List.iter2
+      (fun l i ->
+        check_int "placement deterministic across instances" i
+          (Serve.Schedule_cache.shard_index c2 (fp l));
+        check_bool "owner in range" true (i >= 0 && i < 4))
+      layers idxs;
+    check_bool "keys spread across shards" true
+      (List.length (List.sort_uniq compare idxs) >= 2);
+    List.iter (fun l -> Serve.Schedule_cache.store c1 (fp l) (entry_of l)) layers;
+    List.iter
+      (fun l ->
+        match Serve.Schedule_cache.find c1 ~arch ~layer:l (fp l) with
+        | Some (_, Serve.Schedule_cache.Memory) -> ()
+        | _ -> Alcotest.fail "stored entry not found in memory")
+      layers;
+    (* the aggregate view is exactly the sum of the per-shard counters *)
+    let agg = Serve.Schedule_cache.stats c1 in
+    let sum f =
+      List.fold_left
+        (fun a i -> a + f (Serve.Schedule_cache.shard_stats c1 i))
+        0 [ 0; 1; 2; 3 ]
+    in
+    check_int "hits aggregate" agg.Serve.Schedule_cache.hits
+      (sum (fun s -> s.Serve.Schedule_cache.hits));
+    check_int "stores aggregate" agg.Serve.Schedule_cache.stores
+      (sum (fun s -> s.Serve.Schedule_cache.stores));
+    check_int "all stores counted" (List.length layers)
+      agg.Serve.Schedule_cache.stores
+
+  (* ---- per-shard persistence, recovery, corruption isolation ------------ *)
+
+  let shard_file dir i l =
+    Filename.concat
+      (Filename.concat dir (Printf.sprintf "shard-%02d" i))
+      (Serve.Fingerprint.hash (fp l) ^ ".cosa")
+
+  let test_shard_persist_recover () =
+    let dir = temp_dir "cosa_cluster" in
+    Fun.protect ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let c = Serve.Schedule_cache.create ~dir ~capacity:64 ~shards:4 () in
+        List.iter (fun l -> Serve.Schedule_cache.store c (fp l) (entry_of l)) layers;
+        (* store writes through: the record is already in the owner shard's
+           subdirectory, so even a SIGKILL loses nothing *)
+        List.iter
+          (fun l ->
+            let i = Serve.Schedule_cache.shard_index c (fp l) in
+            check_bool ("record in owning shard: " ^ l.Layer.name) true
+              (Sys.file_exists (shard_file dir i l)))
+          layers;
+        (* a fresh instance over the same directory recovers every shard *)
+        let c2 = Serve.Schedule_cache.create ~dir ~capacity:64 ~shards:4 () in
+        List.iter
+          (fun l ->
+            match Serve.Schedule_cache.find c2 ~arch ~layer:l (fp l) with
+            | Some (_, Serve.Schedule_cache.Disk) -> ()
+            | Some (_, Serve.Schedule_cache.Memory) ->
+              Alcotest.fail "fresh instance should hit the disk tier"
+            | None -> Alcotest.fail "disk recovery missed an entry")
+          layers;
+        (* corrupting one record costs that key only; its reject is counted
+           on the owning shard and every other key still verifies *)
+        let victim = List.hd layers in
+        let vi = Serve.Schedule_cache.shard_index c (fp victim) in
+        let oc = open_out (shard_file dir vi victim) in
+        output_string oc "not a schedule record";
+        close_out oc;
+        let c3 = Serve.Schedule_cache.create ~dir ~capacity:64 ~shards:4 () in
+        (match Serve.Schedule_cache.find c3 ~arch ~layer:victim (fp victim) with
+         | None -> ()
+         | Some _ -> Alcotest.fail "corrupted record must not be served");
+        check_int "reject counted on the owning shard" 1
+          (Serve.Schedule_cache.shard_stats c3 vi).Serve.Schedule_cache.disk_rejects;
+        List.iter
+          (fun l ->
+            if l != victim then
+              match Serve.Schedule_cache.find c3 ~arch ~layer:l (fp l) with
+              | Some _ -> ()
+              | None -> Alcotest.fail "corruption leaked beyond its key")
+          layers)
+
+  (* ---- configurable stale-temp sweep ------------------------------------ *)
+
+  let test_tmp_sweep_age () =
+    let dir = temp_dir "cosa_sweep" in
+    Fun.protect ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let touch name =
+          let p = Filename.concat dir name in
+          let oc = open_out p in
+          output_string oc "partial write";
+          close_out oc;
+          p
+        in
+        let old_tmp = touch "aaaa.cosa.1.0.tmp" in
+        let fresh_tmp = touch "bbbb.cosa.2.0.tmp" in
+        let past = Unix.time () -. 7200. in
+        Unix.utimes old_tmp past past;
+        (* threshold 1h: the stale temp goes, the live writer's is spared *)
+        ignore (Serve.Schedule_cache.create ~dir ~tmp_sweep_age_s:3600. ~capacity:4 ());
+        check_bool "stale temp swept" false (Sys.file_exists old_tmp);
+        check_bool "fresh temp spared" true (Sys.file_exists fresh_tmp);
+        (* default threshold 0: sweep everything (historical behavior) *)
+        ignore (Serve.Schedule_cache.create ~dir ~capacity:4 ());
+        check_bool "default sweeps everything" false (Sys.file_exists fresh_tmp))
+
+  (* ---- determinism through the thread-safe sharded tier ----------------- *)
+
+  let test_jobs_determinism () =
+    let net =
+      { Network.nname = "cl_net";
+        entries =
+          List.filteri (fun i _ -> i < 4) layers
+          |> List.map (fun l -> { Network.layer = l; repeats = 1 }) }
+    in
+    let run jobs =
+      let sh = Serve.Schedule_cache.create ~capacity:64 ~shards:4 () in
+      let cfg =
+        Serve.Service.config ~strategy:Cosa.Two_stage ~node_limit:2_000
+          ~time_limit:60. ~jobs arch
+      in
+      let r =
+        Serve.Service.schedule_network ~tier:sh cfg net
+      in
+      List.map
+        (fun (lr : Serve.Service.layer_report) ->
+          match lr.Serve.Service.served with
+          | Ok s -> Mapping_io.to_string s.Serve.Service.mapping
+          | Error _ -> Alcotest.fail "solve failed")
+        r.Serve.Service.layers
+    in
+    List.iter2
+      (check_string "jobs=1 and jobs=4 byte-identical")
+      (run 1) (run 4)
+
+  (* ---- peek probes and miss accounting ---------------------------------- *)
+
+  (* The daemon's connection-thread fast path peeks the tier before the
+     solver path probes it authoritatively: a peek miss must not be booked
+     (or every missing request would count 2+ misses and deflate the
+     hit-rate window admission prices against), while hits always count. *)
+  let test_peek_no_miss_accounting () =
+    let sh = Serve.Schedule_cache.create ~capacity:16 ~shards:2 () in
+    let l = List.hd layers in
+    (match Serve.Schedule_cache.find ~count_miss:false sh ~arch ~layer:l (fp l) with
+     | None -> ()
+     | Some _ -> Alcotest.fail "empty cache cannot hit");
+    check_int "peek miss not booked" 0
+      (Serve.Schedule_cache.stats sh).Serve.Schedule_cache.misses;
+    (match Serve.Schedule_cache.find sh ~arch ~layer:l (fp l) with
+     | None -> ()
+     | Some _ -> Alcotest.fail "empty cache cannot hit");
+    check_int "authoritative miss booked" 1
+      (Serve.Schedule_cache.stats sh).Serve.Schedule_cache.misses;
+    Serve.Schedule_cache.store sh (fp l) (entry_of l);
+    (match Serve.Schedule_cache.find ~count_miss:false sh ~arch ~layer:l (fp l) with
+     | Some _ -> ()
+     | None -> Alcotest.fail "stored entry must peek");
+    check_int "peek hit booked" 1
+      (Serve.Schedule_cache.stats sh).Serve.Schedule_cache.hits;
+    check_int "hit books no miss" 1
+      (Serve.Schedule_cache.stats sh).Serve.Schedule_cache.misses
+end
+
 let suite =
   ( "serve",
     [
@@ -557,7 +737,15 @@ let suite =
       Alcotest.test_case "service counters" `Quick test_service_counters;
       Alcotest.test_case "cache domain-safe at 1 and 4 shards" `Quick
         test_cache_domain_safety;
-      Alcotest.test_case "remote falls through behind misses" `Quick
-        test_remote_fallthrough;
       Alcotest.test_case "key format pinned" `Quick test_key_format_pinned;
+      Alcotest.test_case "shard placement + aggregate stats" `Quick
+        Sharded.test_shard_placement;
+      Alcotest.test_case "per-shard persist/recover/corruption" `Quick
+        Sharded.test_shard_persist_recover;
+      Alcotest.test_case "stale-temp sweep age threshold" `Quick
+        Sharded.test_tmp_sweep_age;
+      Alcotest.test_case "jobs=1 = jobs=4 through sharded tier" `Slow
+        Sharded.test_jobs_determinism;
+      Alcotest.test_case "peek probes book no misses" `Quick
+        Sharded.test_peek_no_miss_accounting;
     ] )
